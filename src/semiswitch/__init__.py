@@ -8,14 +8,14 @@ shapes at once.
 """
 
 from .errors import BudgetExceeded, ConsistencyError
-from .gf import FieldCtx, arith, build_field, field_from_spec
+from .gf import FieldCtx, build_field, field_from_spec
 from .linpoly import (
     LinearizedPoly,
     is_permutation,
-    lp_eval,
     search,
     switching_predicate,
     trace_quotient,
+    transcript,
 )
 from .presemifield import (
     BinaryOp,

@@ -29,7 +29,7 @@ import json
 import sys
 
 from . import codes as codes_mod
-from . import families, hws, linpoly, presemifield
+from . import digits, families, hws, linpoly, presemifield
 from .errors import BudgetExceeded, ConsistencyError
 from .gf import build_field
 
@@ -107,18 +107,29 @@ def _config_record(args, ctx, extra=None):
 
 
 def _read_polys(ctx, path):
+    """Polynomials from a JSON-lines file; a malformed record raises ValueError."""
     out = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             data = json.loads(line)
+            if not isinstance(data, dict):
+                raise ValueError(f"line {lineno}: expected a JSON object")
             if data.get("record") in ("config", "summary"):
                 continue
-            coeffs = data["coeffs"]
-            if len(coeffs) != ctx.n:
-                raise ValueError(f"expected {ctx.n} coefficients, got {len(coeffs)}")
+            coeffs = data.get("coeffs")
+            # type() rather than isinstance(): bools are ints too
+            if not (
+                isinstance(coeffs, list)
+                and len(coeffs) == ctx.n
+                and all(type(c) is int and 0 <= c < ctx.order for c in coeffs)
+            ):
+                raise ValueError(
+                    f"line {lineno}: coeffs must be a list of {ctx.n} ints "
+                    f"in 0..{ctx.order - 1}, got {json.dumps(coeffs)}"
+                )
             out.append(linpoly.LinearizedPoly(ctx, tuple(coeffs)))
     return out
 
@@ -186,7 +197,7 @@ def _verify_one(L):
     else:
         report["hws"] = None
     if ctx.m == 1:
-        ok, witness = digits_vanishing(L)
+        ok, witness = digits.vanishing_sums_check(L)
         report["vanishing_sums"] = ok
         if not ok:
             report["vanishing_sums_witness"] = {
@@ -196,12 +207,6 @@ def _verify_one(L):
     else:
         report["vanishing_sums"] = None
     return report
-
-
-def digits_vanishing(L):
-    from .digits import vanishing_sums_check
-
-    return vanishing_sums_check(L)
 
 
 def cmd_verify(args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linpoly
-from .linpoly import LinearizedPoly, trace_quotient
+from .linpoly import LinearizedPoly, transcript
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,12 @@ class Codeword:
 
 
 def trace_codeword(ctx, coeffs):
-    """The word of (a_0, ..., a_{n-1}): trace quotient along gamma powers."""
+    """The word of (a_0, ..., a_{n-1}): trace quotient along gamma powers.
+
+    The word is the period-M transcript repeated q - 1 times.
+    """
     L = LinearizedPoly(ctx, tuple(coeffs))
-    values = tuple(trace_quotient(L, x) for x in ctx.star_units())
+    values = tuple(transcript(ctx, L.coeffs)) * (ctx.q - 1)
     return Codeword(tuple(coeffs), values)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 from itertools import product
-from math import gcd
 
 from .errors import BudgetExceeded, ConsistencyError
 
@@ -443,28 +442,10 @@ def field_from_spec(spec, cap=None):
     return ctx
 
 
-def arith(ctx, op, *operands):
-    """Dispatch helper: op in add/sub/neg/mul/div/inv/pow."""
-    table = {
-        "add": ctx.add,
-        "sub": ctx.sub,
-        "neg": ctx.neg,
-        "mul": ctx.mul,
-        "div": ctx.div,
-        "inv": ctx.inv,
-        "pow": ctx.pow,
-    }
-    if op not in table:
-        raise ValueError(f"unknown operation {op!r}")
-    return table[op](*operands)
-
-
 __all__ = [
     "FieldCtx",
     "build_field",
     "field_from_spec",
-    "arith",
     "field_cap",
     "DEFAULT_FIELD_CAP",
-    "gcd",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .linpoly import trace_quotient
+from .linpoly import transcript
 
 
 def canonical_residue(j, q, n):
@@ -91,10 +91,13 @@ def leader_thresholds(q, n):
 
 
 def rational_point_count(L):
-    """N = 1 + q * #{x in F_{q^n} : Tr(L(x)/x) = 0} (x = 0 counts via a_0)."""
+    """N = 1 + q * #{x in F_{q^n} : Tr(L(x)/x) = 0} (x = 0 counts via a_0).
+
+    Each zero in the period-M transcript stands for q - 1 units.
+    """
     ctx = L.ctx
-    zeros = sum(1 for x in ctx.elements() if trace_quotient(L, x) == 0)
-    return 1 + ctx.q * zeros
+    zeros = sum(1 for v in transcript(ctx, L.coeffs) if v == 0)
+    return 1 + ctx.q * ((ctx.q - 1) * zeros + (ctx.rel_trace(L.coeffs[0]) == 0))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,16 @@ quotient vanishes nowhere on the nonzero elements; those are exactly
 the polynomials whose induced switching of the field multiplication
 stays a presemifield.
 
+One kernel, :func:`transcript`, computes the trace quotient along the
+powers of gamma, and every predicate, code and point-count caller reads
+it.  Two facts keep it small.  L is F_q-linear, so L(cx)/(cx) = L(x)/x
+for c in F_q^*: the transcript is constant on F_q^* cosets and has
+period M = (q^n - 1)/(q - 1), not q^n - 1.  And a_0 enters only
+through Tr(a_0), so the exhaustive search treats a_0 as one of q trace
+classes and expands each class back into its a_0 values at the end.
+:func:`trace_quotient` stays as the pointwise definition that tests
+compare the kernel against.
+
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
 coefficient index most significant.  Random mode draws from a seeded
@@ -70,10 +80,6 @@ class LinearizedPoly:
         return {"field": self.ctx.to_spec(), "coeffs": list(self.coeffs)}
 
 
-def lp_eval(L, x):
-    return L.eval(x)
-
-
 def trace_quotient(L, x):
     """Tr(L(x)/x) as an element of F_q, with the value Tr(a_0) at x = 0."""
     ctx = L.ctx
@@ -89,13 +95,26 @@ def trace_quotient(L, x):
     return ctx.rel_trace(acc)
 
 
+def transcript(ctx, coeffs):
+    """Tr(L(gamma^k)/gamma^k) for k = 0..M-1, M = (q^n - 1)/(q - 1).
+
+    Yields F_q element codes lazily, so a caller can stop at the first
+    value it needs.  Term i is the strided read
+    tr[exp[(log a_i + k (q^i - 1)) mod N]]; no field multiplications.
+    """
+    N, tr, exp, log, add = ctx.mult_order, ctx.tr, ctx.exp, ctx.log, ctx.add
+    t0 = tr[coeffs[0]]
+    terms = [(log[a], e) for a, e in zip(coeffs[1:], ctx.qpow_minus1[1:]) if a]
+    for k in range(ctx.trace_step):
+        v = t0
+        for s, e in terms:
+            v = add(v, tr[exp[(s + k * e) % N]])
+        yield v
+
+
 def switching_predicate(L):
     """True when Tr(L(x)/x) != 0 for every nonzero x."""
-    ctx = L.ctx
-    for x in ctx.units():
-        if trace_quotient(L, x) == 0:
-            return False
-    return True
+    return all(transcript(L.ctx, L.coeffs))
 
 
 def is_permutation(L):
@@ -109,111 +128,78 @@ def is_permutation(L):
 # ---- search ----
 
 
-def _trace_term_tables(ctx, support):
-    """tt[i][a][k] = Tr(a * x^(q^i - 1)) for x = k + 1, as F_q codes.
-
-    The i = 0 row is constant in x (the term is Tr(a_0)).
-    """
-    N = ctx.mult_order
-    tables = {}
-    for i in support:
-        rows = []
-        if i == 0:
-            for a in range(ctx.order):
-                rows.append((ctx.rel_trace(a),) * N)
-        else:
-            e = ctx.qpow_minus1[i]
-            xpow = [ctx.exp[(ctx.log[x] * e) % N] for x in ctx.units()]
-            for a in range(ctx.order):
-                rows.append(tuple(ctx.rel_trace(ctx.mul(a, xp)) for xp in xpow))
-        tables[i] = rows
-    return tables
+# Most tuples the exhaustive kernel compares in one numpy block.
+_TAIL_TUPLES = 4096
 
 
-def _passes(ctx, support, tables, assignment):
-    add = ctx.add
-    rows = [tables[i][a] for i, a in zip(support, assignment)]
-    for k in range(ctx.mult_order):
-        s = 0
-        for row in rows:
-            s = add(s, row[k])
-        if s == 0:
-            return False
-    return True
-
-
-def _make_poly(ctx, support, assignment):
-    coeffs = [0] * ctx.n
+def _coeffs(n, support, assignment):
+    coeffs = [0] * n
     for i, a in zip(support, assignment):
         coeffs[i] = a
-    return LinearizedPoly(ctx, tuple(coeffs))
+    return tuple(coeffs)
 
 
-def _search_exhaustive_binary(ctx, support, per_item=None):
-    """Fast path for q = 2: the trace transcript of a candidate is the
-    XOR of per-coefficient bitmask transcripts, and the predicate holds
-    exactly when the combined mask has every bit set."""
+def _search_exhaustive(ctx, support):
+    """Every passing assignment to ``support``, in code order.
+
+    The transcripts of the monomials a X^(q^i) are F_p digit planes (one
+    per digit position that some F_q value uses), so a transcript sum is
+    a plane-wise sum mod p.  Index 0 takes only its q trace classes; the
+    candidates split into head tuples, walked one by one, and a block of
+    at most _TAIL_TUPLES tail tuples whose summed transcripts are held in
+    one array.  A candidate fails exactly where the tail transcript
+    equals the negated head transcript in every plane.
+    """
     import numpy as np
 
-    N = ctx.mult_order
-    full = (1 << N) - 1
-    masks = {}
-    for i in support:
-        row = []
-        for a in range(ctx.order):
-            m = 0
-            for k, x in enumerate(ctx.units()):
-                if i == 0:
-                    t = ctx.rel_trace(a)
-                else:
-                    t = ctx.rel_trace(
-                        ctx.mul(a, ctx.exp[(ctx.log[x] * ctx.qpow_minus1[i]) % N])
-                    )
-                if t:
-                    m |= 1 << k
-            row.append(m)
-        masks[i] = row
+    p, N, M = ctx.p, ctx.mult_order, ctx.trace_step
+    place = p ** np.arange(ctx.m * ctx.n)
+    fq = np.array(ctx.subfield(1))
+    place = place[(fq[:, None] // place % p).any(axis=0)]
+    dtype = np.min_scalar_type(2 * (p - 1))
 
-    out = []
-    use_numpy = ctx.order <= 64 and len(support) >= 2
-    if use_numpy:
-        # combine the trailing coefficients into one vectorized block
-        tail = 1
-        while tail < len(support) and ctx.order ** (tail + 1) <= 4096:
-            tail += 1
-        head_sup, tail_sup = support[:-tail], support[-tail:]
-        tail_tuples = list(product(range(ctx.order), repeat=tail))
-        tail_arr = np.zeros(len(tail_tuples), dtype=np.uint64)
-        for idx, tt in enumerate(tail_tuples):
-            m = 0
-            for i, a in zip(tail_sup, tt):
-                m ^= masks[i][a]
-            tail_arr[idx] = m
-        fullv = np.uint64(full)
-        for head in product(range(ctx.order), repeat=len(head_sup)):
-            base = 0
-            for i, a in zip(head_sup, head):
-                base ^= masks[i][a]
-            hits = np.flatnonzero((tail_arr ^ np.uint64(base)) == fullv)
-            for h in hits:
-                L = _make_poly(ctx, support, head + tail_tuples[int(h)])
-                out.append(L)
-                if per_item:
-                    per_item(L)
-        return out
-    for assignment in product(range(ctx.order), repeat=len(support)):
-        m = 0
-        for i, a in zip(support, assignment):
-            m ^= masks[i][a]
-        if m == full:
-            L = _make_poly(ctx, support, assignment)
-            out.append(L)
-            if per_item:
-                per_item(L)
-    return out
+    def planes(codes):
+        return (np.asarray(codes)[None, :] // place[:, None] % p).astype(dtype)
+
+    along = planes(np.array(ctx.tr)[ctx.exp])
+    zero = np.zeros((len(place), M), dtype)
+    k = np.arange(M)
+
+    def row(i, a):
+        if i == 0:
+            return np.repeat(planes([a]), M, axis=1)
+        return along[:, (ctx.log[a] + k * ctx.qpow_minus1[i]) % N] if a else zero
+
+    choices = [ctx.subfield(1) if i == 0 else range(ctx.order) for i in support]
+    cut, size = len(support), 1
+    while cut and size * len(choices[cut - 1]) <= _TAIL_TUPLES:
+        cut -= 1
+        size *= len(choices[cut])
+    tail = zero[None]
+    for i, values in zip(support[cut:], choices[cut:]):
+        rows = np.stack([row(i, a) for a in values])
+        tail = ((tail[:, None] + rows[None]) % p).reshape(-1, *zero.shape)
+    tail_tuples = list(product(*choices[cut:]))
+
+    hits = []
+    for head in product(*choices[:cut]):
+        acc = np.zeros(zero.shape, np.int64)
+        for i, a in zip(support, head):
+            acc += row(i, a)
+        fails = (tail == (-acc % p).astype(dtype)).all(axis=1).any(axis=1)
+        hits.extend(head + tail_tuples[j] for j in np.flatnonzero(~fails))
+    if support[0] != 0:
+        return hits
+    # expand each Tr(a_0) class back into its a_0 values, in code order
+    by_class = {}
+    for hit in hits:
+        by_class.setdefault(hit[0], []).append(hit[1:])
+    return [
+        (a0,) + rest for a0 in range(ctx.order) for rest in by_class.get(ctx.tr[a0], ())
+    ]
 
 
-def search(ctx, support=None, mode="exhaustive", seed=None, budget=None, per_item=None):
+def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
     """Find predicate-passing L with the given coefficient support.
 
     mode="exhaustive" enumerates every assignment (lexicographic by
@@ -221,8 +207,6 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None, per_ite
     ``order**len(support)`` to fit the budget.  mode="random" draws
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order.
-
-    per_item, when given, is called with each hit as it is found.
     """
     if support is None:
         support = range(ctx.n)
@@ -238,20 +222,10 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None, per_ite
             raise BudgetExceeded(
                 f"exhaustive search needs {total} candidates, budget is {limit}"
             )
-        if ctx.q == 2:
-            return _search_exhaustive_binary(ctx, support, per_item)
-        tables = _trace_term_tables(ctx, support)
-        out = []
-        for assignment in product(range(ctx.order), repeat=len(support)):
-            if _passes(ctx, support, tables, assignment):
-                L = _make_poly(ctx, support, assignment)
-                out.append(L)
-                if per_item:
-                    per_item(L)
-        return out
+        hits = _search_exhaustive(ctx, support)
+        return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
     if mode == "random":
         rng = random.Random(seed)
-        tables = _trace_term_tables(ctx, support)
         seen = set()
         out = []
         for _ in range(limit):
@@ -259,19 +233,17 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None, per_ite
             if assignment in seen:
                 continue
             seen.add(assignment)
-            if _passes(ctx, support, tables, assignment):
-                L = _make_poly(ctx, support, assignment)
-                out.append(L)
-                if per_item:
-                    per_item(L)
+            coeffs = _coeffs(ctx.n, support, assignment)
+            if all(transcript(ctx, coeffs)):
+                out.append(LinearizedPoly(ctx, coeffs))
         return out
     raise ValueError(f"unknown mode {mode!r}")
 
 
 __all__ = [
     "LinearizedPoly",
-    "lp_eval",
     "trace_quotient",
+    "transcript",
     "switching_predicate",
     "is_permutation",
     "search",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, ConsistencyError
 from .gf import FieldCtx
-from .linpoly import LinearizedPoly, trace_quotient
+from .linpoly import LinearizedPoly, transcript
 
 DEFAULT_TABLE_BUDGET = 1 << 24
 
@@ -74,10 +74,9 @@ class SwitchSpec:
 class BinaryOp:
     """A binary operation on a field context.
 
-    Evaluation goes through a closure; a full multiplication table is
-    cached lazily via :meth:`mul_table` and only when ``order**2`` fits
-    the table budget.  ``fq_bilinear`` marks ops whose axiom checks may
-    be restricted to a basis; ``unital`` marks a verified two-sided 1.
+    Evaluation goes through a closure.  ``fq_bilinear`` marks ops whose
+    axiom checks may be restricted to a basis; ``unital`` marks a
+    verified two-sided 1.
     """
 
     def __init__(self, ctx, fn, *, fq_bilinear=False, unital=False, spec=None):
@@ -87,23 +86,9 @@ class BinaryOp:
         self.unital = unital
         self.spec = spec
         self.verified = None
-        self._table = None
 
     def __call__(self, x, y):
-        if self._table is not None:
-            return self._table[x * self.ctx.order + y]
         return self._fn(x, y)
-
-    def mul_table(self, budget=None):
-        """Flat order*order table, built on first request within budget."""
-        if self._table is None:
-            entries = self.ctx.order**2
-            limit = table_budget(budget)
-            if entries > limit:
-                raise BudgetExceeded(f"table of {entries} entries exceeds {limit}")
-            fn, order = self._fn, self.ctx.order
-            self._table = [fn(x, y) for x in range(order) for y in range(order)]
-        return self._table
 
 
 def field_op(ctx):
@@ -223,13 +208,7 @@ def predicate_equivalence_check(spec):
     """
     ctx = spec.ctx
     direct = verify_presemifield(build_switch(spec))
-    minus_one = ctx.neg(1)
-    M = spec.m_poly()
-    criterion = True
-    for a in ctx.units():
-        if trace_quotient(M, a) == minus_one:
-            criterion = False
-            break
+    criterion = ctx.neg(1) not in transcript(ctx, spec.m_poly().coeffs)
     return direct == criterion
 
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "semiswitch"]
 
 
@@ -191,6 +193,25 @@ def test_exit_code_malformed_infile(tmp_path):
     infile.write_text('{"coeffs":[1,2,3]}\n')  # wrong arity for n = 2
     res = run("verify", "--p", "3", "--n", "2", str(infile))
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "hws"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"coeffs": 5}',
+        '{"coeffs": [null, 0]}',
+        "[1, 2]",
+        '{"coeffs": [1.5, 0]}',
+        '{"coeffs": [true, 0]}',
+    ],
+)
+def test_exit_code_malformed_record(tmp_path, command, line):
+    infile = tmp_path / "bad.jsonl"
+    infile.write_text(line + "\n")
+    res = run(command, "--p", "3", "--n", "2", str(infile))
+    assert res.returncode == 2
+    assert res.stderr.startswith("invalid input: line 1:")
 
 
 def test_search_conflicting_modes():

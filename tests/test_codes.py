@@ -88,9 +88,9 @@ def test_codeword_monomial_constant(f9):
     assert w.weight == (8 if f9.rel_trace(4) != 0 else 0)
 
 
-def test_codeword_matches_trace_quotient(f9, f27):
+def test_codeword_matches_trace_quotient(f9, f27, f16_q4, f81_q9):
     rng = random.Random(8)
-    for ctx in (f9, f27):
+    for ctx in (f9, f27, f16_q4, f81_q9):
         for _ in range(20):
             coeffs = tuple(rng.randrange(ctx.order) for _ in range(ctx.n))
             w = trace_codeword(ctx, coeffs)

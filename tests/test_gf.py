@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiswitch import FieldCtx, arith, build_field, field_from_spec
+from semiswitch import FieldCtx, build_field, field_from_spec
 from semiswitch.gf import _is_irreducible
 
 
@@ -48,15 +48,15 @@ def test_f9_deterministic_modulus(f9):
     assert f9.mul(i, i) == 2
 
 
-def test_arith_dispatch(f4, f9):
-    assert arith(f4, "mul", W, W) == W1
-    assert arith(f9, "mul", 3, 3) == 2
-    assert arith(f9, "add", 1, 2) == 0
-    assert arith(f9, "sub", 0, 1) == 2
-    assert arith(f9, "pow", 4, 4) == 2
+def test_direct_arith(f4, f9):
+    assert f4.mul(W, W) == W1
+    assert f9.mul(3, 3) == 2
+    assert f9.add(1, 2) == 0
+    assert f9.sub(0, 1) == 2
+    assert f9.pow(4, 4) == 2
     for x in range(1, 9):
-        assert arith(f9, "mul", x, 1) == x
-        assert f9.mul(x, arith(f9, "inv", x)) == 1
+        assert f9.mul(x, 1) == x
+        assert f9.mul(x, f9.inv(x)) == 1
 
 
 def test_inv_of_zero_raises(f9):

@@ -104,22 +104,19 @@ def test_point_count_example_2_3(f8):
     assert rational_point_count(L) == 9
 
 
-def test_point_count_double_loop_oracle(f9):
-    ctx = f9
+def test_point_count_double_loop_oracle(f9, f16_q4, f81_q9):
     rng = random.Random(4)
+    for ctx in (f9, f16_q4, f81_q9):
 
-    def f(L, x):
-        return L.coeffs[0] if x == 0 else ctx.mul(L(x), ctx.inv(x))
+        def f(L, x):
+            return L.coeffs[0] if x == 0 else ctx.mul(L(x), ctx.inv(x))
 
-    for _ in range(40):
-        L = LinearizedPoly(ctx, tuple(rng.randrange(9) for _ in range(2)))
-        direct = 1 + sum(
-            1
-            for x in ctx.elements()
-            for y in ctx.elements()
-            if ctx.sub(ctx.pow(y, ctx.q), y) == f(L, x)
-        )
-        assert rational_point_count(L) == direct
+        artin_schreier = [ctx.sub(ctx.pow(y, ctx.q), y) for y in ctx.elements()]
+        for _ in range(40):
+            L = LinearizedPoly(ctx, tuple(rng.randrange(ctx.order) for _ in range(ctx.n)))
+            # pairs (x, y) with y^q - y = f(x)
+            direct = 1 + sum(artin_schreier.count(f(L, x)) for x in ctx.elements())
+            assert rational_point_count(L) == direct
 
 
 def test_curve_verdicts_3_4_support_2(f81_n4):

@@ -132,8 +132,8 @@ def test_search_budget(f9):
 
 def test_search_matches_naive_oracle():
     # direct double loop recomputing the trace quotient from scratch
-    for n in (2, 3):
-        ctx = build_field(2, 1, n)
+    for p, m, n in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)):
+        ctx = build_field(p, m, n)
         naive = []
         for coeffs in itertools.product(range(ctx.order), repeat=n):
             good = True

@@ -14,19 +14,22 @@ Four subcommands:
 Every output starts with a config record that pins the field (modulus
 and generator are always resolved and recorded), so a rerun with the
 same arguments reproduces the bytes exactly.  Budgets can also be set
-through SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_TABLE_BUDGET /
-SEMISWITCH_FIELD_CAP.
+through SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
+file is replaced only when the command succeeds.
 
-Exit codes: 0 fine (also when nothing was found), 2 bad input,
-3 budget exceeded, 4 internal consistency failure (a witness against
-something the library holds to be impossible; the witness is dumped).
+Exit codes: 0 fine (also when nothing was found, and when the reader
+of stdout closes the pipe early), 2 bad input, 3 budget exceeded,
+4 internal consistency failure (a witness against something the
+library holds to be impossible; the witness is dumped).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 
 from . import codes as codes_mod
 from . import digits, families, hws, linpoly, presemifield
@@ -39,9 +42,8 @@ def _dump(record):
 
 
 class _Writer:
-    def __init__(self, path):
-        self.path = path
-        self._fh = open(path, "w") if path else sys.stdout
+    def __init__(self, fh):
+        self._fh = fh
 
     def emit(self, record):
         self._fh.write(_dump(record) + "\n")
@@ -49,9 +51,28 @@ class _Writer:
     def emit_csv_line(self, line):
         self._fh.write(line + "\n")
 
-    def close(self):
-        if self.path:
-            self._fh.close()
+
+@contextmanager
+def _output(path):
+    """A _Writer on stdout, or on a temp file that replaces ``path`` on success.
+
+    A failed command leaves an existing ``path`` untouched and removes
+    the temp file, so no half-written output survives.
+    """
+    if not path:
+        yield _Writer(sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, inside main's handlers
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield _Writer(fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _add_field_args(sub):
@@ -114,7 +135,11 @@ def _read_polys(ctx, path):
             line = line.strip()
             if not line:
                 continue
-            data = json.loads(line)
+            try:
+                data = json.loads(line)
+            except (ValueError, RecursionError) as e:
+                # RecursionError: nesting deeper than the decoder's stack
+                raise ValueError(f"line {lineno}: not valid JSON ({e})") from None
             if not isinstance(data, dict):
                 raise ValueError(f"line {lineno}: expected a JSON object")
             if data.get("record") in ("config", "summary"):
@@ -138,8 +163,7 @@ def cmd_search(args):
     ctx = _build_ctx(args)
     mode = _mode(args)
     mask = _mask(args, ctx.n)
-    writer = _Writer(args.out)
-    try:
+    with _output(args.out) as writer:
         writer.emit(
             _config_record(
                 args,
@@ -171,8 +195,6 @@ def cmd_search(args):
             else:
                 writer.emit(report)
         writer.emit({"record": "summary", "found": len(found)})
-    finally:
-        writer.close()
     return 0
 
 
@@ -212,8 +234,7 @@ def _verify_one(L):
 def cmd_verify(args):
     ctx = _build_ctx(args)
     polys = _read_polys(ctx, args.infile)
-    writer = _Writer(args.out)
-    try:
+    with _output(args.out) as writer:
         writer.emit(_config_record(args, ctx, {"infile": args.infile}))
         for L in polys:
             report = _verify_one(L)
@@ -224,16 +245,13 @@ def cmd_verify(args):
                 )
             else:
                 writer.emit(report)
-    finally:
-        writer.close()
     return 0
 
 
 def cmd_codes(args):
     ctx = _build_ctx(args)
     mode = _mode(args)
-    writer = _Writer(args.out)
-    try:
+    with _output(args.out) as writer:
         writer.emit(_config_record(args, ctx, {"mode": mode}))
         dim = codes_mod.code_dimension(ctx.q, ctx.n)
         census = codes_mod.full_weight_search(
@@ -242,16 +260,13 @@ def cmd_codes(args):
         record = {"record": "result", "dimension": dim}
         record.update(census)
         writer.emit(record)
-    finally:
-        writer.close()
     return 0
 
 
 def cmd_hws(args):
     ctx = _build_ctx(args)
     polys = _read_polys(ctx, args.infile)
-    writer = _Writer(args.out)
-    try:
+    with _output(args.out) as writer:
         writer.emit(_config_record(args, ctx, {"infile": args.infile}))
         for L in polys:
             rec = {"record": "result", "coeffs": list(L.coeffs)}
@@ -269,8 +284,6 @@ def cmd_hws(args):
                 )
             else:
                 writer.emit(rec)
-    finally:
-        writer.close()
     return 0
 
 
@@ -314,6 +327,11 @@ def main(argv=None):
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader went away (say, `| head`): stop quietly, and point
+        # stdout at devnull so the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConsistencyError as e:
         payload = {"error": "consistency", "message": str(e), "witness": getattr(e, "witness", None)}
         print(json.dumps(payload, default=str), file=sys.stderr)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import product
 
 from .errors import BudgetExceeded, ConsistencyError
 
@@ -209,7 +208,6 @@ class FieldCtx:
         # q^i - 1 for i in 0..n-1, used all over for x -> x^(q^i - 1)
         self.qpow_minus1 = tuple(self.q**i - 1 for i in range(n))
         self._subfields = {}
-        self._coords = None
 
     # ---- construction helpers ----
 
@@ -372,21 +370,6 @@ class FieldCtx:
             elems = [0] + [self.exp[k * step] for k in range(sub_order - 1)]
             self._subfields[d] = tuple(elems)
         return self._subfields[d]
-
-    def coords(self, x):
-        """Coordinates of x over F_q w.r.t. the basis 1, gamma, ..., gamma^(n-1)."""
-        if self._coords is None:
-            basis = [self.exp[i] for i in range(self.n)]
-            table = {}
-            for cs in product(self.subfield(1), repeat=self.n):
-                v = 0
-                for c, e in zip(cs, basis):
-                    v = self.add(v, self.mul(c, e))
-                table[v] = cs
-            if len(table) != self.order:
-                raise ConsistencyError("gamma powers do not form a basis")
-            self._coords = table
-        return self._coords[x]
 
     # ---- dual element views ----
 

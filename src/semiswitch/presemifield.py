@@ -6,9 +6,15 @@ A switching replaces the field product by
 
 for a coefficient vector ``b`` over F_{q^n} and a nonzero ``xi``.  The
 result is F_q-bilinear, so every quantified axiom check over x and y
-can be restricted to an F_q-basis; only scans over nucleus or divisor
-candidates stay exhaustive.  That is what keeps verification at
-O(q^n * n^2) instead of O(q^(3n)).
+can be restricted to an F_q-basis.
+
+Every check is then the kernel of an F_p-linear map on one element,
+computed by ``_kernel`` from the images of the mn F_p-basis elements:
+a zero divisor of x -> x*a, a member of a nucleus (associators against
+basis pairs; nuclei are subfields, hence F_p-subspaces), and a
+commutative-isotopy witness.  No check tests candidates one by one
+over the whole field: cancellation needs one kernel per projective
+point, and only the kernels themselves are listed, by ``_span``.
 
 ``verify_presemifield`` checks cancellation (both one-sided products
 are bijections) directly, with no reference to the trace criterion, so
@@ -18,21 +24,11 @@ independent computations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, ConsistencyError
+from .errors import ConsistencyError
 from .gf import FieldCtx
 from .linpoly import LinearizedPoly, transcript
-
-DEFAULT_TABLE_BUDGET = 1 << 24
-
-
-def table_budget(budget=None):
-    if budget is not None:
-        return budget
-    raw = os.environ.get("SEMISWITCH_TABLE_BUDGET")
-    return DEFAULT_TABLE_BUDGET if raw is None else int(raw)
 
 
 @dataclass(frozen=True)
@@ -72,17 +68,16 @@ class SwitchSpec:
 
 
 class BinaryOp:
-    """A binary operation on a field context.
+    """An F_q-bilinear operation on a field context.
 
-    Evaluation goes through a closure.  ``fq_bilinear`` marks ops whose
-    axiom checks may be restricted to a basis; ``unital`` marks a
-    verified two-sided 1.
+    Evaluation goes through a closure.  Every check in this module
+    relies on F_q-bilinearity, so a caller must not wrap anything else;
+    ``unital`` marks a verified two-sided 1.
     """
 
-    def __init__(self, ctx, fn, *, fq_bilinear=False, unital=False, spec=None):
+    def __init__(self, ctx, fn, *, unital=False, spec=None):
         self.ctx = ctx
         self._fn = fn
-        self.fq_bilinear = fq_bilinear
         self.unital = unital
         self.spec = spec
         self.verified = None
@@ -93,7 +88,7 @@ class BinaryOp:
 
 def field_op(ctx):
     """The plain field multiplication as a BinaryOp."""
-    op = BinaryOp(ctx, ctx.mul, fq_bilinear=True, unital=True)
+    op = BinaryOp(ctx, ctx.mul, unital=True)
     op.verified = True
     return op
 
@@ -117,85 +112,77 @@ def build_switch(spec):
             acc = add(acc, mul(bi, mul(x, yq)))
         return add(mul(x, y), mul(tr(acc), xi))
 
-    return BinaryOp(ctx, op, fq_bilinear=True, spec=spec)
+    return BinaryOp(ctx, op, spec=spec)
 
 
 # ---- verification ----
 
 
-def _rank_over_base(ctx, rows):
-    """Rank of coordinate rows over F_q (Gaussian elimination)."""
-    rows = [list(r) for r in rows]
-    width = len(rows[0])
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(rows[i][j], ctx.mul(f, rows[r][j])) for j in range(width)]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _kernel(ctx, f):
+    """An F_p-basis of the kernel of an additive map f: element -> tuple.
+
+    Row j is the digit vector of f(p^j) followed by the unit vector of
+    p^j.  Mod-p row reduction of the image part leaves some rows with a
+    zero image, and their second parts span the kernel.  Row j only
+    absorbs earlier rows, so basis vector k has top digit 1 in a
+    position that grows with k: the first vector is the smallest
+    nonzero code in the kernel.
+    """
+    p, dim = ctx.p, ctx.m * ctx.n
+    pivots = []  # (column, row) with row[column] == 1
+    kernel = []
+    for j in range(dim):
+        row = [d for y in f(p**j) for d in ctx.vector_of(y)]
+        width = len(row)
+        row += [int(i == j) for i in range(dim)]
+        for col, piv in pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, piv)]
+        col = next((i for i in range(width) if row[i]), None)
+        if col is None:
+            kernel.append(ctx.from_vector(row[width:]))
+        else:
+            inv = pow(row[col], -1, p)
+            pivots.append((col, [a * inv % p for a in row]))
+    return kernel
+
+
+def _span(ctx, basis):
+    """Every F_p-combination of ``basis``, in code order."""
+    span = [0]
+    for b in basis:
+        span = [ctx.add(s, ctx.mul(c, b)) for s in span for c in range(ctx.p)]
+    return sorted(span)
 
 
 def verify_presemifield(op):
     """Check that every one-sided product by a nonzero element is a bijection.
 
-    For F_q-bilinear ops each one-sided product is F_q-linear, so the
-    bijection test is a rank computation on basis images; otherwise the
-    check scans the full multiplication square.
+    Both sides fail together, at a zero divisor x*a = 0, so the check
+    asks whether some x -> x*a (F_p-linear) has a nonzero kernel.  Since
+    x*(c a) = c (x*a) for c in F_q, a runs over the projective
+    representatives gamma^k, k < (q^n-1)/(q-1), only.
     """
     ctx = op.ctx
-    n = ctx.n
-    if op.fq_bilinear:
-        basis = [ctx.exp[i] for i in range(n)]
-        coords = ctx.coords
-        for a in ctx.units():
-            if _rank_over_base(ctx, [coords(op(e, a)) for e in basis]) < n:
-                op.verified = False
-                return False
-            if _rank_over_base(ctx, [coords(op(a, e)) for e in basis]) < n:
-                op.verified = False
-                return False
-        op.verified = True
-        return True
-    entries = ctx.order**2
-    if entries > table_budget():
-        raise BudgetExceeded(f"full bijection scan of {entries} pairs over budget")
-    full = set(ctx.elements())
-    for a in ctx.units():
-        if {op(x, a) for x in ctx.elements()} != full:
-            op.verified = False
-            return False
-        if {op(a, x) for x in ctx.elements()} != full:
-            op.verified = False
-            return False
-    op.verified = True
-    return True
+    op.verified = not any(
+        _kernel(ctx, lambda x: (op(x, a),)) for a in ctx.exp[: ctx.trace_step]
+    )
+    return op.verified
 
 
 def find_zero_divisor(op):
-    """A pair (x, y) of nonzero elements with x*y = 0, or None.
+    """The first pair (x, y) of nonzero elements with x*y = 0 in code order, or None.
 
-    Quadratic scan; meant for witness reporting after a failed
-    verification, not for hot paths.
+    x walks the units in code order; y is the smallest nonzero code in
+    the kernel of y -> x*y, so the pair is the one a scan over x, then
+    y, would meet first.
     """
     ctx = op.ctx
     for x in ctx.units():
-        for y in ctx.units():
-            if op(x, y) == 0:
-                return (x, y)
+        kernel = _kernel(ctx, lambda y: (op(x, y),))
+        if kernel:
+            return (x, kernel[0])
     return None
 
 
@@ -242,7 +229,7 @@ def unitalize(op):
     def star(x, y):
         return binv[op(b1[x], y)]
 
-    out = BinaryOp(ctx, star, fq_bilinear=op.fq_bilinear, unital=True, spec=op.spec)
+    out = BinaryOp(ctx, star, unital=True, spec=op.spec)
     for x in range(order):
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
@@ -269,30 +256,32 @@ class NucleiReport:
 def nuclei(op):
     """Left/middle/right nuclei and center of a unital op.
 
-    Associativity triples are tested with the nucleus candidate in its
-    slot and the two free slots running over an F_q-basis (valid for
-    F_q-bilinear ops); candidates run over the whole field.
+    Each nucleus is the kernel of the associators with the candidate in
+    its slot and the two free slots running over an F_q-basis; the
+    center adds the commutators with the basis to all three.
     """
     ctx = op.ctx
     if not op.unital:
         raise ValueError("nuclei need a unital op; call unitalize first")
-    if not op.fq_bilinear:
-        raise ValueError("nuclei reduction needs an F_q-bilinear op")
-    n = ctx.n
-    basis = [ctx.exp[i] for i in range(n)]
-    pairs = [(e, f) for e in basis for f in basis]
-    left, middle, right = set(), set(), set()
-    for a in ctx.elements():
-        if all(op(op(a, e), f) == op(a, op(e, f)) for e, f in pairs):
-            left.add(a)
-        if all(op(op(e, a), f) == op(e, op(a, f)) for e, f in pairs):
-            middle.add(a)
-        if all(op(op(e, f), a) == op(e, op(f, a)) for e, f in pairs):
-            right.add(a)
-    nucleus = left & middle & right
-    center = {a for a in nucleus if all(op(a, e) == op(e, a) for e in basis)}
+    sub = ctx.sub
+    basis = ctx.exp[: ctx.n]
+    pairs = [(e, f, op(e, f)) for e in basis for f in basis]
+
+    def left(a):
+        return tuple(sub(op(op(a, e), f), op(a, ef)) for e, f, ef in pairs)
+
+    def middle(a):
+        return tuple(sub(op(op(e, a), f), op(e, op(a, f))) for e, f, _ in pairs)
+
+    def right(a):
+        return tuple(sub(op(ef, a), op(e, op(f, a))) for e, f, ef in pairs)
+
+    def center(a):
+        commutators = tuple(sub(op(a, e), op(e, a)) for e in basis)
+        return left(a) + middle(a) + right(a) + commutators
+
     report = NucleiReport(
-        frozenset(left), frozenset(middle), frozenset(right), frozenset(center)
+        *(frozenset(_span(ctx, _kernel(ctx, g))) for g in (left, middle, right, center))
     )
     for size in report.sizes:
         if size < 1 or ctx.order % size:
@@ -305,17 +294,10 @@ def nuclei(op):
 
 
 def is_commutative(op):
-    """Direct commutativity check (basis pairs when bilinear)."""
-    ctx = op.ctx
-    if op.fq_bilinear:
-        basis = [ctx.exp[i] for i in range(ctx.n)]
-        return all(
-            op(basis[i], basis[j]) == op(basis[j], basis[i])
-            for i in range(ctx.n)
-            for j in range(i + 1, ctx.n)
-        )
+    """Direct commutativity check on basis pairs."""
+    basis = op.ctx.exp[: op.ctx.n]
     return all(
-        op(x, y) == op(y, x) for x in ctx.elements() for y in ctx.elements()
+        op(e, f) == op(f, e) for i, e in enumerate(basis) for f in basis[i + 1 :]
     )
 
 
@@ -360,29 +342,26 @@ def commutative_isotopy_test(op):
     """Search for v != 0 with A(v*x) * y = A(v*y) * x on all basis pairs.
 
     Existence of such a v is equivalent to the op being isotopic to a
-    commutative semifield.  v is scanned in gamma-power order and the
-    first witness is returned, so reruns agree.  Needs the op to come
-    from a SwitchSpec (A has a closed form there).
+    commutative semifield.  The witnesses are the nonzero kernel of an
+    F_p-linear map in v; the one returned has the smallest discrete
+    log, i.e. it is the first in gamma-power order, so reruns agree.
+    Needs the op to come from a SwitchSpec (A has a closed form there).
     """
     if op.spec is None:
         raise ValueError("test needs an op built from a SwitchSpec")
     ctx = op.ctx
     A = right_unit_inverse(op.spec)
-    n = ctx.n
-    basis = [ctx.exp[i] for i in range(n)]
-    for v in ctx.star_units():
+    basis = ctx.exp[: ctx.n]
+    pairs = [(i, j) for i in range(ctx.n) for j in range(i + 1, ctx.n)]
+
+    def defect(v):
         w = [A(op(v, e)) for e in basis]
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if op(w[i], basis[j]) != op(w[j], basis[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True, v
-    return False, None
+        return tuple(ctx.sub(op(w[i], basis[j]), op(w[j], basis[i])) for i, j in pairs)
+
+    kernel = _kernel(ctx, defect)
+    if not kernel:
+        return False, None
+    return True, min(_span(ctx, kernel)[1:], key=ctx.log.__getitem__)
 
 
 def dual_spread_op(ctx, a1, a0t):
@@ -394,7 +373,7 @@ def dual_spread_op(ctx, a1, a0t):
         s = ctx.add(ctx.mul(a1, ctx.frobenius(y, 2)), ctx.mul(a0t, y))
         return ctx.add(ctx.mul(x, y), ctx.mul(s, ctx.rel_trace(x)))
 
-    return BinaryOp(ctx, op, fq_bilinear=True)
+    return BinaryOp(ctx, op)
 
 
 __all__ = [
@@ -413,6 +392,4 @@ __all__ = [
     "right_unit_inverse",
     "commutative_isotopy_test",
     "dual_spread_op",
-    "table_budget",
-    "DEFAULT_TABLE_BUDGET",
 ]

@@ -5,6 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from semiswitch import cli
 
 BASE = [sys.executable, "-m", "semiswitch"]
 
@@ -177,10 +181,29 @@ def test_exit_code_invalid_field():
     assert "invalid input" in res.stderr
 
 
-def test_exit_code_budget_exceeded():
+def test_exit_code_budget_exceeded(tmp_path):
     res = run("search", "--p", "3", "--n", "9", "--exhaustive")
     assert res.returncode == 3
     assert "budget" in res.stderr
+    # a failed run leaves an existing --out file as it was, and no temp file
+    out = tmp_path / "o.jsonl"
+    out.write_bytes(b"earlier output\n")
+    res = run("search", "--p", "3", "--n", "4", "--exhaustive", "--out", str(out))
+    assert res.returncode == 3
+    assert out.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        BASE + ["search", "--p", "3", "--n", "3", "--exhaustive"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["record"] == "config"
+    proc.stdout.close()
+    assert proc.wait(timeout=300) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_exit_code_missing_infile(tmp_path):
@@ -204,6 +227,7 @@ def test_exit_code_malformed_infile(tmp_path):
         "[1, 2]",
         '{"coeffs": [1.5, 0]}',
         '{"coeffs": [true, 0]}',
+        pytest.param("[" * 200000, id="deep-nesting"),
     ],
 )
 def test_exit_code_malformed_record(tmp_path, command, line):
@@ -217,3 +241,27 @@ def test_exit_code_malformed_record(tmp_path, command, line):
 def test_search_conflicting_modes():
     res = run("search", "--p", "3", "--n", "2", "--exhaustive", "--random")
     assert res.returncode == 2
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+COEFFS = JSON | st.lists(st.integers(min_value=-2, max_value=10), max_size=3)
+RECORD = JSON | st.fixed_dictionaries({"coeffs": COEFFS})
+
+
+@pytest.mark.parametrize("command", ["verify", "hws"])
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(lines=st.lists(RECORD, min_size=1, max_size=4))
+def test_fuzz_records_exit_0_or_2(tmp_path, capsys, command, lines):
+    infile = tmp_path / "fuzz.jsonl"
+    infile.write_text("".join(json.dumps(v) + "\n" for v in lines))
+    assert cli.main([command, "--p", "3", "--n", "2", str(infile)]) in (0, 2)
+    capsys.readouterr()

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from semiswitch import (
+    BinaryOp,
     LinearizedPoly,
     SwitchSpec,
     build_field,
@@ -80,8 +81,8 @@ def test_failing_spec_has_zero_divisor(f9):
 
 def test_equivalence_exhaustive_small():
     # Tr(M(a)/a) != -1 for all units <=> cancellation, over every b
-    for (p, n) in ((2, 3), (3, 2)):
-        ctx = build_field(p, 1, n)
+    for (p, m, n) in ((2, 1, 3), (3, 1, 2), (2, 2, 2)):
+        ctx = build_field(p, m, n)
         for b in itertools.product(range(ctx.order), repeat=n):
             assert predicate_equivalence_check(SwitchSpec(ctx, b))
 
@@ -285,3 +286,105 @@ def test_dual_spread_trivial_and_domain(f81_n4, f27):
             assert circ(x, y) == f81_n4.mul(x, y)
     with pytest.raises(ValueError):
         dual_spread_op(f27, 1, 1)
+
+
+# ---- the whole-field scans that the kernel routes replaced, as oracles ----
+
+
+def _nuclei_scan(op):
+    ctx = op.ctx
+    basis = ctx.exp[: ctx.n]
+    pairs = [(e, f) for e in basis for f in basis]
+    left, middle, right = set(), set(), set()
+    for a in ctx.elements():
+        if all(op(op(a, e), f) == op(a, op(e, f)) for e, f in pairs):
+            left.add(a)
+        if all(op(op(e, a), f) == op(e, op(a, f)) for e, f in pairs):
+            middle.add(a)
+        if all(op(op(e, f), a) == op(e, op(f, a)) for e, f in pairs):
+            right.add(a)
+    nucleus = left & middle & right
+    center = {a for a in nucleus if all(op(a, e) == op(e, a) for e in basis)}
+    return left, middle, right, center
+
+
+def _zero_divisor_scan(op):
+    for x in op.ctx.units():
+        for y in op.ctx.units():
+            if op(x, y) == 0:
+                return (x, y)
+    return None
+
+
+def _isotopy_scan(op):
+    ctx = op.ctx
+    A = right_unit_inverse(op.spec)
+    basis = ctx.exp[: ctx.n]
+    for v in ctx.star_units():
+        w = [A(op(v, e)) for e in basis]
+        if all(
+            op(w[i], basis[j]) == op(w[j], basis[i])
+            for i in range(ctx.n)
+            for j in range(i + 1, ctx.n)
+        ):
+            return True, v
+    return False, None
+
+
+@pytest.mark.parametrize(
+    "field, mask, step",
+    [
+        ("f9", None, 1),
+        ("f16_q4", None, 1),
+        ("f81_n4", (0, 2), 13),  # witnesses 1, 7, 9, 13 and 63
+        ("f81_q9", None, 288),
+        ("f64_q4", None, 100),  # mostly not isotopic to commutative
+    ],
+)
+def test_kernel_routes_match_scans(request, field, mask, step):
+    ctx = request.getfixturevalue(field)
+    hits = search(ctx, mask, mode="exhaustive")[::step]
+    assert hits
+    for L in hits:
+        op = build_switch(switch_spec_for(L))
+        assert verify_presemifield(op)
+        assert find_zero_divisor(op) is None is _zero_divisor_scan(op)
+        assert commutative_isotopy_test(op) == _isotopy_scan(op)
+        star = unitalize(op)
+        rep = nuclei(star)
+        assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(star)
+
+
+def test_nuclei_of_matrix_algebra(f81_n4):
+    # 2x2 matrices over F_3 on the digits of F_81: associative, so every
+    # nucleus is everything, but only the scalar matrices are central
+    ctx = f81_n4
+
+    def matmul(x, y):
+        a, b, c, d = ctx.vector_of(x)
+        e, f, g, h = ctx.vector_of(y)
+        return ctx.from_vector(
+            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        )
+
+    op = BinaryOp(ctx, matmul, unital=True)
+    rep = nuclei(op)
+    assert rep.sizes == (81, 81, 81, 3)
+    assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
+
+
+@pytest.mark.parametrize("field", ["f9", "f16_q4", "f81_n4", "f81_q9", "f64_q4"])
+def test_zero_divisor_matches_scan(request, field):
+    ctx = request.getfixturevalue(field)
+    rng = random.Random(17)
+    failing = 0
+    while failing < 12:
+        op = build_switch(
+            SwitchSpec(ctx, tuple(rng.randrange(ctx.order) for _ in range(ctx.n)))
+        )
+        if verify_presemifield(op):
+            continue
+        failing += 1
+        x, y = find_zero_divisor(op)
+        assert (x, y) == _zero_divisor_scan(op)
+        assert op(x, y) == 0

@@ -163,6 +163,8 @@ def cmd_search(args):
     ctx = _build_ctx(args)
     mode = _mode(args)
     mask = _mask(args, ctx.n)
+    # search first, so a budget failure writes nothing
+    found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
     with _output(args.out) as writer:
         writer.emit(
             _config_record(
@@ -175,13 +177,6 @@ def cmd_search(args):
                     "budget": linpoly.search_budget(args.budget),
                 },
             )
-        )
-        found = linpoly.search(
-            ctx,
-            mask,
-            mode=mode,
-            seed=args.seed,
-            budget=args.budget,
         )
         for L in found:
             report = families.classify(L)
@@ -251,12 +246,11 @@ def cmd_verify(args):
 def cmd_codes(args):
     ctx = _build_ctx(args)
     mode = _mode(args)
+    # the census first, so a budget failure writes nothing
+    dim = codes_mod.code_dimension(ctx.q, ctx.n)
+    census = codes_mod.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
     with _output(args.out) as writer:
         writer.emit(_config_record(args, ctx, {"mode": mode}))
-        dim = codes_mod.code_dimension(ctx.q, ctx.n)
-        census = codes_mod.full_weight_search(
-            ctx, mode=mode, seed=args.seed, budget=args.budget
-        )
         record = {"record": "result", "dimension": dim}
         record.update(census)
         writer.emit(record)

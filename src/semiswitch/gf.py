@@ -15,6 +15,13 @@ Construction is deterministic.  When no modulus is supplied the
 lexicographically smallest monic irreducible of degree m*n over F_p is
 used (smallest integer code, constant digit first), and ``gamma`` is
 always the smallest element code of full multiplicative order.
+
+Construction does no field arithmetic per element.  Multiplication by
+gamma and the relative trace are F_p-linear, so each becomes a whole
+table from its m*n basis images (:func:`_linear_table`); ``exp`` is the
+orbit of 1 under the gamma table, and Frobenius and norm are read off
+``exp`` by index.  This stays pure Python: importing numpy here would
+cost every run more start-up time than small fields spend on tables.
 """
 
 from __future__ import annotations
@@ -75,6 +82,57 @@ def _encode(digits, p):
     for d in reversed(digits):
         v = v * p + d
     return v
+
+
+def _linear_table(p, d, images):
+    """[f(c) for c in range(p**d)] for the F_p-linear f with f(p^j) = images[j].
+
+    Vectors go in spread form: digit i sits at bit w*i, w = p.bit_length() + 1,
+    so adding two vectors never carries from one digit into the next.  With
+    H = 2^(w-1) and K holding H - p in every digit, digit i of x + y + K
+    reaches H exactly where x_i + y_i wraps mod p, and the code of the
+    digitwise sum mod p is code(x) + code(y) minus p^(i+1) per wrapped digit.
+
+    Two half tables, f on the low digits and f on the high digits, are built
+    by digit doubling in spread form.  A full-table entry is then one add,
+    one mask and two lookups of wrap patterns in tables of 2^(d/2) entries.
+    """
+    w = p.bit_length() + 1
+    H = 1 << (w - 1)
+    lane = (1 << w) - 1
+    K = sum((H - p) << w * i for i in range(d))
+    HM = sum(H << w * i for i in range(d))
+
+    def half(imgs):
+        # (spread, code) of f on every code of len(imgs) digits
+        table = [0]
+        for img in imgs:
+            v = sum(c << w * i for i, c in enumerate(_decode(img, p, d)))
+            rows = [table]
+            for _ in range(p - 1):
+                rows.append([(s := t + v) - (((s + K) & HM) >> (w - 1)) * p for t in rows[-1]])
+            table = [s for row in rows for s in row]
+        return [(s, _encode([s >> w * i & lane for i in range(d)], p)) for s in table]
+
+    def wraps(first, k):
+        # H-bit pattern of digits first..first+k-1 -> sum of p^(i+1) over set bits
+        table = {0: 0}
+        for i in range(k):
+            bit, drop = H << w * i, p ** (first + i + 1)
+            table.update([(key + bit, val + drop) for key, val in table.items()])
+        return table
+
+    lo = (d + 1) // 2
+    low, high, shift = wraps(0, lo), wraps(lo, d - lo), w * lo
+    mask = (1 << shift) - 1
+    A = [(s + K, c) for s, c in half(images[:lo])]
+    width = len(A)
+    out = [0] * p**d
+    for row, (v, cv) in enumerate(half(images[lo:])):
+        out[row * width : (row + 1) * width] = [
+            ca + cv - low[(h := (sa + v) & HM) & mask] - high[h >> shift] for sa, ca in A
+        ]
+    return out
 
 
 # ---- dense polynomial arithmetic over F_p (construction time only) ----
@@ -233,46 +291,54 @@ class FieldCtx:
         raise ConsistencyError("no primitive element found, impossible for a field")
 
     def _build_tables(self):
-        p, N = self.p, self.mult_order
+        p, q, N, d = self.p, self.q, self.mult_order, self.m * self.n
         mod = list(self.modulus)
         gdigits = self._code_digits(self.generator)
-        exp = [0] * N
+        basis = [p**j for j in range(d)]
+        # multiplication by gamma as a table: exp is the orbit of 1 under it
+        G = _linear_table(
+            p, d, [_encode(_poly_mul_mod(self._code_digits(e), gdigits, mod, p), p) for e in basis]
+        )
+        exp = [1] * N
+        x = 1
+        for k in range(1, N):
+            x = G[x]
+            exp[k] = x
+        # exp's ints in value order, so that log holds no ints of its own
+        ints = [0] * self.order
+        for x in exp:
+            ints[x] = x
         log = [None] * self.order
-        cur = [0] * (self.m * self.n)
-        cur[0] = 1
-        for k in range(N):
-            code = _encode(cur, p)
-            if log[code] is not None:
-                raise ConsistencyError("generator order too small", witness=code)
-            exp[k] = code
-            log[code] = k
-            cur = _poly_mul_mod(cur, gdigits, mod, p)
-        if _encode(cur, p) != 1:
+        for k, x in zip(ints, exp):
+            if log[x] is not None:
+                raise ConsistencyError("generator order too small", witness=x)
+            log[x] = k
+        if G[exp[-1]] != 1:
             raise ConsistencyError("generator does not close its cycle")
+        del G, ints
         self.exp = exp
         self.log = log
-        # q-power Frobenius as a table, then trace/norm from it
-        frob = [0] * self.order
-        for k in range(N):
-            frob[exp[k]] = exp[(k * self.q) % N]
+        # Frobenius and norm as exp-index maps, so they share exp's ints
+        M = N // (q - 1)
+        frob, nm = [0] * self.order, [0] * self.order
+        for k, x in enumerate(exp):
+            frob[x] = exp[k * q % N]
+            nm[x] = exp[k * M % N]
         self.frob_q = frob
-        tr = [0] * self.order
-        for x in range(self.order):
-            acc, y = x, x
-            for _ in range(self.n - 1):
-                y = frob[y]
-                acc = self.add(acc, y)
-            tr[x] = acc
-        self.tr = tr
-        M = N // (self.q - 1) if self.q > 1 else 0
-        nm = [0] * self.order
-        for k in range(N):
-            nm[exp[k]] = exp[(k * M) % N]
         self.nm = nm
         self.trace_step = M
-        for x in range(self.order):
-            if frob[tr[x]] != tr[x]:
-                raise ConsistencyError("trace image not fixed by Frobenius", witness=x)
+        traces = []
+        for e in basis:
+            acc = 0
+            for i in range(self.n):
+                acc = self.add(acc, exp[log[e] * q**i % N])
+            traces.append(acc)
+        tr = _linear_table(p, d, traces)
+        self.tr = tr
+        unfixed = {t for t in set(tr) if frob[t] != t}
+        if unfixed:
+            witness = next(x for x, t in enumerate(tr) if t in unfixed)
+            raise ConsistencyError("trace image not fixed by Frobenius", witness=witness)
 
     # ---- basic arithmetic ----
 

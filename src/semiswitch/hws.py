@@ -48,6 +48,10 @@ def coset_leader(j, p, mn):
 def min_max_leader(L):
     """(ell, argmin j) over j in 1..q^n-2 coprime to q^n - 1.
 
+    ell(j) and gcd(j, q^n - 1) are constant on the p-cyclotomic coset
+    of j (jp(q^i - 1) lies in the coset of j(q^i - 1), and p is prime to
+    q^n - 1), so only coset leaders are scanned.  In ascending order each coset is
+    first met at its leader, which keeps the argmin the smallest j.
     Needs at least one supported coefficient index i >= 1.
     """
     ctx = L.ctx
@@ -56,19 +60,20 @@ def min_max_leader(L):
         raise ValueError("all higher coefficients vanish; the statistic is undefined")
     q, n, p, mn = ctx.q, ctx.n, ctx.p, ctx.m * ctx.n
     N = q**n - 1
-    cache = {}
-
-    def lead(v):
-        if v not in cache:
-            cache[v] = coset_leader(v, p, mn)
-        return cache[v]
-
+    exponents = [q**i - 1 for i in support]
+    seen = bytearray(N)
     best = None
     best_j = None
     for j in range(1, N):
+        if seen[j]:
+            continue
+        cur = j
+        while not seen[cur]:
+            seen[cur] = 1
+            cur = cur * p % N
         if gcd(j, N) != 1:
             continue
-        lj = max(lead(canonical_residue(j * (q**i - 1), q, n)) for i in support)
+        lj = max(coset_leader(j * e, p, mn) for e in exponents)
         if best is None or lj < best:
             best, best_j = lj, j
     return best, best_j

@@ -25,6 +25,7 @@ independent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .errors import ConsistencyError
 from .gf import FieldCtx
@@ -276,13 +277,17 @@ def nuclei(op):
     def right(a):
         return tuple(sub(op(ef, a), op(e, op(f, a))) for e, f, ef in pairs)
 
+    @cache
+    def slots(a):
+        # left, middle and right associators of a, once per F_p-basis element
+        return left(a), middle(a), right(a)
+
     def center(a):
         commutators = tuple(sub(op(a, e), op(e, a)) for e in basis)
-        return left(a) + middle(a) + right(a) + commutators
+        return sum(slots(a), ()) + commutators
 
-    report = NucleiReport(
-        *(frozenset(_span(ctx, _kernel(ctx, g))) for g in (left, middle, right, center))
-    )
+    maps = [lambda a, i=i: slots(a)[i] for i in range(3)] + [center]
+    report = NucleiReport(*(frozenset(_span(ctx, _kernel(ctx, g))) for g in maps))
     for size in report.sizes:
         if size < 1 or ctx.order % size:
             raise ConsistencyError("nucleus size does not divide field order", size)

@@ -185,6 +185,12 @@ def test_exit_code_budget_exceeded(tmp_path):
     res = run("search", "--p", "3", "--n", "9", "--exhaustive")
     assert res.returncode == 3
     assert "budget" in res.stderr
+    # the budget is checked before anything reaches stdout
+    for command in ("search", "codes"):
+        res = run(command, "--p", "3", "--n", "4", "--exhaustive")
+        assert res.returncode == 3
+        assert "budget" in res.stderr
+        assert res.stdout == ""
     # a failed run leaves an existing --out file as it was, and no temp file
     out = tmp_path / "o.jsonl"
     out.write_bytes(b"earlier output\n")
@@ -204,6 +210,37 @@ def test_closed_pipe_exits_quietly():
     assert proc.wait(timeout=300) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_commands_do_not_import_numpy(tmp_path):
+    # numpy is for the exhaustive search only; field construction, verify,
+    # hws and random search stay pure Python (two passing F_27 rows and
+    # two failing ones, so classify, nuclei and curve bounds all run)
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(
+        "".join(
+            json.dumps({"coeffs": c}) + "\n"
+            for c in ([22, 5, 19], [24, 21, 5], [1, 1, 1], [0, 5, 7])
+        )
+    )
+    field = ["--p", "3", "--n", "3"]
+    argvs = [
+        ["verify", *field, str(rows)],
+        ["hws", *field, str(rows)],
+        ["search", *field, "--random", "--seed", "1", "--budget", "300"],
+    ]
+    script = (
+        "import sys\n"
+        "from semiswitch import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert '"predicate":true' in res.stdout and '"record":"summary"' in res.stdout
 
 
 def test_exit_code_missing_infile(tmp_path):

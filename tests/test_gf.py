@@ -1,12 +1,20 @@
 """Field arithmetic: construction, tables, Frobenius, trace, norm, subfields."""
 
 import json
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiswitch import FieldCtx, build_field, field_from_spec
-from semiswitch.gf import _is_irreducible
+from semiswitch.gf import (
+    _decode,
+    _encode,
+    _is_irreducible,
+    _linear_table,
+    _poly_mul_mod,
+)
 
 
 # w = code 2 is the root of X^2+X+1 in F_4; w^2 = w+1 = code 3
@@ -200,3 +208,128 @@ def _F81():
     if "f81" not in _cache:
         _cache["f81"] = build_field(3, 1, 4)
     return _cache["f81"]
+
+
+# ---- construction against the step-by-step oracle ----
+
+
+def _poly_rem(f, g, p):
+    """f mod the monic g over F_p, little-endian lists."""
+    f = list(f)
+    dg = len(g) - 1
+    for k in range(len(f) - 1, dg - 1, -1):
+        c = f[k]
+        if c:
+            for t in range(dg + 1):
+                f[k - dg + t] = (f[k - dg + t] - c * g[t]) % p
+    return f[:dg]
+
+
+def _smallest_irreducible(p, d):
+    """Smallest-code monic of degree d with no monic factor of degree <= d/2."""
+    for code in range(p**d, 2 * p**d):
+        f = _decode(code, p, d + 1)
+        if not any(
+            not any(_poly_rem(f, _decode(g, p, e + 1), p))
+            for e in range(1, d // 2 + 1)
+            for g in range(p**e, 2 * p**e)
+        ):
+            return tuple(f)
+
+
+def _step_by_step_tables(ctx):
+    """exp, log, frob_q, tr, nm one element at a time: a polynomial product
+    per power of gamma and n - 1 additions per trace."""
+    p, q, N, d = ctx.p, ctx.q, ctx.mult_order, ctx.m * ctx.n
+    mod = list(ctx.modulus)
+    gamma = _decode(ctx.generator, p, d)
+    exp, log = [], [None] * ctx.order
+    cur = _decode(1, p, d)
+    for k in range(N):
+        code = _encode(cur, p)
+        assert log[code] is None
+        exp.append(code)
+        log[code] = k
+        cur = _poly_mul_mod(cur, gamma, mod, p)
+    assert _encode(cur, p) == 1
+    frob, nm = [0] * ctx.order, [0] * ctx.order
+    M = N // (q - 1)
+    for k in range(N):
+        frob[exp[k]] = exp[k * q % N]
+        nm[exp[k]] = exp[k * M % N]
+    tr = []
+    for x in ctx.elements():
+        acc, y = x, x
+        for _ in range(ctx.n - 1):
+            y = frob[y]
+            acc = ctx.add(acc, y)
+        tr.append(acc)
+    return exp, log, frob, tr, nm
+
+
+def _smallest_primitive(ctx):
+    """Smallest code whose powers, by polynomial products, reach q^n - 1."""
+    p, d, mod = ctx.p, ctx.m * ctx.n, list(ctx.modulus)
+    for cand in range(2, ctx.order):
+        g = _decode(cand, p, d)
+        cur, k = g, 1
+        while _encode(cur, p) != 1:
+            cur, k = _poly_mul_mod(cur, g, mod, p), k + 1
+        if k == ctx.mult_order:
+            return cand
+
+
+@pytest.mark.parametrize(
+    "shape, modulus",
+    [
+        # gamma is not the root X of the modulus (gamma = 4, 6, 9, 3)
+        ((3, 1, 2), None),
+        ((5, 1, 2), None),
+        ((5, 1, 3), None),
+        ((2, 1, 8), None),
+        # extensions with m > 1
+        ((2, 2, 3), None),
+        ((3, 2, 2), None),
+        ((2, 3, 2), None),
+        # a user-supplied modulus (the default for F_27 is X^3+2X+1)
+        ((3, 1, 3), (2, 2, 0, 1)),
+        ((2, 1, 12), None),
+    ],
+)
+def test_tables_match_step_by_step_construction(shape, modulus):
+    p, m, n = shape
+    ctx = build_field(p, m, n, modulus=modulus)
+    want = modulus or _smallest_irreducible(p, m * n)
+    assert ctx.modulus == want
+    assert ctx.generator == _smallest_primitive(ctx)
+    exp, log, frob, tr, nm = _step_by_step_tables(ctx)
+    assert ctx.exp == exp
+    assert ctx.log == log
+    assert ctx.frob_q == frob
+    assert ctx.tr == tr
+    assert ctx.nm == nm
+
+
+def _linear_map_oracle(p, d, images, c):
+    out = [0] * d
+    for cj, img in zip(_decode(c, p, d), images):
+        for i, v in enumerate(_decode(img, p, d)):
+            out[i] = (out[i] + cj * v) % p
+    return _encode(out, p)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 4), (5, 3), (7, 2), (13, 1)])
+def test_linear_table_matches_digit_oracle(p, d):
+    rng = random.Random(p * 100 + d)
+    for _ in range(3):
+        images = [rng.randrange(p**d) for _ in range(d)]
+        want = [_linear_map_oracle(p, d, images, c) for c in range(p**d)]
+        assert _linear_table(p, d, images) == want
+    assert _linear_table(p, d, [0] * d) == [0] * p**d
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 16), (5, 1, 7)])
+def test_build_field_wall_clock_cap(shape):
+    start = time.perf_counter()
+    build_field(*shape)
+    assert time.perf_counter() - start < 1.0

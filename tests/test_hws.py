@@ -7,6 +7,7 @@ import pytest
 
 from semiswitch import (
     LinearizedPoly,
+    build_field,
     canonical_residue,
     coset_leader,
     curve_verdicts,
@@ -67,6 +68,36 @@ def test_min_max_leader_positive(f9, f27):
 def test_min_max_leader_needs_higher_support(f9):
     with pytest.raises(ValueError):
         min_max_leader(LinearizedPoly(f9, (4, 0)))
+
+
+def _min_max_leader_full_scan(L):
+    """ell and its argmin by the definition: every j coprime to q^n - 1."""
+    ctx = L.ctx
+    support = [i for i in range(1, ctx.n) if L.coeffs[i]]
+    q, n, p, mn = ctx.q, ctx.n, ctx.p, ctx.m * ctx.n
+    N = q**n - 1
+    best = best_j = None
+    for j in range(1, N):
+        if gcd(j, N) != 1:
+            continue
+        lj = max(coset_leader(canonical_residue(j * (q**i - 1), q, n), p, mn) for i in support)
+        if best is None or lj < best:
+            best, best_j = lj, j
+    return best, best_j
+
+
+def test_min_max_leader_matches_full_scan(f81_n4, f64_q4):
+    # the statistic depends on the support only: every nonzero support
+    # i >= 1, with random values, at F_81, F_64/F_4 and F_256
+    rng = random.Random(11)
+    for ctx in (f81_n4, f64_q4, build_field(2, 1, 8)):
+        for mask in range(1, 2 ** (ctx.n - 1)):
+            coeffs = [rng.randrange(ctx.order)] + [
+                1 + rng.randrange(ctx.order - 1) if mask >> (i - 1) & 1 else 0
+                for i in range(1, ctx.n)
+            ]
+            L = LinearizedPoly(ctx, tuple(coeffs))
+            assert min_max_leader(L) == _min_max_leader_full_scan(L), coeffs
 
 
 def test_serre_term():

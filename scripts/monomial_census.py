@@ -1,7 +1,7 @@
 """Census of passing polynomials over prime fields: monomials or not.
 
 Over F_2 every exhaustive search to date returns only the unit
-multiples a_0 X with Tr(a_0) = 1, and below the digit bound
+multiples a_0 X with Tr(a_0) = 1, and above the digit bound
 (p-1)(p^2-p+4)/2 on n that is forced.  This script reruns the census
 for a range of degrees and prints one line per field.
 

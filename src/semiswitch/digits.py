@@ -278,7 +278,7 @@ def monomial_census(p, n, budget=None, mode="exhaustive", seed=None):
         "n": n,
         "exhaustive": mode == "exhaustive",
         "bound": bound,
-        "bound_applies": n >= bound,
+        "bound_applies": n > bound,
         "solutions": len(sols),
         "all_monomial": not non_monomial,
         "witnesses": non_monomial[:5],

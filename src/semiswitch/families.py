@@ -7,6 +7,9 @@ Each family comes with its published coefficient criterion:
 * degree 3: from parameters u, v (nonzero, N(-v/u) != 1), an admissible
   theta, and a scaling a != 0 one builds
   ``L = u^(q^2) v^q (u a^(q^2-1) X^(q^2) + v a^(q-1) X^q + theta X)``.
+  ``a_2 X^(q^2) + a_1 X^q + a_0 X`` is a member iff a_1, a_2 != 0,
+  ``nu = a_1^(q+1)/a_2`` lies in F_q and ``Tr(a_0) = N(a_1)/nu^2 + nu != 0``;
+  so every member has Tr(a_0) != 0.
 * degree 4 (q odd): the binomial ``a_1 X^(q^2) + a_0 X`` passes iff
   ``a_1^(q^2+1)`` is a nonzero square of F_q and Tr(a_0) = 0; the
   matching switched product ``xy + Tr(a_1 x y^(q^2) + a0t x y)`` with
@@ -130,10 +133,12 @@ def n3_construct(ctx, u, v, theta, a=1):
 def matches_n3(L):
     """Recover (u, v, theta, a) giving L the degree-3 family shape, or None.
 
-    Solves the shape equations instead of enumerating the scaling: with
-    w = u^(q^2) v^q, a_1/(w v) must be a norm-1 element t (then t =
-    a^(q-1)), a_2 must equal w u t^(q+1), and theta = a_0/w must be
-    admissible.  (u, v) runs over all nonzero pairs.
+    With w = u^(q^2) v^q the shape equations a_1 = w v t, a_2 = w u t^(q+1),
+    N(t) = 1 (then t = a^(q-1)) reduce, as w^q = u v^(q^2), to N(v) = nu :=
+    a_1^(q+1)/a_2 and N(u) = mu := N(a_1)/nu^2.  theta = a_0/w is admissible
+    iff Tr(a_0) = mu + nu, and N(-1) = -1 turns the exclusion N(-v/u) != 1
+    into mu + nu != 0, so every member has Tr(a_0) != 0.  u and v are the
+    smallest gamma powers of norm mu and nu: the first pair in gamma order.
     """
     ctx = L.ctx
     if ctx.n != 3:
@@ -141,25 +146,19 @@ def matches_n3(L):
     c0, c1, c2 = L.coeffs
     if c1 == 0 or c2 == 0:
         return None
-    q = ctx.q
-    for u in ctx.star_units():
-        for v in ctx.star_units():
-            if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
-                continue
-            w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
-            t = ctx.div(c1, ctx.mul(w, v))
-            if ctx.rel_norm(t) != 1:
-                continue
-            if c2 != ctx.mul(w, ctx.mul(u, ctx.pow(t, q + 1))):
-                continue
-            theta = ctx.div(c0, w)
-            rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
-            if ctx.rel_trace(ctx.mul(w, theta)) == rhs:
-                # norm-1 elements are exactly the (q-1)-th powers here,
-                # so a solving a^(q-1) = t always exists
-                a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
-                return u, v, theta, a
-    return None
+    q, M = ctx.q, ctx.trace_step
+    nu = ctx.div(ctx.pow(c1, q + 1), c2)
+    if not ctx.in_subfield(nu, 1):
+        return None
+    mu = ctx.div(ctx.rel_norm(c1), ctx.mul(nu, nu))
+    if ctx.rel_trace(c0) != ctx.add(mu, nu) or ctx.rel_trace(c0) == 0:
+        return None
+    u, v = ctx.exp[ctx.log[mu] // M], ctx.exp[ctx.log[nu] // M]
+    w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
+    t = ctx.div(c1, ctx.mul(w, v))
+    # norm-1 elements are exactly the (q-1)-th powers, so a^(q-1) = t has a root
+    a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
+    return u, v, ctx.div(c0, w), a
 
 
 # ---- degree 4 ----

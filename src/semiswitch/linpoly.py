@@ -39,10 +39,12 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
 def search_budget(budget=None):
-    if budget is not None:
-        return budget
-    raw = os.environ.get("SEMISWITCH_SEARCH_BUDGET")
-    return DEFAULT_SEARCH_BUDGET if raw is None else int(raw)
+    if budget is None:
+        raw = os.environ.get("SEMISWITCH_SEARCH_BUDGET")
+        budget = DEFAULT_SEARCH_BUDGET if raw is None else int(raw)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 @dataclass(frozen=True)

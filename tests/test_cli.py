@@ -1,6 +1,7 @@
 """End-to-end runs of the command line frontend."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -198,6 +199,34 @@ def test_exit_code_budget_exceeded(tmp_path):
     assert res.returncode == 3
     assert out.read_bytes() == b"earlier output\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("search", "--random", "--budget", "-5"), None),
+        (("search", "--exhaustive", "--budget", "-5"), None),
+        (("codes", "--random", "--budget", "-1"), None),
+        (("search", "--random"), "-5"),
+    ],
+    ids=["search-random", "search-exhaustive", "codes", "env"],
+)
+def test_exit_code_negative_budget(args, env):
+    kw = {}
+    if env is not None:
+        kw["env"] = {**os.environ, "SEMISWITCH_SEARCH_BUDGET": env}
+    res = run(*args, "--p", "3", "--n", "2", **kw)
+    assert res.returncode == 2
+    assert "invalid input" in res.stderr and "budget" in res.stderr
+    assert res.stdout == ""
+
+
+def test_zero_budget_is_valid():
+    # no draws: a config record and an empty result
+    for command in ("search", "codes"):
+        res = run(command, "--p", "3", "--n", "2", "--random", "--budget", "0")
+        assert res.returncode == 0
+        assert records(res.stdout)[0]["record"] == "config"
 
 
 def test_closed_pipe_exits_quietly():

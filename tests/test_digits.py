@@ -220,7 +220,7 @@ def test_monomial_census_p2():
     rep = monomial_census(2, 3)
     assert rep["solutions"] == 4
     assert rep["all_monomial"] and rep["witnesses"] == []
-    assert rep["bound"] == 3 and rep["bound_applies"]
+    assert rep["bound"] == 3 and not rep["bound_applies"]
     assert rep["exhaustive"]
 
     rep = monomial_census(2, 4)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -171,6 +172,82 @@ def test_matches_n3_roundtrip(f27):
 def test_matches_n3_rejects_monomial(f27):
     L = LinearizedPoly(f27, (1, 0, 0))
     assert matches_n3(L) is None
+
+
+def _matches_n3_scan(L):
+    """The (u, v) double scan that matches_n3 replaced, kept as its oracle."""
+    ctx = L.ctx
+    if ctx.n != 3:
+        return None
+    c0, c1, c2 = L.coeffs
+    if c1 == 0 or c2 == 0:
+        return None
+    q = ctx.q
+    for u in ctx.star_units():
+        for v in ctx.star_units():
+            if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
+                continue
+            w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
+            t = ctx.div(c1, ctx.mul(w, v))
+            if ctx.rel_norm(t) != 1:
+                continue
+            if c2 != ctx.mul(w, ctx.mul(u, ctx.pow(t, q + 1))):
+                continue
+            theta = ctx.div(c0, w)
+            rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
+            if ctx.rel_trace(ctx.mul(w, theta)) == rhs:
+                a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
+                return u, v, theta, a
+    return None
+
+
+def _random_members(ctx, rng, count):
+    out = []
+    while len(out) < count:
+        u, v, a = (ctx.from_index(rng.randrange(ctx.mult_order)) for _ in range(3))
+        if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
+            continue
+        theta = rng.choice(theta_set(ctx, u, v))
+        out.append(n3_construct(ctx, u, v, theta, a=a).poly.coeffs)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, members, randoms",
+    [((3, 1, 3), 0, 300), ((2, 2, 3), 40, 60), ((5, 1, 3), 12, 12)],
+    ids=["f27", "f64_q4", "f125"],
+)
+def test_matches_n3_agrees_with_scan(shape, members, randoms):
+    ctx = build_field(*shape)
+    rng = random.Random(1406)
+    if members:
+        hits = _random_members(ctx, rng, members)
+    else:
+        # every trinomial hit of the exhaustive search
+        hits = [L.coeffs for L in search(ctx) if L.coeffs[1] and L.coeffs[2]]
+    # the hits, the same hits with a_0 redrawn, and random triples
+    cases = hits + [(rng.randrange(ctx.order),) + c[1:] for c in hits]
+    cases += [tuple(rng.randrange(ctx.order) for _ in range(3)) for _ in range(randoms)]
+    found = 0
+    for coeffs in cases:
+        L = LinearizedPoly(ctx, coeffs)
+        got = matches_n3(L)
+        assert got == _matches_n3_scan(L), coeffs
+        found += got is not None
+    # both members and non-members occur
+    assert 0 < found < len(cases)
+
+
+def test_matches_n3_worst_case_is_fast():
+    # u = gamma^(q-2) is the last norm class the (u, v) scan reaches
+    ctx = build_field(2, 5, 3)
+    u = ctx.from_index(ctx.q - 2)
+    theta = theta_set(ctx, u, 1)[0]
+    L = n3_construct(ctx, u, 1, theta).poly
+    start = time.perf_counter()
+    got = matches_n3(L)
+    assert time.perf_counter() - start < 0.05
+    assert got == (u, 1, theta, 1)
 
 
 # ---------------------------------------------------------------- n = 4

@@ -373,6 +373,26 @@ def test_nuclei_of_matrix_algebra(f81_n4):
     assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
 
 
+@pytest.mark.parametrize(
+    "a, b, sizes", [(2, 1, (9, 3, 3)), (1, 2, (3, 3, 9)), (1, 3, (3, 9, 3))]
+)
+def test_nuclei_of_twisted_field(f81_n4, a, b, sizes):
+    # generalised twisted fields x y - c x^(q^a) y^(q^b): the left, middle
+    # and right nuclei differ, so a mix-up of the slots shows
+    ctx = f81_n4
+    c = ctx.generator
+
+    def twisted(x, y):
+        return ctx.sub(
+            ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
+        )
+
+    star = unitalize(BinaryOp(ctx, twisted))
+    rep = nuclei(star)
+    assert rep.sizes[:3] == sizes
+    assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(star)
+
+
 @pytest.mark.parametrize("field", ["f9", "f16_q4", "f81_n4", "f81_q9", "f64_q4"])
 def test_zero_divisor_matches_scan(request, field):
     ctx = request.getfixturevalue(field)

@@ -1,0 +1,28 @@
+"""Smoke runs of the scripts in scripts/."""
+
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_scripts_run():
+    cases = [
+        (["showcase_instances.py"], "== norm-condition family, (q, n) = (3, 3)"),
+        (
+            ["monomial_census.py", "--p", "2", "--max-n", "4"],
+            "p=2 n=3: 4 solutions (exhaustive), all monomial, bound 3 idle",
+        ),
+        (
+            ["random_probe.py", "--p", "3", "--n", "3", "--budget", "2000", "--seed", "1", "--show", "1"],
+            "24 passing of 2000 draws at order 27",
+        ),
+    ]
+    for argv, line in cases:
+        res = subprocess.run(
+            [sys.executable, str(SCRIPTS / argv[0])] + argv[1:],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert any(out.startswith(line) for out in res.stdout.splitlines()), argv

@@ -14,7 +14,6 @@ from .linpoly import (
     is_permutation,
     search,
     switching_predicate,
-    trace_quotient,
     transcript,
 )
 from .presemifield import (
@@ -37,7 +36,6 @@ from .families import (
     FamilyInstance,
     classify,
     n2_criterion,
-    n2_lemma_roots,
     n3_construct,
     n4_commutative_op,
     n4_criterion,
@@ -52,7 +50,6 @@ from .digits import (
     power_coefficient,
     power_expansion,
     vanishing_sums_check,
-    wrap_add,
     wrap_add_many,
 )
 from .codes import (
@@ -63,7 +60,6 @@ from .codes import (
     trace_codeword,
 )
 from .hws import (
-    canonical_residue,
     coset_leader,
     curve_verdicts,
     leader_thresholds,

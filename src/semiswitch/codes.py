@@ -90,9 +90,6 @@ class Codeword:
     def is_constant(self):
         return len(set(self.values)) == 1
 
-    def csv_row(self):
-        return ",".join(str(v) for v in self.values)
-
 
 def trace_codeword(ctx, coeffs):
     """The word of (a_0, ..., a_{n-1}): trace quotient along gamma powers.

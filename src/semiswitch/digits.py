@@ -3,10 +3,10 @@
 Write M = (q^n - 1)/(q - 1).  The reduced exponents of the expansion
 of ``Tr(L(x)/x)^(q-1)`` are the multiples of q-1 in 0..q^n-1, and those
 correspond to the interval 0..M once q^n-1 (the top multiple) is kept
-distinct from 0.  ``wrap_add`` is addition on that interval with the
-same 0-versus-top bookkeeping; ``ones_run`` produces the digit vectors
-with a cyclic run of ones, whose wrap_add-sums index the terms of the
-expansion.  ``power_coefficient`` computes one coefficient through that
+distinct from 0.  ``wrap_add_many`` is addition on that interval with
+the same 0-versus-top bookkeeping; ``ones_run`` produces the digit
+vectors with a cyclic run of ones, whose wrapped sums index the terms
+of the expansion.  ``power_coefficient`` computes one coefficient through that
 combinatorial indexing, ``power_expansion`` through plain convolution;
 the two must agree, which makes them useful foils for each other.
 """
@@ -52,24 +52,12 @@ def psi(q, n, value):
     return DigitVector(q, tuple(digits))
 
 
-def wrap_add(q, n, a, b):
+def wrap_add_many(q, n, terms):
     """Addition on 0..M, M = (q^n-1)/(q-1), keeping 0 and M apart.
 
-    The sum is the representative of a+b mod M, except that 0 comes out
-    only from 0+0 and a nonzero sum congruent to 0 comes out as M.
+    0 comes out only when every term is 0; a nonzero total congruent to
+    0 mod M comes out as M.
     """
-    M = (q**n - 1) // (q - 1)
-    for v in (a, b):
-        if not 0 <= v <= M:
-            raise ValueError(f"operand {v} outside 0..{M}")
-    if a == 0 and b == 0:
-        return 0
-    r = (a + b) % M
-    return M if r == 0 else r
-
-
-def wrap_add_many(q, n, terms):
-    """Iterated wrap_add; 0 only when every term is 0."""
     M = (q**n - 1) // (q - 1)
     total = 0
     for v in terms:
@@ -192,7 +180,7 @@ def power_coefficient(L, alpha, budget=None):
 
     Sums a_{i_1}^(q^{j_1}) ... a_{i_{q-1}}^(q^{j_{q-1}}) over all
     (q-1)-tuples of pairs (j, i) in 0..n-1 whose ones_run values
-    wrap_add to alpha (a pair with i = 0 contributes run value 0 and a
+    wrap_add_many to alpha (a pair with i = 0 contributes run value 0 and a
     factor a_0^(q^j)).
     """
     ctx = L.ctx
@@ -288,7 +276,6 @@ def monomial_census(p, n, budget=None, mode="exhaustive", seed=None):
 __all__ = [
     "DigitVector",
     "psi",
-    "wrap_add",
     "wrap_add_many",
     "ones_run",
     "ascent_descent",

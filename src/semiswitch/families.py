@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConsistencyError
+from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, switching_predicate
 from .presemifield import (
     SwitchSpec,
@@ -68,28 +69,17 @@ def n2_criterion(ctx, a1, a0):
     return roots == 2
 
 
-def n2_lemma_roots(ctx, a1, a0):
-    """Roots in F_{q^2} of a_1 y^2 + Tr(a_0) y + a_1^q = 0."""
-    if ctx.n != 2:
-        raise ValueError("lemma is for n = 2")
-    t = ctx.rel_trace(a0)
-    aq = ctx.frobenius(a1, 1)
-    out = set()
-    for y in ctx.elements():
-        v = ctx.add(ctx.add(ctx.mul(a1, ctx.mul(y, y)), ctx.mul(t, y)), aq)
-        if v == 0:
-            out.add(y)
-    return out
-
-
 # ---- degree 3 ----
 
 
 def theta_set(ctx, u, v):
     """Admissible theta values: Tr(u^(q^2) v^q x) = N(u) + N(v).
 
-    Returned in a fixed order (zero first if admissible, then nonzero
-    elements by ascending gamma power); always q^2 of them.
+    With w = u^(q^2) v^q and rhs = N(u) + N(v) in F_q, they are the
+    affine hyperplane x0 + ker(x -> Tr(w x)) with x0 = rhs alpha / w for
+    an alpha of trace 1.  Returned in a fixed order (zero first if
+    admissible, then nonzero elements by ascending gamma power); always
+    q^2 of them.
     """
     if ctx.n != 3:
         raise ValueError("theta set is for n = 3")
@@ -97,8 +87,12 @@ def theta_set(ctx, u, v):
         raise ValueError("u and v must be nonzero")
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
     rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
-    out = [x for x in [0] if ctx.rel_trace(0) == rhs]
-    out += [x for x in ctx.star_units() if ctx.rel_trace(ctx.mul(w, x)) == rhs]
+    x0 = ctx.div(ctx.mul(rhs, first_unit_trace_element(ctx)), w)
+    kernel = _kernel(ctx, lambda x: (ctx.rel_trace(ctx.mul(w, x)),))
+    out = sorted(
+        (ctx.add(x0, k) for k in _span(ctx, kernel)),
+        key=lambda x: -1 if x == 0 else ctx.log[x],
+    )
     if len(out) != ctx.q**2:
         raise ConsistencyError("theta set size is not q^2", witness=len(out))
     return out
@@ -215,10 +209,7 @@ def n4_commutative_op(ctx, a1, a0t):
 
 def first_unit_trace_element(ctx):
     """Smallest element code with relative trace 1."""
-    for x in ctx.elements():
-        if ctx.rel_trace(x) == 1:
-            return x
-    raise ConsistencyError("trace is onto, impossible")
+    return ctx.tr.index(1)
 
 
 def switch_spec_for(L, alpha=None):
@@ -291,7 +282,6 @@ def classify(L, deep=True):
 __all__ = [
     "FamilyInstance",
     "n2_criterion",
-    "n2_lemma_roots",
     "theta_set",
     "n3_construct",
     "matches_n3",

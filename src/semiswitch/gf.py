@@ -16,12 +16,15 @@ lexicographically smallest monic irreducible of degree m*n over F_p is
 used (smallest integer code, constant digit first), and ``gamma`` is
 always the smallest element code of full multiplicative order.
 
-Construction does no field arithmetic per element.  Multiplication by
-gamma and the relative trace are F_p-linear, so each becomes a whole
-table from its m*n basis images (:func:`_linear_table`); ``exp`` is the
-orbit of 1 under the gamma table, and Frobenius and norm are read off
-``exp`` by index.  This stays pure Python: importing numpy here would
-cost every run more start-up time than small fields spend on tables.
+This module also owns the F_p-linear algebra on digit vectors.  An
+F_p-linear map is fixed by its images of the m*n basis elements p^j:
+:func:`_linear_table` lists it on every element, :func:`_kernel` gives
+an F_p-basis of its kernel, and :func:`_span` lists a kernel in full.
+Multiplication by gamma and the relative trace are such maps, so
+construction does no field arithmetic per element: ``exp`` is the orbit
+of 1 under the gamma table, and Frobenius and norm are read off ``exp``
+by index.  This stays pure Python: importing numpy here would cost
+every run more start-up time than small fields spend on tables.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from .errors import BudgetExceeded, ConsistencyError
 DEFAULT_FIELD_CAP = 1 << 22
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    return default if raw is None else int(raw)
-
-
-def field_cap():
-    return _env_int("SEMISWITCH_FIELD_CAP", DEFAULT_FIELD_CAP)
+def field_cap(cap=None):
+    """The largest field order to build: ``cap``, else SEMISWITCH_FIELD_CAP."""
+    if cap is None:
+        raw = os.environ.get("SEMISWITCH_FIELD_CAP")
+        cap = DEFAULT_FIELD_CAP if raw is None else int(raw)
+    if cap < 0:
+        raise ValueError(f"field cap must be >= 0, got {cap}")
+    return cap
 
 
 def _is_prime(v):
@@ -133,6 +137,44 @@ def _linear_table(p, d, images):
             ca + cv - low[(h := (sa + v) & HM) & mask] - high[h >> shift] for sa, ca in A
         ]
     return out
+
+
+def _kernel(ctx, f):
+    """An F_p-basis of the kernel of an additive map f: element -> tuple.
+
+    Row j is the digit vector of f(p^j) followed by the unit vector of
+    p^j.  Mod-p row reduction of the image part leaves some rows with a
+    zero image, and their second parts span the kernel.  Row j only
+    absorbs earlier rows, so basis vector k has top digit 1 in a
+    position that grows with k: the first vector is the smallest
+    nonzero code in the kernel.
+    """
+    p, dim = ctx.p, ctx.m * ctx.n
+    pivots = []  # (column, row) with row[column] == 1
+    kernel = []
+    for j in range(dim):
+        row = [d for y in f(p**j) for d in ctx.vector_of(y)]
+        width = len(row)
+        row += [int(i == j) for i in range(dim)]
+        for col, piv in pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, piv)]
+        col = next((i for i in range(width) if row[i]), None)
+        if col is None:
+            kernel.append(ctx.from_vector(row[width:]))
+        else:
+            inv = pow(row[col], -1, p)
+            pivots.append((col, [a * inv % p for a in row]))
+    return kernel
+
+
+def _span(ctx, basis):
+    """Every F_p-combination of ``basis``, in code order."""
+    span = [0]
+    for b in basis:
+        span = [ctx.add(s, ctx.mul(c, b)) for s in span for c in range(ctx.p)]
+    return sorted(span)
 
 
 # ---- dense polynomial arithmetic over F_p (construction time only) ----
@@ -239,7 +281,7 @@ class FieldCtx:
             raise ValueError(f"p = {p} is not prime")
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        cap = field_cap() if cap is None else cap
+        cap = field_cap(cap)
         order = p ** (m * n)
         if order > cap:
             raise BudgetExceeded(f"p^(m*n) = {order} exceeds cap {cap}")
@@ -253,11 +295,16 @@ class FieldCtx:
         if modulus is None:
             modulus = _find_modulus(p, deg)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != deg + 1 or modulus[deg] != 1:
+            modulus = tuple(int(c) for c in modulus)
+            for c in modulus:
+                if not 0 <= c < p:
+                    raise ValueError(f"modulus coefficient {c} is outside 0..{p - 1}")
+            if len(modulus) != deg + 1:
                 raise ValueError(
                     f"modulus must be monic of degree {deg} (got {len(modulus) - 1})"
                 )
+            if modulus[deg] != 1:
+                raise ValueError(f"modulus must be monic (leading coefficient {modulus[deg]})")
             if not _is_irreducible(list(modulus), p):
                 raise ValueError("modulus is reducible")
         self.modulus = modulus
@@ -438,10 +485,6 @@ class FieldCtx:
         return self._subfields[d]
 
     # ---- dual element views ----
-
-    def index_of(self, x):
-        """Discrete log of x base gamma, None for zero."""
-        return self.log[x]
 
     def from_index(self, k):
         if k is None:

@@ -21,15 +21,10 @@ Everything is exact integer arithmetic; floor(2 q^(n/2)) is isqrt(4 q^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
 from .linpoly import transcript
-
-
-def canonical_residue(j, q, n):
-    """j mod q^n - 1, in 0..q^n - 2."""
-    return j % (q**n - 1)
 
 
 def coset_leader(j, p, mn):
@@ -120,19 +115,7 @@ class CurveBoundReport:
     meets_threshold: bool
 
     def to_dict(self):
-        return {
-            "ell": self.ell,
-            "argmin_j": self.argmin_j,
-            "genus": self.genus,
-            "serre_term": self.serre_term,
-            "trace_zero": self.trace_zero,
-            "point_count": self.point_count,
-            "impossible_nonzero_trace": self.impossible_nonzero_trace,
-            "impossible_zero_trace": self.impossible_zero_trace,
-            "threshold_nonzero_trace": self.threshold_nonzero_trace,
-            "threshold_zero_trace": self.threshold_zero_trace,
-            "meets_threshold": self.meets_threshold,
-        }
+        return asdict(self)
 
 
 def curve_verdicts(L):
@@ -172,7 +155,6 @@ def curve_verdicts(L):
 
 
 __all__ = [
-    "canonical_residue",
     "coset_leader",
     "min_max_leader",
     "serre_term",

@@ -16,8 +16,6 @@ for c in F_q^*: the transcript is constant on F_q^* cosets and has
 period M = (q^n - 1)/(q - 1), not q^n - 1.  And a_0 enters only
 through Tr(a_0), so the exhaustive search treats a_0 as one of q trace
 classes and expands each class back into its a_0 values at the end.
-:func:`trace_quotient` stays as the pointwise definition that tests
-compare the kernel against.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceeded
-from .gf import FieldCtx
+from .gf import FieldCtx, _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
@@ -82,21 +80,6 @@ class LinearizedPoly:
         return {"field": self.ctx.to_spec(), "coeffs": list(self.coeffs)}
 
 
-def trace_quotient(L, x):
-    """Tr(L(x)/x) as an element of F_q, with the value Tr(a_0) at x = 0."""
-    ctx = L.ctx
-    if x == 0:
-        return ctx.rel_trace(L.coeffs[0])
-    k = ctx.log[x]
-    N = ctx.mult_order
-    acc = L.coeffs[0]
-    for i in range(1, ctx.n):
-        a = L.coeffs[i]
-        if a:
-            acc = ctx.add(acc, ctx.mul(a, ctx.exp[(k * ctx.qpow_minus1[i]) % N]))
-    return ctx.rel_trace(acc)
-
-
 def transcript(ctx, coeffs):
     """Tr(L(gamma^k)/gamma^k) for k = 0..M-1, M = (q^n - 1)/(q - 1).
 
@@ -121,10 +104,7 @@ def switching_predicate(L):
 
 def is_permutation(L):
     """Whether L permutes F_{q^n} (additive map, so: trivial kernel)."""
-    for x in L.ctx.units():
-        if L.eval(x) == 0:
-            return False
-    return True
+    return not _kernel(L.ctx, lambda x: (L(x),))
 
 
 # ---- search ----
@@ -244,7 +224,6 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
 
 __all__ = [
     "LinearizedPoly",
-    "trace_quotient",
     "transcript",
     "switching_predicate",
     "is_permutation",

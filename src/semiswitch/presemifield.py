@@ -8,13 +8,15 @@ for a coefficient vector ``b`` over F_{q^n} and a nonzero ``xi``.  The
 result is F_q-bilinear, so every quantified axiom check over x and y
 can be restricted to an F_q-basis.
 
-Every check is then the kernel of an F_p-linear map on one element,
-computed by ``_kernel`` from the images of the mn F_p-basis elements:
-a zero divisor of x -> x*a, a member of a nucleus (associators against
-basis pairs; nuclei are subfields, hence F_p-subspaces), and a
-commutative-isotopy witness.  No check tests candidates one by one
-over the whole field: cancellation needs one kernel per projective
-point, and only the kernels themselves are listed, by ``_span``.
+Every check then reads an F_p-linear map off the images of the mn
+F_p-basis elements, through the primitives of :mod:`.gf`.  A zero
+divisor of x -> x*a, a member of a nucleus (associators against basis
+pairs; nuclei are subfields, hence F_p-subspaces) and a
+commutative-isotopy witness are kernels (``_kernel``), and the
+unitalization's side maps y -> 1*y and x -> x*1 are tables
+(``_linear_table``).  No check tests candidates one by one over the
+whole field: cancellation needs one kernel per projective point, and
+only the kernels themselves are listed, by ``_span``.
 
 ``verify_presemifield`` checks cancellation (both one-sided products
 are bijections) directly, with no reference to the trace criterion, so
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .errors import ConsistencyError
-from .gf import FieldCtx
+from .gf import FieldCtx, _kernel, _linear_table, _span
 from .linpoly import LinearizedPoly, transcript
 
 
@@ -119,44 +121,6 @@ def build_switch(spec):
 # ---- verification ----
 
 
-def _kernel(ctx, f):
-    """An F_p-basis of the kernel of an additive map f: element -> tuple.
-
-    Row j is the digit vector of f(p^j) followed by the unit vector of
-    p^j.  Mod-p row reduction of the image part leaves some rows with a
-    zero image, and their second parts span the kernel.  Row j only
-    absorbs earlier rows, so basis vector k has top digit 1 in a
-    position that grows with k: the first vector is the smallest
-    nonzero code in the kernel.
-    """
-    p, dim = ctx.p, ctx.m * ctx.n
-    pivots = []  # (column, row) with row[column] == 1
-    kernel = []
-    for j in range(dim):
-        row = [d for y in f(p**j) for d in ctx.vector_of(y)]
-        width = len(row)
-        row += [int(i == j) for i in range(dim)]
-        for col, piv in pivots:
-            c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, piv)]
-        col = next((i for i in range(width) if row[i]), None)
-        if col is None:
-            kernel.append(ctx.from_vector(row[width:]))
-        else:
-            inv = pow(row[col], -1, p)
-            pivots.append((col, [a * inv % p for a in row]))
-    return kernel
-
-
-def _span(ctx, basis):
-    """Every F_p-combination of ``basis``, in code order."""
-    span = [0]
-    for b in basis:
-        span = [ctx.add(s, ctx.mul(c, b)) for s in span for c in range(ctx.p)]
-    return sorted(span)
-
-
 def verify_presemifield(op):
     """Check that every one-sided product by a nonzero element is a bijection.
 
@@ -207,33 +171,38 @@ def unitalize(op):
     """Isotopic unital semifield op: x . y = B^(-1)(B1(x) * y).
 
     B(x) = 1*x and B1 is fixed by B1(x)*1 = 1*x.  Requires a verified
-    presemifield (cancellation makes both side maps bijective).
+    presemifield (cancellation makes both side maps bijective).  The
+    side maps are F_p-linear, so each is a table from its mn basis
+    images.  B^(-1) and B1 are linear and the op is bilinear, so the new
+    product is F_p-bilinear as well: x . 1 = x and 1 . x = x hold on the
+    whole field once they hold on the F_p-basis.
     """
     ctx = op.ctx
     if op.verified is None:
         verify_presemifield(op)
     if not op.verified:
         raise ValueError("op is not a presemifield, cannot unitalize")
-    order = ctx.order
-    bmap = [op(1, x) for x in range(order)]
-    rmap = [op(x, 1) for x in range(order)]
+    p, d, order = ctx.p, ctx.m * ctx.n, ctx.order
+    basis = [p**j for j in range(d)]
+    bmap = _linear_table(p, d, [op(1, e) for e in basis])
+    rmap = _linear_table(p, d, [op(e, 1) for e in basis])
+    if len(set(bmap)) != order or len(set(rmap)) != order:
+        raise ConsistencyError("cancellative op with non-bijective side map")
     binv = [0] * order
     rinv = [0] * order
     for x, v in enumerate(bmap):
         binv[v] = x
     for x, v in enumerate(rmap):
         rinv[v] = x
-    if len(set(bmap)) != order or len(set(rmap)) != order:
-        raise ConsistencyError("cancellative op with non-bijective side map")
-    b1 = [rinv[bmap[x]] for x in range(order)]
+    b1 = [rinv[v] for v in bmap]
 
     def star(x, y):
         return binv[op(b1[x], y)]
 
+    for e in basis:
+        if star(e, 1) != e or star(1, e) != e:
+            raise ConsistencyError("unitalization failed to produce an identity", e)
     out = BinaryOp(ctx, star, unital=True, spec=op.spec)
-    for x in range(order):
-        if star(x, 1) != x or star(1, x) != x:
-            raise ConsistencyError("unitalization failed to produce an identity", x)
     out.verified = op.verified
     return out
 

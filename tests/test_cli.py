@@ -180,6 +180,15 @@ def test_exit_code_invalid_field():
     res = run("search", "--p", "9", "--n", "2")
     assert res.returncode == 2
     assert "invalid input" in res.stderr
+    # modulus entries are taken as given, never reduced mod p
+    for modulus, message in (
+        ("1,0,4", "coefficient 4 is outside 0..2"),
+        ("-2,0,1", "coefficient -2 is outside 0..2"),
+        ("2,0,2", "monic (leading coefficient 2)"),
+    ):
+        res = run("search", "--p", "3", "--n", "2", f"--modulus={modulus}")
+        assert res.returncode == 2
+        assert message in res.stderr and res.stdout == ""
 
 
 def test_exit_code_budget_exceeded(tmp_path):
@@ -202,22 +211,20 @@ def test_exit_code_budget_exceeded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args, env",
+    "args, env, word",
     [
-        (("search", "--random", "--budget", "-5"), None),
-        (("search", "--exhaustive", "--budget", "-5"), None),
-        (("codes", "--random", "--budget", "-1"), None),
-        (("search", "--random"), "-5"),
+        (("search", "--random", "--budget", "-5"), {}, "budget"),
+        (("search", "--exhaustive", "--budget", "-5"), {}, "budget"),
+        (("codes", "--random", "--budget", "-1"), {}, "budget"),
+        (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "-5"}, "budget"),
+        (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "-1"}, "field cap"),
     ],
-    ids=["search-random", "search-exhaustive", "codes", "env"],
+    ids=["search-random", "search-exhaustive", "codes", "env", "field-cap"],
 )
-def test_exit_code_negative_budget(args, env):
-    kw = {}
-    if env is not None:
-        kw["env"] = {**os.environ, "SEMISWITCH_SEARCH_BUDGET": env}
-    res = run(*args, "--p", "3", "--n", "2", **kw)
+def test_exit_code_negative_budget(args, env, word):
+    res = run(*args, "--p", "3", "--n", "2", env={**os.environ, **env})
     assert res.returncode == 2
-    assert "invalid input" in res.stderr and "budget" in res.stderr
+    assert "invalid input" in res.stderr and word in res.stderr
     assert res.stdout == ""
 
 

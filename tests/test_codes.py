@@ -12,9 +12,10 @@ from semiswitch import (
     search,
     switching_predicate,
     trace_codeword,
-    trace_quotient,
 )
 from semiswitch.digits import psi
+
+from oracles import trace_quotient
 
 
 def test_coset_of_zero():
@@ -150,9 +151,3 @@ def test_nonconstant_full_weight_matches_search(f9):
     assert rep["full_weight_nonconstant"] == len(by_search)
     assert rep["nonconstant_witnesses"] == by_search[:5]
 
-
-def test_codeword_csv_row(f9):
-    w = trace_codeword(f9, (1, 4))
-    row = w.csv_row()
-    assert isinstance(row, str)
-    assert len(row.split(",")) == len(w.values)

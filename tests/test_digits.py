@@ -19,7 +19,6 @@ from semiswitch import (
     search,
     switching_predicate,
     vanishing_sums_check,
-    wrap_add,
     wrap_add_many,
 )
 from semiswitch.digits import DigitVector, psi, reduce_exponent
@@ -42,19 +41,21 @@ def test_digitvector_value():
 
 
 def test_wrap_add_zero_rule():
-    assert wrap_add(3, 2, 0, 0) == 0
+    assert wrap_add_many(3, 2, (0, 0)) == 0
 
 
 def test_wrap_add_top_rule():
     M = (3**2 - 1) // 2  # 4
-    assert wrap_add(3, 2, 1, 3) == M
-    assert wrap_add(3, 2, 4, 4) == M
-    assert wrap_add(3, 2, 3, 3) == 2
+    assert wrap_add_many(3, 2, (1, 3)) == M
+    assert wrap_add_many(3, 2, (4, 4)) == M
+    assert wrap_add_many(3, 2, (3, 3)) == 2
 
 
 def test_wrap_add_range_check():
     with pytest.raises(ValueError):
-        wrap_add(3, 2, 5, 0)
+        wrap_add_many(3, 2, (5, 0))
+    with pytest.raises(ValueError, match="operand -1 outside 0..4"):
+        wrap_add_many(3, 2, (0, -1))
 
 
 def test_wrap_add_many():

@@ -13,7 +13,6 @@ from semiswitch import (
     build_switch,
     classify,
     n2_criterion,
-    n2_lemma_roots,
     n3_construct,
     n4_commutative_op,
     n4_criterion,
@@ -24,6 +23,8 @@ from semiswitch import (
     verify_presemifield,
 )
 from semiswitch.families import is_square_in_base, matches_n3
+
+from oracles import _matches_n3_scan, _random_members, n2_lemma_roots
 
 
 # ---------------------------------------------------------------- n = 2
@@ -172,44 +173,6 @@ def test_matches_n3_roundtrip(f27):
 def test_matches_n3_rejects_monomial(f27):
     L = LinearizedPoly(f27, (1, 0, 0))
     assert matches_n3(L) is None
-
-
-def _matches_n3_scan(L):
-    """The (u, v) double scan that matches_n3 replaced, kept as its oracle."""
-    ctx = L.ctx
-    if ctx.n != 3:
-        return None
-    c0, c1, c2 = L.coeffs
-    if c1 == 0 or c2 == 0:
-        return None
-    q = ctx.q
-    for u in ctx.star_units():
-        for v in ctx.star_units():
-            if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
-                continue
-            w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
-            t = ctx.div(c1, ctx.mul(w, v))
-            if ctx.rel_norm(t) != 1:
-                continue
-            if c2 != ctx.mul(w, ctx.mul(u, ctx.pow(t, q + 1))):
-                continue
-            theta = ctx.div(c0, w)
-            rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
-            if ctx.rel_trace(ctx.mul(w, theta)) == rhs:
-                a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
-                return u, v, theta, a
-    return None
-
-
-def _random_members(ctx, rng, count):
-    out = []
-    while len(out) < count:
-        u, v, a = (ctx.from_index(rng.randrange(ctx.mult_order)) for _ in range(3))
-        if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
-            continue
-        theta = rng.choice(theta_set(ctx, u, v))
-        out.append(n3_construct(ctx, u, v, theta, a=a).poly.coeffs)
-    return out
 
 
 @pytest.mark.parametrize(

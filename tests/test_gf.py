@@ -16,6 +16,8 @@ from semiswitch.gf import (
     _poly_mul_mod,
 )
 
+from oracles import _linear_map_oracle, _step_by_step_tables
+
 
 # w = code 2 is the root of X^2+X+1 in F_4; w^2 = w+1 = code 3
 W = 2
@@ -158,8 +160,8 @@ def test_dual_representation_roundtrip(f9, f64_q4):
     for ctx in (f9, f64_q4):
         for x in ctx.elements():
             assert ctx.from_vector(ctx.vector_of(x)) == x
-            assert ctx.from_index(ctx.index_of(x)) == x
-        assert ctx.index_of(0) is None
+            assert ctx.from_index(ctx.log[x]) == x
+        assert ctx.log[0] is None
 
 
 def test_reducible_modulus_rejected():
@@ -167,6 +169,12 @@ def test_reducible_modulus_rejected():
         build_field(2, 1, 2, modulus=(1, 0, 1))  # X^2+1 = (X+1)^2 over F_2
     with pytest.raises(ValueError):
         build_field(2, 1, 2, modulus=(0, 1, 1))  # X^2+X has the root 0
+    # entries are taken as given, not reduced mod p
+    for modulus in ((1, 0, 4), (-2, 0, 1)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            build_field(3, 1, 2, modulus=modulus)
+    with pytest.raises(ValueError, match=r"monic \(leading coefficient 2\)"):
+        build_field(3, 1, 2, modulus=(2, 0, 2))
 
 
 def test_cap_enforced():
@@ -174,6 +182,8 @@ def test_cap_enforced():
 
     with pytest.raises(BudgetExceeded):
         build_field(2, 1, 30)
+    with pytest.raises(ValueError, match="field cap"):
+        build_field(2, 1, 2, cap=-1)
 
 
 def test_spec_roundtrip(f9):
@@ -237,36 +247,6 @@ def _smallest_irreducible(p, d):
             return tuple(f)
 
 
-def _step_by_step_tables(ctx):
-    """exp, log, frob_q, tr, nm one element at a time: a polynomial product
-    per power of gamma and n - 1 additions per trace."""
-    p, q, N, d = ctx.p, ctx.q, ctx.mult_order, ctx.m * ctx.n
-    mod = list(ctx.modulus)
-    gamma = _decode(ctx.generator, p, d)
-    exp, log = [], [None] * ctx.order
-    cur = _decode(1, p, d)
-    for k in range(N):
-        code = _encode(cur, p)
-        assert log[code] is None
-        exp.append(code)
-        log[code] = k
-        cur = _poly_mul_mod(cur, gamma, mod, p)
-    assert _encode(cur, p) == 1
-    frob, nm = [0] * ctx.order, [0] * ctx.order
-    M = N // (q - 1)
-    for k in range(N):
-        frob[exp[k]] = exp[k * q % N]
-        nm[exp[k]] = exp[k * M % N]
-    tr = []
-    for x in ctx.elements():
-        acc, y = x, x
-        for _ in range(ctx.n - 1):
-            y = frob[y]
-            acc = ctx.add(acc, y)
-        tr.append(acc)
-    return exp, log, frob, tr, nm
-
-
 def _smallest_primitive(ctx):
     """Smallest code whose powers, by polynomial products, reach q^n - 1."""
     p, d, mod = ctx.p, ctx.m * ctx.n, list(ctx.modulus)
@@ -308,14 +288,6 @@ def test_tables_match_step_by_step_construction(shape, modulus):
     assert ctx.frob_q == frob
     assert ctx.tr == tr
     assert ctx.nm == nm
-
-
-def _linear_map_oracle(p, d, images, c):
-    out = [0] * d
-    for cj, img in zip(_decode(c, p, d), images):
-        for i, v in enumerate(_decode(img, p, d)):
-            out[i] = (out[i] + cj * v) % p
-    return _encode(out, p)
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 4), (5, 3), (7, 2), (13, 1)])

@@ -8,7 +8,6 @@ import pytest
 from semiswitch import (
     LinearizedPoly,
     build_field,
-    canonical_residue,
     coset_leader,
     curve_verdicts,
     leader_thresholds,
@@ -18,13 +17,8 @@ from semiswitch import (
     serre_term,
     switching_predicate,
 )
-from semiswitch.linpoly import trace_quotient
 
-
-def test_canonical_residue():
-    assert canonical_residue(3**4 - 1, 3, 4) == 0
-    assert canonical_residue(-1, 3, 4) == 3**4 - 2
-    assert canonical_residue(8 * 7, 3, 4) == 56
+from oracles import _min_max_leader_full_scan, trace_quotient
 
 
 def test_coset_leader_anchors():
@@ -68,22 +62,6 @@ def test_min_max_leader_positive(f9, f27):
 def test_min_max_leader_needs_higher_support(f9):
     with pytest.raises(ValueError):
         min_max_leader(LinearizedPoly(f9, (4, 0)))
-
-
-def _min_max_leader_full_scan(L):
-    """ell and its argmin by the definition: every j coprime to q^n - 1."""
-    ctx = L.ctx
-    support = [i for i in range(1, ctx.n) if L.coeffs[i]]
-    q, n, p, mn = ctx.q, ctx.n, ctx.p, ctx.m * ctx.n
-    N = q**n - 1
-    best = best_j = None
-    for j in range(1, N):
-        if gcd(j, N) != 1:
-            continue
-        lj = max(coset_leader(canonical_residue(j * (q**i - 1), q, n), p, mn) for i in support)
-        if best is None or lj < best:
-            best, best_j = lj, j
-    return best, best_j
 
 
 def test_min_max_leader_matches_full_scan(f81_n4, f64_q4):

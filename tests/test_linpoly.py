@@ -12,8 +12,9 @@ from semiswitch import (
     is_permutation,
     search,
     switching_predicate,
-    trace_quotient,
 )
+
+from oracles import trace_quotient
 
 
 def test_eval_identity_and_zero(f9):

@@ -25,9 +25,12 @@ from semiswitch import (
     search,
     switch_spec_for,
     switching_predicate,
+    theta_set,
     unitalize,
     verify_presemifield,
 )
+
+from oracles import _isotopy_scan, _nuclei_scan, _zero_divisor_scan
 
 
 def test_zero_b_is_field_multiplication(f9):
@@ -138,6 +141,26 @@ def test_unitalize_commutative_skips_left_twist(f81_n4):
     for x in list(ctx.elements())[::7]:
         for y in list(ctx.elements())[::5]:
             assert star(x, y) == binv[op(x, y)]
+
+
+def test_unitalize_reads_only_basis_images():
+    # at F_{32^3}: m n = 15 images per side map and the identity on the
+    # F_p-basis, so at most 4 m n = 60 op calls (not 4 q^n = 131,072)
+    ctx = build_field(2, 5, 3)
+    u = ctx.from_index(ctx.q - 2)
+    op = build_switch(switch_spec_for(n3_construct(ctx, u, 1, theta_set(ctx, u, 1)[0]).poly))
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return op(x, y)
+
+    counted_op = BinaryOp(ctx, counted, spec=op.spec)
+    counted_op.verified = True  # n3_construct checked the predicate
+    star = unitalize(counted_op)
+    assert len(calls) <= 4 * ctx.m * ctx.n
+    for x in random.Random(32).sample(range(ctx.order), 200):
+        assert star(x, 1) == x == star(1, x)
 
 
 def test_unitalize_rejects_non_cancellative(f9):
@@ -288,49 +311,6 @@ def test_dual_spread_trivial_and_domain(f81_n4, f27):
         dual_spread_op(f27, 1, 1)
 
 
-# ---- the whole-field scans that the kernel routes replaced, as oracles ----
-
-
-def _nuclei_scan(op):
-    ctx = op.ctx
-    basis = ctx.exp[: ctx.n]
-    pairs = [(e, f) for e in basis for f in basis]
-    left, middle, right = set(), set(), set()
-    for a in ctx.elements():
-        if all(op(op(a, e), f) == op(a, op(e, f)) for e, f in pairs):
-            left.add(a)
-        if all(op(op(e, a), f) == op(e, op(a, f)) for e, f in pairs):
-            middle.add(a)
-        if all(op(op(e, f), a) == op(e, op(f, a)) for e, f in pairs):
-            right.add(a)
-    nucleus = left & middle & right
-    center = {a for a in nucleus if all(op(a, e) == op(e, a) for e in basis)}
-    return left, middle, right, center
-
-
-def _zero_divisor_scan(op):
-    for x in op.ctx.units():
-        for y in op.ctx.units():
-            if op(x, y) == 0:
-                return (x, y)
-    return None
-
-
-def _isotopy_scan(op):
-    ctx = op.ctx
-    A = right_unit_inverse(op.spec)
-    basis = ctx.exp[: ctx.n]
-    for v in ctx.star_units():
-        w = [A(op(v, e)) for e in basis]
-        if all(
-            op(w[i], basis[j]) == op(w[j], basis[i])
-            for i in range(ctx.n)
-            for j in range(i + 1, ctx.n)
-        ):
-            return True, v
-    return False, None
-
-
 @pytest.mark.parametrize(
     "field, mask, step",
     [
@@ -355,10 +335,8 @@ def test_kernel_routes_match_scans(request, field, mask, step):
         assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(star)
 
 
-def test_nuclei_of_matrix_algebra(f81_n4):
-    # 2x2 matrices over F_3 on the digits of F_81: associative, so every
-    # nucleus is everything, but only the scalar matrices are central
-    ctx = f81_n4
+def _matrix_algebra(ctx):
+    """2x2 matrices over F_3 on the four digits of an element of F_81."""
 
     def matmul(x, y):
         a, b, c, d = ctx.vector_of(x)
@@ -367,7 +345,32 @@ def test_nuclei_of_matrix_algebra(f81_n4):
             (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
         )
 
-    op = BinaryOp(ctx, matmul, unital=True)
+    return BinaryOp(ctx, matmul, unital=True)
+
+
+def _twisted_field(ctx, a, b):
+    """The unitalized generalised twisted field x y - gamma x^(q^a) y^(q^b)."""
+    c = ctx.generator
+
+    def twisted(x, y):
+        return ctx.sub(
+            ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
+        )
+
+    return unitalize(BinaryOp(ctx, twisted))
+
+
+def _q4_switching(ctx):
+    """The unitalized F_64/F_4 switching that is not isotopic to a commutative one."""
+    xi = ctx.generator
+    inst = n3_construct(ctx, ctx.pow(xi, 5), xi, ctx.pow(xi, 62))
+    return unitalize(build_switch(switch_spec_for(inst.poly)))
+
+
+def test_nuclei_of_matrix_algebra(f81_n4):
+    # associative, so every nucleus is everything, but only the scalar
+    # matrices are central
+    op = _matrix_algebra(f81_n4)
     rep = nuclei(op)
     assert rep.sizes == (81, 81, 81, 3)
     assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
@@ -377,20 +380,37 @@ def test_nuclei_of_matrix_algebra(f81_n4):
     "a, b, sizes", [(2, 1, (9, 3, 3)), (1, 2, (3, 3, 9)), (1, 3, (3, 9, 3))]
 )
 def test_nuclei_of_twisted_field(f81_n4, a, b, sizes):
-    # generalised twisted fields x y - c x^(q^a) y^(q^b): the left, middle
-    # and right nuclei differ, so a mix-up of the slots shows
-    ctx = f81_n4
-    c = ctx.generator
-
-    def twisted(x, y):
-        return ctx.sub(
-            ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
-        )
-
-    star = unitalize(BinaryOp(ctx, twisted))
+    # the left, middle and right nuclei differ, so a mix-up of the slots shows
+    star = _twisted_field(f81_n4, a, b)
     rep = nuclei(star)
     assert rep.sizes[:3] == sizes
     assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(star)
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("f81_n4", lambda ctx: _twisted_field(ctx, 2, 1)),
+        ("f81_n4", lambda ctx: _twisted_field(ctx, 1, 2)),
+        ("f81_n4", lambda ctx: _twisted_field(ctx, 1, 3)),
+        ("f81_n4", _matrix_algebra),
+        ("f64_q4", _q4_switching),
+    ],
+    ids=["twisted-2-1", "twisted-1-2", "twisted-1-3", "matrices", "f64_q4-switching"],
+)
+def test_opposite_op_swaps_left_and_right_nuclei(request, field, build):
+    # x o y = y * x: the left and right nuclei trade places, the middle
+    # nucleus and the center stay
+    op = build(request.getfixturevalue(field))
+    assert not is_commutative(op)
+    opposite = BinaryOp(op.ctx, lambda x, y: op(y, x), unital=True)
+    rep, opp = nuclei(op), nuclei(opposite)
+    assert (opp.left, opp.middle, opp.right, opp.center) == (
+        rep.right,
+        rep.middle,
+        rep.left,
+        rep.center,
+    )
 
 
 @pytest.mark.parametrize("field", ["f9", "f16_q4", "f81_n4", "f81_q9", "f64_q4"])

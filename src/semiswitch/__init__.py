@@ -28,7 +28,6 @@ from .presemifield import (
     is_commutative,
     nuclei,
     predicate_equivalence_check,
-    right_unit_inverse,
     unitalize,
     verify_presemifield,
 )

@@ -110,9 +110,10 @@ def _mode(args):
 
 
 def _mask(args, n):
+    """The coefficient support to search, sorted and without repeats."""
     if args.mask is None:
         return tuple(range(n))
-    return tuple(int(i) for i in args.mask.split(","))
+    return tuple(sorted({int(i) for i in args.mask.split(",")}))
 
 
 def _config_record(args, ctx, extra=None):
@@ -197,13 +198,13 @@ def _verify_one(L):
     ctx = L.ctx
     report = {"record": "result", "coeffs": list(L.coeffs)}
     if not linpoly.switching_predicate(L):
-        report["predicate"] = False
-        spec = families.switch_spec_for(L)
-        op = presemifield.build_switch(spec)
-        ok = presemifield.verify_presemifield(op)
-        report["presemifield"] = ok
-        if not ok:
-            report["zero_divisor"] = list(presemifield.find_zero_divisor(op))
+        op = presemifield.build_switch(families.switch_spec_for(L))
+        witness = presemifield.find_zero_divisor(op)
+        if witness is None:
+            raise ConsistencyError(
+                "predicate-failing L produced a presemifield", witness=L.coeffs
+            )
+        report.update(predicate=False, presemifield=False, zero_divisor=list(witness))
         return report
     deep = families.classify(L)
     deep.pop("record", None)
@@ -250,7 +251,10 @@ def cmd_codes(args):
     dim = codes_mod.code_dimension(ctx.q, ctx.n)
     census = codes_mod.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
     with _output(args.out) as writer:
-        writer.emit(_config_record(args, ctx, {"mode": mode}))
+        pinned = {"mode": mode}
+        if mode == "random":
+            pinned.update(seed=args.seed, budget=linpoly.search_budget(args.budget))
+        writer.emit(_config_record(args, ctx, pinned))
         record = {"record": "result", "dimension": dim}
         record.update(census)
         writer.emit(record)

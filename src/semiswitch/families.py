@@ -44,13 +44,6 @@ class FamilyInstance:
     params: dict
     poly: LinearizedPoly
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "params": {k: v for k, v in self.params.items()},
-            "poly": self.poly.to_dict(),
-        }
-
 
 # ---- degree 2 ----
 

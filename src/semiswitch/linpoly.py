@@ -59,25 +59,21 @@ class LinearizedPoly:
                 raise ValueError(f"coefficient {c} out of range")
 
     def eval(self, x):
+        """L(x), stepping x -> x^q once per coefficient index."""
         ctx = self.ctx
+        add, mul, frob = ctx.add, ctx.mul, ctx.frob_q
         acc = 0
-        for i, a in enumerate(self.coeffs):
+        for a in self.coeffs:
             if a:
-                acc = ctx.add(acc, ctx.mul(a, ctx.frobenius(x, i)))
+                acc = add(acc, mul(a, x))
+            x = frob[x]
         return acc
 
     __call__ = eval
 
-    def support(self):
-        """Indices with nonzero coefficient."""
-        return tuple(i for i, a in enumerate(self.coeffs) if a)
-
     def is_monomial(self):
         """Only the X term present (a_i = 0 for all i >= 1)."""
         return all(a == 0 for a in self.coeffs[1:])
-
-    def to_dict(self):
-        return {"field": self.ctx.to_spec(), "coeffs": list(self.coeffs)}
 
 
 def transcript(ctx, coeffs):

@@ -10,24 +10,26 @@ can be restricted to an F_q-basis.
 
 Every check then reads an F_p-linear map off the images of the mn
 F_p-basis elements, through the primitives of :mod:`.gf`.  A zero
-divisor of x -> x*a, a member of a nucleus (associators against basis
+divisor of y -> x*y, a member of a nucleus (associators against basis
 pairs; nuclei are subfields, hence F_p-subspaces) and a
-commutative-isotopy witness are kernels (``_kernel``), and the
-unitalization's side maps y -> 1*y and x -> x*1 are tables
-(``_linear_table``).  No check tests candidates one by one over the
-whole field: cancellation needs one kernel per projective point, and
-only the kernels themselves are listed, by ``_span``.
+commutative-isotopy witness are kernels (``_kernel``), and the side
+maps y -> 1*y and x -> x*1 are tables (``_linear_table``), built once
+per op and shared by the unitalization and the isotopy test.  No check
+tests candidates one by one over the whole field: cancellation needs
+one kernel per F_q^* orbit of units, and only the kernels themselves
+are listed, by ``_span``.
 
-``verify_presemifield`` checks cancellation (both one-sided products
-are bijections) directly, with no reference to the trace criterion, so
-that ``predicate_equivalence_check`` can compare the two routes as
-independent computations.
+One walk, ``find_zero_divisor``, decides cancellation and finds its
+witness; ``verify_presemifield`` only asks whether it found one.
+Bilinearity is assumed, not checked.  The walk makes no reference to
+the trace criterion, so that ``predicate_equivalence_check`` can
+compare the two routes as independent computations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 from .errors import ConsistencyError
 from .gf import FieldCtx, _kernel, _linear_table, _span
@@ -66,9 +68,6 @@ class SwitchSpec:
         ctx = self.ctx
         return LinearizedPoly(ctx, tuple(ctx.mul(self.xi, bi) for bi in self.b))
 
-    def to_dict(self):
-        return {"field": self.ctx.to_spec(), "b": list(self.b), "xi": self.xi}
-
 
 class BinaryOp:
     """An F_q-bilinear operation on a field context.
@@ -78,15 +77,40 @@ class BinaryOp:
     ``unital`` marks a verified two-sided 1.
     """
 
-    def __init__(self, ctx, fn, *, unital=False, spec=None):
+    def __init__(self, ctx, fn, *, unital=False):
         self.ctx = ctx
         self._fn = fn
         self.unital = unital
-        self.spec = spec
         self.verified = None
 
     def __call__(self, x, y):
         return self._fn(x, y)
+
+    @cached_property
+    def side_maps(self):
+        """Tables (B, B^(-1), R, R^(-1)) of B(y) = 1*y and R(x) = x*1.
+
+        Each map is F_p-linear, so its table is read off mn basis
+        images.  Raises ValueError on an op that does not verify;
+        cancellation makes both maps bijective.
+        """
+        if self.verified is None:
+            verify_presemifield(self)
+        if not self.verified:
+            raise ValueError("op is not a presemifield")
+        ctx = self.ctx
+        p, d, order = ctx.p, ctx.m * ctx.n, ctx.order
+        basis = [p**j for j in range(d)]
+        out = ()
+        for images in ([self(1, e) for e in basis], [self(e, 1) for e in basis]):
+            fmap = _linear_table(p, d, images)
+            if len(set(fmap)) != order:
+                raise ConsistencyError("cancellative op with non-bijective side map")
+            inv = [0] * order
+            for x, v in enumerate(fmap):
+                inv[v] = x
+            out += (fmap, inv)
+        return out
 
 
 def field_op(ctx):
@@ -97,42 +121,23 @@ def field_op(ctx):
 
 
 def build_switch(spec):
-    """The switched multiplication x*y = xy + B(x, y) xi."""
+    """The switched multiplication x*y = xy + Tr(x B(y)) xi, B(Y) = sum_i b_i Y^(q^i)."""
     ctx = spec.ctx
-    mul, add, tr = ctx.mul, ctx.add, ctx.rel_trace
-    frob = ctx.frob_q
-    terms = [(i, bi) for i, bi in enumerate(spec.b) if bi]
-    xi = spec.xi
-
-    def op(x, y):
-        acc = 0
-        yq = y
-        j = 0
-        for i, bi in terms:
-            while j < i:
-                yq = frob[yq]
-                j += 1
-            acc = add(acc, mul(bi, mul(x, yq)))
-        return add(mul(x, y), mul(tr(acc), xi))
-
-    return BinaryOp(ctx, op, spec=spec)
+    mul, add, tr = ctx.mul, ctx.add, ctx.tr
+    B, xi = LinearizedPoly(ctx, spec.b), spec.xi
+    return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)))
 
 
 # ---- verification ----
 
 
 def verify_presemifield(op):
-    """Check that every one-sided product by a nonzero element is a bijection.
+    """Whether every one-sided product by a nonzero element is a bijection.
 
-    Both sides fail together, at a zero divisor x*a = 0, so the check
-    asks whether some x -> x*a (F_p-linear) has a nonzero kernel.  Since
-    x*(c a) = c (x*a) for c in F_q, a runs over the projective
-    representatives gamma^k, k < (q^n-1)/(q-1), only.
+    Both sides fail together, at a zero divisor x*y = 0, so this is the
+    question ``find_zero_divisor`` answers.
     """
-    ctx = op.ctx
-    op.verified = not any(
-        _kernel(ctx, lambda x: (op(x, a),)) for a in ctx.exp[: ctx.trace_step]
-    )
+    op.verified = find_zero_divisor(op) is None
     return op.verified
 
 
@@ -141,10 +146,19 @@ def find_zero_divisor(op):
 
     x walks the units in code order; y is the smallest nonzero code in
     the kernel of y -> x*y, so the pair is the one a scan over x, then
-    y, would meet first.
+    y, would meet first.  Since (c x)*y = c (x*y) for c in F_q, that
+    kernel is the same on the whole orbit gamma^k F_q^* = exp[k::M] of
+    x, M = (q^n-1)/(q-1): only the first member met of each orbit is
+    tried, and its first zero divisor is the first of the orbit's.
     """
     ctx = op.ctx
+    M, log = ctx.trace_step, ctx.log
+    seen = bytearray(M)
     for x in ctx.units():
+        k = log[x] % M
+        if seen[k]:
+            continue
+        seen[k] = 1
         kernel = _kernel(ctx, lambda y: (op(x, y),))
         if kernel:
             return (x, kernel[0])
@@ -170,39 +184,23 @@ def predicate_equivalence_check(spec):
 def unitalize(op):
     """Isotopic unital semifield op: x . y = B^(-1)(B1(x) * y).
 
-    B(x) = 1*x and B1 is fixed by B1(x)*1 = 1*x.  Requires a verified
-    presemifield (cancellation makes both side maps bijective).  The
-    side maps are F_p-linear, so each is a table from its mn basis
-    images.  B^(-1) and B1 are linear and the op is bilinear, so the new
+    B(x) = 1*x and B1 is fixed by B1(x)*1 = 1*x, both read from
+    ``op.side_maps`` (so a ValueError on an op that does not verify).
+    B^(-1) and B1 are linear and the op is bilinear, so the new
     product is F_p-bilinear as well: x . 1 = x and 1 . x = x hold on the
     whole field once they hold on the F_p-basis.
     """
     ctx = op.ctx
-    if op.verified is None:
-        verify_presemifield(op)
-    if not op.verified:
-        raise ValueError("op is not a presemifield, cannot unitalize")
-    p, d, order = ctx.p, ctx.m * ctx.n, ctx.order
-    basis = [p**j for j in range(d)]
-    bmap = _linear_table(p, d, [op(1, e) for e in basis])
-    rmap = _linear_table(p, d, [op(e, 1) for e in basis])
-    if len(set(bmap)) != order or len(set(rmap)) != order:
-        raise ConsistencyError("cancellative op with non-bijective side map")
-    binv = [0] * order
-    rinv = [0] * order
-    for x, v in enumerate(bmap):
-        binv[v] = x
-    for x, v in enumerate(rmap):
-        rinv[v] = x
+    bmap, binv, _, rinv = op.side_maps
     b1 = [rinv[v] for v in bmap]
 
     def star(x, y):
         return binv[op(b1[x], y)]
 
-    for e in basis:
+    for e in (ctx.p**j for j in range(ctx.m * ctx.n)):
         if star(e, 1) != e or star(1, e) != e:
             raise ConsistencyError("unitalization failed to produce an identity", e)
-    out = BinaryOp(ctx, star, unital=True, spec=op.spec)
+    out = BinaryOp(ctx, star, unital=True)
     out.verified = op.verified
     return out
 
@@ -290,28 +288,6 @@ def commutative_criterion(spec):
     )
 
 
-def right_unit_inverse(spec):
-    """The map A with A(x) * 1 = x for the switched op, in closed form.
-
-    With t = sum b_i the map is A(x) = x - xi Tr(t x) / (1 + Tr(t xi)).
-    The denominator is the F_q scalar with 1*1 = 1 + Tr(t) xi; it
-    vanishes exactly when the op already fails cancellation at 1.
-    """
-    ctx = spec.ctx
-    t = 0
-    for bi in spec.b:
-        t = ctx.add(t, bi)
-    denom = ctx.add(1, ctx.rel_trace(ctx.mul(t, spec.xi)))
-    if denom == 0:
-        raise ValueError("1 + Tr(t xi) = 0; the switched op is not cancellative at 1")
-    scale = ctx.neg(ctx.div(spec.xi, denom))
-
-    def A(x):
-        return ctx.add(x, ctx.mul(scale, ctx.rel_trace(ctx.mul(t, x))))
-
-    return A
-
-
 def commutative_isotopy_test(op):
     """Search for v != 0 with A(v*x) * y = A(v*y) * x on all basis pairs.
 
@@ -319,17 +295,17 @@ def commutative_isotopy_test(op):
     commutative semifield.  The witnesses are the nonzero kernel of an
     F_p-linear map in v; the one returned has the smallest discrete
     log, i.e. it is the first in gamma-power order, so reruns agree.
-    Needs the op to come from a SwitchSpec (A has a closed form there).
+    A is the inverse of x -> x*1 from ``op.side_maps``, so, like
+    ``unitalize``, the test raises ValueError on an op that does not
+    verify.
     """
-    if op.spec is None:
-        raise ValueError("test needs an op built from a SwitchSpec")
     ctx = op.ctx
-    A = right_unit_inverse(op.spec)
+    A = op.side_maps[3]
     basis = ctx.exp[: ctx.n]
     pairs = [(i, j) for i in range(ctx.n) for j in range(i + 1, ctx.n)]
 
     def defect(v):
-        w = [A(op(v, e)) for e in basis]
+        w = [A[op(v, e)] for e in basis]
         return tuple(ctx.sub(op(w[i], basis[j]), op(w[j], basis[i])) for i, j in pairs)
 
     kernel = _kernel(ctx, defect)
@@ -363,7 +339,6 @@ __all__ = [
     "nuclei",
     "is_commutative",
     "commutative_criterion",
-    "right_unit_inverse",
     "commutative_isotopy_test",
     "dual_spread_op",
 ]

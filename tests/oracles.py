@@ -13,10 +13,9 @@ from semiswitch import (
     ConsistencyError,
     coset_leader,
     n3_construct,
-    right_unit_inverse,
     theta_set,
 )
-from semiswitch.gf import _decode, _encode, _poly_mul_mod
+from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod
 
 
 # ---- gf ----
@@ -86,6 +85,42 @@ def _is_permutation_scan(L):
 # ---- presemifield ----
 
 
+def _switch_product(spec, x, y):
+    """xy + B(x, y) xi with B read term by term from ``bilinear_form``."""
+    ctx = spec.ctx
+    return ctx.add(ctx.mul(x, y), ctx.mul(spec.bilinear_form(x, y), spec.xi))
+
+
+def _verify_by_right_kernels(op):
+    """No x -> x*a has a nonzero kernel, a over the gamma^k, k < M."""
+    ctx = op.ctx
+    return not any(
+        _kernel(ctx, lambda x: (op(x, a),)) for a in ctx.exp[: ctx.trace_step]
+    )
+
+
+def right_unit_inverse(spec):
+    """The map A with A(x) * 1 = x for the switched op, in closed form.
+
+    With t = sum b_i the map is A(x) = x - xi Tr(t x) / (1 + Tr(t xi)).
+    The denominator is the F_q scalar with 1*1 = 1 + Tr(t) xi; it
+    vanishes exactly when the op already fails cancellation at 1.
+    """
+    ctx = spec.ctx
+    t = 0
+    for bi in spec.b:
+        t = ctx.add(t, bi)
+    denom = ctx.add(1, ctx.rel_trace(ctx.mul(t, spec.xi)))
+    if denom == 0:
+        raise ValueError("1 + Tr(t xi) = 0; the switched op is not cancellative at 1")
+    scale = ctx.neg(ctx.div(spec.xi, denom))
+
+    def A(x):
+        return ctx.add(x, ctx.mul(scale, ctx.rel_trace(ctx.mul(t, x))))
+
+    return A
+
+
 def _zero_divisor_scan(op):
     for x in op.ctx.units():
         for y in op.ctx.units():
@@ -117,7 +152,7 @@ def _unitalize_scan(op):
     for x in range(order):
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
-    return BinaryOp(ctx, star, unital=True, spec=op.spec)
+    return BinaryOp(ctx, star, unital=True)
 
 
 def _nuclei_scan(op):
@@ -138,11 +173,13 @@ def _nuclei_scan(op):
 
 
 def _isotopy_scan(op):
+    """The first v in gamma order with A(v*e) * f = A(v*f) * e on basis
+    pairs, A found by scanning x -> x*1 over the whole field."""
     ctx = op.ctx
-    A = right_unit_inverse(op.spec)
+    A = {op(x, 1): x for x in ctx.elements()}
     basis = ctx.exp[: ctx.n]
     for v in ctx.star_units():
-        w = [A(op(v, e)) for e in basis]
+        w = [A[op(v, e)] for e in basis]
         if all(
             op(w[i], basis[j]) == op(w[j], basis[i])
             for i in range(ctx.n)

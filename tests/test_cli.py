@@ -69,6 +69,15 @@ def test_search_mask_matches_library():
     assert got == [L.coeffs for L in expected]
 
 
+def test_search_mask_records_searched_support():
+    # a mask is a set of indices: order and repeats do not change the search
+    messy = run("search", "--p", "3", "--n", "3", "--mask", "2,0,0", "--exhaustive")
+    clean = run("search", "--p", "3", "--n", "3", "--mask", "0,2", "--exhaustive")
+    assert messy.returncode == clean.returncode == 0
+    assert records(messy.stdout)[0]["mask"] == [0, 2]
+    assert messy.stdout == clean.stdout
+
+
 def test_config_line_is_canonical_json():
     res = run("search", "--p", "2", "--n", "3", "--exhaustive")
     first = res.stdout.splitlines()[0]
@@ -121,6 +130,45 @@ def test_codes_reports():
     (rep,) = [r for r in records(res.stdout) if r["record"] == "result"]
     assert rep["dimension"] == 7
     assert rep["full_weight_nonconstant"] == 0
+
+
+def test_codes_random_config_pins_seed_and_budget():
+    # different seeds give different censuses, so the config must differ too
+    args = ("codes", "--p", "5", "--n", "3", "--random", "--budget", "3000")
+    one, two = run(*args, "--seed", "1"), run(*args, "--seed", "2")
+    assert one.returncode == two.returncode == 0
+    cfg = records(one.stdout)[0]
+    assert (cfg["seed"], cfg["budget"]) == (1, 3000)
+    assert cfg != records(two.stdout)[0]
+
+
+def test_failing_row_walks_once(f81_n4, monkeypatch):
+    # a failing row's verdict and witness come from one zero-divisor walk
+    from semiswitch import BinaryOp, LinearizedPoly, build_switch, switch_spec_for
+    from semiswitch.presemifield import find_zero_divisor
+
+    calls = []
+    call = BinaryOp.__call__
+    monkeypatch.setattr(BinaryOp, "__call__", lambda op, x, y: calls.append(x) or call(op, x, y))
+    L = LinearizedPoly(f81_n4, (5, 7, 0, 11))
+    rep = cli._verify_one(L)
+    row_calls = len(calls)
+    calls.clear()
+    assert rep["predicate"] is rep["presemifield"] is False
+    assert rep["zero_divisor"] == list(find_zero_divisor(build_switch(switch_spec_for(L))))
+    assert row_calls == len(calls)
+
+
+def test_failing_row_that_verifies_is_a_consistency_failure(tmp_path, capsys, monkeypatch):
+    from semiswitch import presemifield
+
+    infile = tmp_path / "row.jsonl"
+    infile.write_text('{"coeffs":[0,0,0,0]}\n')
+    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: None)
+    assert cli.main(["verify", "--p", "3", "--n", "4", str(infile)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "consistency"
+    assert err["witness"] == [0, 0, 0, 0]
 
 
 def test_hws_table(tmp_path):

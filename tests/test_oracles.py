@@ -4,7 +4,8 @@ One parametrised test, one line per (fast route, oracle) pair.  Each
 pair runs over the shared fields of conftest.py and over F_729 as F_9^3,
 on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
-order 729, where exhaustive search is out of budget), and failing ones.
+order 729, where exhaustive search is out of budget), failing ones, and
+at n = 4 dual-spread companions, which come from no switching spec.
 """
 
 import random
@@ -18,6 +19,7 @@ from semiswitch import (
     build_field,
     build_switch,
     commutative_isotopy_test,
+    dual_spread_op,
     find_zero_divisor,
     is_permutation,
     min_max_leader,
@@ -42,10 +44,13 @@ from oracles import (
     _nuclei_scan,
     _random_members,
     _step_by_step_tables,
+    _switch_product,
     _theta_set_scan,
     _unitalize_scan,
+    _verify_by_right_kernels,
     _zero_divisor_scan,
     n2_lemma_roots,
+    right_unit_inverse,
     trace_quotient,
 )
 
@@ -71,7 +76,7 @@ def _polys(ctx):
 
 
 @cache
-def _passing_ops(ctx):
+def _passing_specs(ctx):
     """Switchings of up to six predicate-passing L spread over the hits,
     two at order 729."""
     if ctx.order**ctx.n <= 1 << 18:
@@ -81,7 +86,12 @@ def _passing_ops(ctx):
     else:
         hits = _random_members(ctx, random.Random(729), 2)
     hits = hits[:: -(-len(hits) // 6)]
-    return [(build_switch(switch_spec_for(LinearizedPoly(ctx, c))),) for c in hits]
+    return [(switch_spec_for(LinearizedPoly(ctx, c)),) for c in hits]
+
+
+@cache
+def _passing_ops(ctx):
+    return [(build_switch(spec),) for (spec,) in _passing_specs(ctx)]
 
 
 def _failing_ops(ctx):
@@ -94,14 +104,44 @@ def _failing_ops(ctx):
     return out
 
 
+def _all_ops(ctx):
+    return _passing_ops(ctx) + _failing_ops(ctx)
+
+
+def _dual_spread_ops(ctx):
+    """Companions x o y = xy + (a_1 y^(q^2) + a0t y) Tr(x) that verify (n = 4)."""
+    if ctx.n != 4:
+        return []
+    rng = random.Random(4)
+    out = []
+    while len(out) < 4:
+        op = dual_spread_op(ctx, rng.randrange(1, ctx.order), rng.randrange(ctx.order))
+        if verify_presemifield(op):
+            out.append((op,))
+    return out
+
+
 def _unital_ops(ctx):
     return [(unitalize(op),) for (op,) in _passing_ops(ctx)]
 
 
-def _op_and_pairs(ctx):
+def _pairs(ctx):
     rng = random.Random(5)
-    pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(1000)]
-    return [(op, pairs) for (op,) in _passing_ops(ctx)]
+    return [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(1000)]
+
+
+def _op_and_pairs(ctx):
+    return [(op, _pairs(ctx)) for (op,) in _passing_ops(ctx)]
+
+
+def _spec_and_pairs(ctx):
+    """Passing specs, and random ones with a random xi."""
+    rng = random.Random(6)
+    specs = [spec for (spec,) in _passing_specs(ctx)]
+    for _ in range(3):
+        b = tuple(rng.randrange(ctx.order) for _ in range(ctx.n))
+        specs.append(SwitchSpec(ctx, b, xi=rng.randrange(1, ctx.order)))
+    return [(spec, _pairs(ctx)) for spec in specs]
 
 
 def _linear_maps(ctx):
@@ -180,6 +220,24 @@ def _products(unitalizer):
     return route
 
 
+def _switch_products(spec, pairs):
+    op = build_switch(spec)
+    return [op(x, y) for x, y in pairs]
+
+
+def _switch_products_by_form(spec, pairs):
+    return [_switch_product(spec, x, y) for x, y in pairs]
+
+
+def _right_inverse_table(spec):
+    return build_switch(spec).side_maps[3]
+
+
+def _right_inverse_closed_form(spec):
+    A = right_unit_inverse(spec)
+    return [A(x) for x in spec.ctx.elements()]
+
+
 def _nuclei_sets(op):
     rep = nuclei(op)
     return rep.left, rep.middle, rep.right, rep.center
@@ -195,7 +253,11 @@ PAIRS = [
     pytest.param(matches_n3, _matches_n3_scan, _n3_polys, id="matches_n3"),
     pytest.param(min_max_leader, _min_max_leader_full_scan, _higher_support, id="min_max_leader"),
     pytest.param(find_zero_divisor, _zero_divisor_scan, _failing_ops, id="find_zero_divisor"),
+    pytest.param(verify_presemifield, _verify_by_right_kernels, _all_ops, id="verify"),
+    pytest.param(_switch_products, _switch_products_by_form, _spec_and_pairs, id="build_switch"),
+    pytest.param(_right_inverse_table, _right_inverse_closed_form, _passing_specs, id="right_inverse"),
     pytest.param(commutative_isotopy_test, _isotopy_scan, _passing_ops, id="isotopy"),
+    pytest.param(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, id="isotopy_dual_spread"),
     pytest.param(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, id="unitalize"),
     pytest.param(_nuclei_sets, _nuclei_scan, _unital_ops, id="nuclei"),
 ]

@@ -21,7 +21,6 @@ from semiswitch import (
     n4_commutative_op,
     nuclei,
     predicate_equivalence_check,
-    right_unit_inverse,
     search,
     switch_spec_for,
     switching_predicate,
@@ -30,7 +29,7 @@ from semiswitch import (
     verify_presemifield,
 )
 
-from oracles import _isotopy_scan, _nuclei_scan, _zero_divisor_scan
+from oracles import _isotopy_scan, _nuclei_scan, _zero_divisor_scan, right_unit_inverse
 
 
 def test_zero_b_is_field_multiplication(f9):
@@ -155,7 +154,7 @@ def test_unitalize_reads_only_basis_images():
         calls.append((x, y))
         return op(x, y)
 
-    counted_op = BinaryOp(ctx, counted, spec=op.spec)
+    counted_op = BinaryOp(ctx, counted)
     counted_op.verified = True  # n3_construct checked the predicate
     star = unitalize(counted_op)
     assert len(calls) <= 4 * ctx.m * ctx.n
@@ -168,6 +167,26 @@ def test_unitalize_rejects_non_cancellative(f9):
     assert not verify_presemifield(op)
     with pytest.raises(ValueError):
         unitalize(op)
+    with pytest.raises(ValueError):
+        commutative_isotopy_test(build_switch(SwitchSpec(f9, (1, 0))))
+
+
+def test_side_maps_are_built_once(f81_n4, monkeypatch):
+    # unitalize and the isotopy test read one pair of side-map tables
+    from semiswitch import presemifield
+
+    tables = []
+
+    def counted(p, d, images):
+        tables.append(images)
+        return linear_table(p, d, images)
+
+    linear_table = presemifield._linear_table
+    monkeypatch.setattr(presemifield, "_linear_table", counted)
+    op = BinaryOp(f81_n4, n4_commutative_op(f81_n4, 1, 2))  # no SwitchSpec behind it
+    unitalize(op)
+    commutative_isotopy_test(op)
+    assert len(tables) == 2
 
 
 def test_nuclei_of_field(f9):

@@ -245,6 +245,10 @@ def cmd_verify(args):
 
 
 def cmd_codes(args):
+    if args.format == "csv":
+        raise ValueError(
+            "codes writes JSON lines only; --format csv applies to search, verify and hws"
+        )
     ctx = _build_ctx(args)
     mode = _mode(args)
     # the census first, so a budget failure writes nothing

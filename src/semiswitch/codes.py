@@ -30,9 +30,13 @@ class CyclotomicCoset:
 
 
 def cyclotomic_coset(base, modulus, e):
-    """Orbit of e under multiplication by ``base`` mod ``modulus``."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
+    """Orbit of e under multiplication by ``base`` mod ``modulus``.
+
+    Modulus 1 is allowed: F_2 over F_2 has q^n - 1 = 1, and the coset of
+    0 mod 1 is {0}.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be at least 1")
     if gcd(base, modulus) != 1:
         raise ValueError("base must be invertible mod modulus")
     e %= modulus

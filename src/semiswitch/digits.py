@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+from . import codes
 from .errors import BudgetExceeded
-from . import linpoly
+from .gf import build_field
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
 
@@ -252,14 +253,12 @@ def vanishing_sums_check(L):
 def monomial_census(p, n, budget=None, mode="exhaustive", seed=None):
     """Count predicate-passing L over F_{p^n}/F_p and test monomial-ness.
 
-    Reports whether every hit is a monomial, together with the bound
-    (p-1)(p^2-p+4)/2 above which that must happen.
+    The full-weight census of :mod:`.codes` under the names of the
+    theorem: reports whether every hit is a monomial, together with the
+    bound (p-1)(p^2-p+4)/2 above which that must happen.
     """
-    from .gf import build_field
-
-    ctx = build_field(p, 1, n)
-    sols = linpoly.search(ctx, range(n), mode=mode, seed=seed, budget=budget)
-    non_monomial = [list(L.coeffs) for L in sols if not L.is_monomial()]
+    census = codes.full_weight_search(build_field(p, 1, n), mode=mode, seed=seed, budget=budget)
+    non_monomial = census["full_weight_nonconstant"]
     bound = (p - 1) * (p * p - p + 4) // 2
     return {
         "p": p,
@@ -267,9 +266,9 @@ def monomial_census(p, n, budget=None, mode="exhaustive", seed=None):
         "exhaustive": mode == "exhaustive",
         "bound": bound,
         "bound_applies": n > bound,
-        "solutions": len(sols),
+        "solutions": census["full_weight_constant"] + non_monomial,
         "all_monomial": not non_monomial,
-        "witnesses": non_monomial[:5],
+        "witnesses": census["nonconstant_witnesses"],
     }
 
 

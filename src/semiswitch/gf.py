@@ -16,10 +16,13 @@ lexicographically smallest monic irreducible of degree m*n over F_p is
 used (smallest integer code, constant digit first), and ``gamma`` is
 always the smallest element code of full multiplicative order.
 
-This module also owns the F_p-linear algebra on digit vectors.  An
+This module also owns the F_p-linear algebra, and the element code is
+its only vector format.  The F_p scalars are the codes 0..p-1, so c*x
+is ``mul(c, x)``; negation is the product by the code p - 1.  An
 F_p-linear map is fixed by its images of the m*n basis elements p^j:
 :func:`_linear_table` lists it on every element, :func:`_kernel` gives
-an F_p-basis of its kernel, and :func:`_span` lists a kernel in full.
+an F_p-basis of its kernel by reducing rows of element codes, and
+:func:`_span` lists a kernel in full.
 Multiplication by gamma and the relative trace are such maps, so
 construction does no field arithmetic per element: ``exp`` is the orbit
 of 1 under the gamma table, and Frobenius and norm are read off ``exp``
@@ -142,30 +145,34 @@ def _linear_table(p, d, images):
 def _kernel(ctx, f):
     """An F_p-basis of the kernel of an additive map f: element -> tuple.
 
-    Row j is the digit vector of f(p^j) followed by the unit vector of
-    p^j.  Mod-p row reduction of the image part leaves some rows with a
-    zero image, and their second parts span the kernel.  Row j only
-    absorbs earlier rows, so basis vector k has top digit 1 in a
-    position that grows with k: the first vector is the smallest
-    nonzero code in the kernel.
+    Row j is the tuple (*f(p^j), p^j) of element codes.  It absorbs the
+    earlier pivot rows, a row minus c times a pivot row being
+    ``add(a, mul(p - c, b))`` entrywise; a row whose image entries all
+    vanish is a kernel vector in its last entry, and any other becomes a
+    pivot on one nonzero digit of its first nonzero entry.  Kernel vector
+    k is the only kernel element in p^j + span(earlier pivot rows' p^i),
+    so the basis does not depend on the pivot digit, and its top digit
+    grows with k: the first vector is the smallest nonzero code in the
+    kernel.
     """
-    p, dim = ctx.p, ctx.m * ctx.n
-    pivots = []  # (column, row) with row[column] == 1
+    p, add, mul = ctx.p, ctx.add, ctx.mul
+    pivots = []  # (entry, place, row): digit `place` of row[entry] is 1
     kernel = []
-    for j in range(dim):
-        row = [d for y in f(p**j) for d in ctx.vector_of(y)]
-        width = len(row)
-        row += [int(i == j) for i in range(dim)]
-        for col, piv in pivots:
-            c = row[col]
+    for j in range(ctx.m * ctx.n):
+        row = (*f(p**j), p**j)
+        for i, place, piv in pivots:
+            c = row[i] // place % p
             if c:
-                row = [(a - c * b) % p for a, b in zip(row, piv)]
-        col = next((i for i in range(width) if row[i]), None)
-        if col is None:
-            kernel.append(ctx.from_vector(row[width:]))
-        else:
-            inv = pow(row[col], -1, p)
-            pivots.append((col, [a * inv % p for a in row]))
+                row = tuple(add(a, mul(p - c, b)) for a, b in zip(row, piv))
+        i = next((i for i, a in enumerate(row[:-1]) if a), None)
+        if i is None:
+            kernel.append(row[-1])
+            continue
+        place = 1
+        while row[i] // place % p == 0:
+            place *= p
+        inv = pow(row[i] // place % p, -1, p)
+        pivots.append((i, place, tuple(mul(inv, a) for a in row)))
     return kernel
 
 
@@ -316,9 +323,6 @@ class FieldCtx:
 
     # ---- construction helpers ----
 
-    def _code_digits(self, code):
-        return _decode(code, self.p, self.m * self.n)
-
     def _find_generator(self):
         N = self.mult_order
         if N == 1:
@@ -326,7 +330,7 @@ class FieldCtx:
         factors = _prime_factors(N)
         mod = list(self.modulus)
         for cand in range(2, self.order):
-            digits = self._code_digits(cand)
+            digits = _decode(cand, self.p, self.m * self.n)
             ok = True
             for r in factors:
                 powed = _poly_pow_mod(digits, N // r, mod, self.p)
@@ -340,11 +344,11 @@ class FieldCtx:
     def _build_tables(self):
         p, q, N, d = self.p, self.q, self.mult_order, self.m * self.n
         mod = list(self.modulus)
-        gdigits = self._code_digits(self.generator)
+        gdigits = _decode(self.generator, p, d)
         basis = [p**j for j in range(d)]
         # multiplication by gamma as a table: exp is the orbit of 1 under it
         G = _linear_table(
-            p, d, [_encode(_poly_mul_mod(self._code_digits(e), gdigits, mod, p), p) for e in basis]
+            p, d, [_encode(_poly_mul_mod(_decode(e, p, d), gdigits, mod, p), p) for e in basis]
         )
         exp = [1] * N
         x = 1
@@ -402,15 +406,7 @@ class FieldCtx:
         return s
 
     def neg(self, a):
-        p = self.p
-        if p == 2:
-            return a
-        s, mult = 0, 1
-        while a:
-            s += (-a % p) * mult
-            a //= p
-            mult *= p
-        return s
+        return self.mul(self.p - 1, a)  # the code p - 1 is -1
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -490,16 +486,6 @@ class FieldCtx:
         if k is None:
             return 0
         return self.exp[k % self.mult_order]
-
-    def vector_of(self, x):
-        """Coefficient vector of x over F_p, length m*n, low digit first."""
-        return tuple(self._code_digits(x))
-
-    def from_vector(self, digits):
-        digits = list(digits)
-        if len(digits) != self.m * self.n:
-            raise ValueError(f"vector must have length {self.m * self.n}")
-        return _encode([d % self.p for d in digits], self.p)
 
     # ---- serialization ----
 

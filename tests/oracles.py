@@ -59,6 +59,35 @@ def _linear_map_oracle(p, d, images, c):
     return _encode(out, p)
 
 
+def _kernel_by_digits(ctx, f):
+    """``_kernel`` on digit lists: row j is the digits of f(p^j) followed by
+    the unit vector of p^j, reduced mod p and encoded at the end."""
+    p, dim = ctx.p, ctx.m * ctx.n
+    pivots = []  # (column, row) with row[column] == 1
+    kernel = []
+    for j in range(dim):
+        row = [d for y in f(p**j) for d in _decode(y, p, dim)]
+        width = len(row)
+        row += [int(i == j) for i in range(dim)]
+        for col, piv in pivots:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, piv)]
+        col = next((i for i in range(width) if row[i]), None)
+        if col is None:
+            kernel.append(_encode(row[width:], p))
+        else:
+            inv = pow(row[col], -1, p)
+            pivots.append((col, [a * inv % p for a in row]))
+    return kernel
+
+
+def _negatives_by_digits(ctx):
+    """-a for every element, digit by digit."""
+    p, d = ctx.p, ctx.m * ctx.n
+    return [_encode([-r % p for r in _decode(a, p, d)], p) for a in ctx.elements()]
+
+
 # ---- linpoly ----
 
 

@@ -131,6 +131,13 @@ def test_codes_reports():
     assert rep["dimension"] == 7
     assert rep["full_weight_nonconstant"] == 0
 
+    # F_2 over F_2: length q^n - 1 = 1, one defining coset {0} mod 1
+    res = run("codes", "--p", "2", "--n", "1")
+    assert res.returncode == 0
+    (rep,) = [r for r in records(res.stdout) if r["record"] == "result"]
+    assert (rep["dimension"], rep["length"]) == (1, 1)
+    assert (rep["full_weight_constant"], rep["full_weight_nonconstant"]) == (1, 0)
+
 
 def test_codes_random_config_pins_seed_and_budget():
     # different seeds give different censuses, so the config must differ too
@@ -200,6 +207,14 @@ def test_csv_format():
     csv_rows = [l for l in lines if not l.startswith("{")]
     assert len(csv_rows) == 18
     assert all(len(row.split(",")) >= 4 for row in csv_rows)
+
+    # codes writes JSON lines only, and says so before the census runs:
+    # a census over budget (n = 4) exits 2 as well
+    for n in ("2", "4"):
+        res = run("codes", "--p", "3", "--n", n, "--exhaustive", "--format", "csv")
+        assert res.returncode == 2
+        assert "invalid input" in res.stderr and "csv" in res.stderr
+        assert res.stdout == ""
 
 
 def test_search_output_feeds_verify_and_hws(tmp_path):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from semiswitch import (
     LinearizedPoly,
     build_field,
@@ -19,9 +21,14 @@ from oracles import trace_quotient
 
 
 def test_coset_of_zero():
-    c = cyclotomic_coset(2, 15, 0)
-    assert c.members == (0,)
-    assert c.leader == 0
+    # modulus 1 is F_2 over F_2, where q^n - 1 = 1
+    for modulus in (15, 1):
+        c = cyclotomic_coset(2, modulus, 0)
+        assert c.members == (0,)
+        assert c.leader == 0
+    assert code_dimension(2, 1) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        cyclotomic_coset(2, 0, 0)
 
 
 def test_coset_doubling_mod_15():

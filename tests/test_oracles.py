@@ -1,7 +1,8 @@
 """Every fast route against its slow oracle from ``oracles.py``.
 
 One parametrised test, one line per (fast route, oracle) pair.  Each
-pair runs over the shared fields of conftest.py and over F_729 as F_9^3,
+pair runs over the shared fields of conftest.py and over F_729 as F_9^3
+(the F_p-linear pairs also over F_125, F_343 and F_625 as F_25^2),
 on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), failing ones, and
@@ -33,14 +34,16 @@ from semiswitch import (
     verify_presemifield,
 )
 from semiswitch.families import matches_n3
-from semiswitch.gf import _linear_table
+from semiswitch.gf import _kernel, _linear_table
 
 from oracles import (
     _is_permutation_scan,
     _isotopy_scan,
+    _kernel_by_digits,
     _linear_map_oracle,
     _matches_n3_scan,
     _min_max_leader_full_scan,
+    _negatives_by_digits,
     _nuclei_scan,
     _random_members,
     _step_by_step_tables,
@@ -55,11 +58,28 @@ from oracles import (
 )
 
 FIELDS = ["f4", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9", "f729"]
+# the F_p-linear algebra also runs at p = 5 and 7, one of them with m > 1
+LINEAR_FIELDS = FIELDS + ["f125", "f343", "f625_q25"]
 
 
 @pytest.fixture(scope="module")
 def f729():
     return build_field(3, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def f125():
+    return build_field(5, 1, 3)
+
+
+@pytest.fixture(scope="module")
+def f343():
+    return build_field(7, 1, 3)
+
+
+@pytest.fixture(scope="module")
+def f625_q25():
+    return build_field(5, 2, 2)
 
 
 # ---- inputs per field: lists of argument tuples ----
@@ -150,6 +170,43 @@ def _linear_maps(ctx):
     return [(ctx.p, d, [rng.randrange(ctx.order) for _ in range(d)]) for _ in range(2)]
 
 
+def _kernel_maps(ctx):
+    """F_p-linear maps with 1 to 3 image entries, given by their basis images.
+
+    Per entry count: the zero map, an injective x -> (a x, ...), maps
+    whose images lie in the span of r random tuples (kernel dimension at
+    least d - r, for r = 1, d - 2 and d - 1) and a random map.
+    """
+    rng = random.Random(ctx.order)
+    p, d = ctx.p, ctx.m * ctx.n
+
+    def draw(k):
+        return tuple(rng.randrange(ctx.order) for _ in range(k))
+
+    def combination(span):
+        out = (0,) * len(span[0])
+        for t in span:
+            c = rng.randrange(p)
+            out = tuple(ctx.add(o, ctx.mul(c, x)) for o, x in zip(out, t))
+        return out
+
+    cases = []
+    for k in (1, 2, 3):
+        a = rng.randrange(1, ctx.order)
+        cases.append([(0,) * k] * d)
+        cases.append([(ctx.mul(a, p**j),) + draw(k - 1) for j in range(d)])
+        for r in sorted({1, d - 2, d - 1} - {0}):
+            span = [draw(k) for _ in range(r)]
+            cases.append([combination(span) for _ in range(d)])
+        cases.append([draw(k) for _ in range(d)])
+    out = []
+    for rows in cases:
+        cols = list(zip(*rows))
+        f = lambda x, cols=cols: tuple(_linear_map_oracle(p, d, col, x) for col in cols)
+        out.append((ctx, f))
+    return out
+
+
 def _higher_support(ctx):
     return [(L,) for (L,) in _polys(ctx) if any(L.coeffs[1:])]
 
@@ -187,6 +244,10 @@ def _n3_polys(ctx):
 
 def _tables(ctx):
     return ctx.exp, ctx.log, ctx.frob_q, ctx.tr, ctx.nm
+
+
+def _negatives(ctx):
+    return [ctx.neg(a) for a in ctx.elements()]
 
 
 def _linear_map_scan(p, d, images):
@@ -243,30 +304,36 @@ def _nuclei_sets(op):
     return rep.left, rep.middle, rep.right, rep.center
 
 
+def pair(fast, oracle, inputs, id, fields=FIELDS):
+    return pytest.param(fast, oracle, inputs, fields, id=id)
+
+
 PAIRS = [
-    pytest.param(_tables, _step_by_step_tables, lambda ctx: [(ctx,)], id="build_field"),
-    pytest.param(_linear_table, _linear_map_scan, _linear_maps, id="linear_table"),
-    pytest.param(_transcript, _trace_quotients, _polys, id="transcript"),
-    pytest.param(is_permutation, _is_permutation_scan, _polys, id="is_permutation"),
-    pytest.param(_n2_by_criterion, _n2_by_lemma, _n2_polys, id="n2_lemma"),
-    pytest.param(theta_set, _theta_set_scan, _unit_pairs, id="theta_set"),
-    pytest.param(matches_n3, _matches_n3_scan, _n3_polys, id="matches_n3"),
-    pytest.param(min_max_leader, _min_max_leader_full_scan, _higher_support, id="min_max_leader"),
-    pytest.param(find_zero_divisor, _zero_divisor_scan, _failing_ops, id="find_zero_divisor"),
-    pytest.param(verify_presemifield, _verify_by_right_kernels, _all_ops, id="verify"),
-    pytest.param(_switch_products, _switch_products_by_form, _spec_and_pairs, id="build_switch"),
-    pytest.param(_right_inverse_table, _right_inverse_closed_form, _passing_specs, id="right_inverse"),
-    pytest.param(commutative_isotopy_test, _isotopy_scan, _passing_ops, id="isotopy"),
-    pytest.param(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, id="isotopy_dual_spread"),
-    pytest.param(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, id="unitalize"),
-    pytest.param(_nuclei_sets, _nuclei_scan, _unital_ops, id="nuclei"),
+    pair(_tables, _step_by_step_tables, lambda ctx: [(ctx,)], "build_field"),
+    pair(_linear_table, _linear_map_scan, _linear_maps, "linear_table"),
+    pair(_kernel, _kernel_by_digits, _kernel_maps, "kernel", LINEAR_FIELDS),
+    pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
+    pair(_transcript, _trace_quotients, _polys, "transcript"),
+    pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),
+    pair(_n2_by_criterion, _n2_by_lemma, _n2_polys, "n2_lemma"),
+    pair(theta_set, _theta_set_scan, _unit_pairs, "theta_set"),
+    pair(matches_n3, _matches_n3_scan, _n3_polys, "matches_n3"),
+    pair(min_max_leader, _min_max_leader_full_scan, _higher_support, "min_max_leader"),
+    pair(find_zero_divisor, _zero_divisor_scan, _failing_ops, "find_zero_divisor"),
+    pair(verify_presemifield, _verify_by_right_kernels, _all_ops, "verify"),
+    pair(_switch_products, _switch_products_by_form, _spec_and_pairs, "build_switch"),
+    pair(_right_inverse_table, _right_inverse_closed_form, _passing_specs, "right_inverse"),
+    pair(commutative_isotopy_test, _isotopy_scan, _passing_ops, "isotopy"),
+    pair(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, "isotopy_dual_spread"),
+    pair(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, "unitalize"),
+    pair(_nuclei_sets, _nuclei_scan, _unital_ops, "nuclei"),
 ]
 
 
-@pytest.mark.parametrize("fast, oracle, inputs", PAIRS)
-def test_fast_routes_match_oracles(request, fast, oracle, inputs):
+@pytest.mark.parametrize("fast, oracle, inputs, fields", PAIRS)
+def test_fast_routes_match_oracles(request, fast, oracle, inputs, fields):
     checked = 0
-    for name in FIELDS:
+    for name in fields:
         for args in inputs(request.getfixturevalue(name)):
             assert fast(*args) == oracle(*args), (name, args)
             checked += 1

@@ -29,6 +29,8 @@ from semiswitch import (
     verify_presemifield,
 )
 
+from semiswitch.gf import _decode, _encode
+
 from oracles import _isotopy_scan, _nuclei_scan, _zero_divisor_scan, right_unit_inverse
 
 
@@ -358,13 +360,32 @@ def _matrix_algebra(ctx):
     """2x2 matrices over F_3 on the four digits of an element of F_81."""
 
     def matmul(x, y):
-        a, b, c, d = ctx.vector_of(x)
-        e, f, g, h = ctx.vector_of(y)
-        return ctx.from_vector(
-            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        )
+        a, b, c, d = _decode(x, 3, 4)
+        e, f, g, h = _decode(y, 3, 4)
+        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return _encode([v % 3 for v in entries], 3)
 
     return BinaryOp(ctx, matmul, unital=True)
+
+
+def _center_separating_algebra(ctx):
+    """Basis 1, a, b, c, d on the five digits of F_{p^5}: ab = ba = c and
+    dc = d, every other product among a, b, c, d is 0."""
+    p = ctx.p
+
+    def product(x, y):
+        x0, x1, x2, x3, x4 = _decode(x, p, 5)
+        y0, y1, y2, y3, y4 = _decode(y, p, 5)
+        entries = (
+            x0 * y0,
+            x0 * y1 + x1 * y0,
+            x0 * y2 + x2 * y0,
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+            x0 * y4 + x4 * y0 + x4 * y3,
+        )
+        return _encode([v % p for v in entries], p)
+
+    return BinaryOp(ctx, product, unital=True)
 
 
 def _twisted_field(ctx, a, b):
@@ -393,6 +414,22 @@ def test_nuclei_of_matrix_algebra(f81_n4):
     rep = nuclei(op)
     assert rep.sizes == (81, 81, 81, 3)
     assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
+
+
+@pytest.mark.parametrize("p, sizes, commuting", [(2, (16, 4, 4, 2), 8), (3, (81, 9, 9, 3), 27)])
+def test_center_is_not_left_nucleus_meet_commutant(p, sizes, commuting):
+    # a is in the left nucleus and commutes with everything, but not in
+    # the middle nucleus: (d a) b = 0 while d (a b) = d c = d
+    ctx = build_field(p, 1, 5)
+    op = _center_separating_algebra(ctx)
+    rep = nuclei(op)
+    assert rep.sizes == sizes
+    assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
+    basis = ctx.exp[: ctx.n]
+    left_commuting = {x for x in rep.left if all(op(x, e) == op(e, x) for e in basis)}
+    assert len(left_commuting) == commuting
+    a = p
+    assert a in left_commuting and a not in rep.middle
 
 
 @pytest.mark.parametrize(

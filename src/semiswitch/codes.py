@@ -110,6 +110,8 @@ def full_weight_search(ctx, mode="exhaustive", seed=None, budget=None):
 
     Full weight is the predicate, constant is monomial-ness, so this
     rides on the polynomial search and just relabels its output.
+    ``candidates`` is the words searched: all order**n of them, or in
+    random mode the draws made (the budget, repeats included).
     """
     sols = linpoly.search(ctx, range(ctx.n), mode=mode, seed=seed, budget=budget)
     constant = [L for L in sols if L.is_monomial()]
@@ -119,7 +121,9 @@ def full_weight_search(ctx, mode="exhaustive", seed=None, budget=None):
         "n": ctx.n,
         "length": ctx.mult_order,
         "mode": mode,
-        "candidates": ctx.order**ctx.n,
+        "candidates": (
+            ctx.order**ctx.n if mode == "exhaustive" else linpoly.search_budget(budget)
+        ),
         "full_weight_constant": len(constant),
         "full_weight_nonconstant": len(nonconstant),
         "nonconstant_witnesses": [list(L.coeffs) for L in nonconstant[:5]],

@@ -142,27 +142,34 @@ def _linear_table(p, d, images):
     return out
 
 
-def _kernel(ctx, f):
+def _kernel(ctx, f, span=None):
     """An F_p-basis of the kernel of an additive map f: element -> tuple.
 
-    Row j is the tuple (*f(p^j), p^j) of element codes.  It absorbs the
-    earlier pivot rows, a row minus c times a pivot row being
-    ``add(a, mul(p - c, b))`` entrywise; a row whose image entries all
-    vanish is a kernel vector in its last entry, and any other becomes a
-    pivot on one nonzero digit of its first nonzero entry.  Kernel vector
-    k is the only kernel element in p^j + span(earlier pivot rows' p^i),
-    so the basis does not depend on the pivot digit, and its top digit
-    grows with k: the first vector is the smallest nonzero code in the
-    kernel.
+    f is taken on the span of ``span``, a list of F_p-independent
+    elements, by default the F_p-basis p^j of the whole field.  Row j is
+    the tuple (*f(s_j), s_j) of element codes.  It absorbs the earlier
+    pivot rows, a row minus c times a pivot row being
+    ``add(a, mul(p - c, b))`` entrywise (a plain ``add`` when p - c is
+    the code 1); a row whose image entries all vanish is a kernel vector
+    in its last entry, and any other becomes a pivot on one nonzero
+    digit of its first nonzero entry.  Kernel vector k is the only
+    kernel element in s_j + span(earlier pivot rows' s_i), so the basis
+    does not depend on the pivot digit; on the default basis its top
+    digit grows with k, and the first vector is the smallest nonzero
+    code in the kernel.
     """
     p, add, mul = ctx.p, ctx.add, ctx.mul
+    if span is None:
+        span = [p**j for j in range(ctx.m * ctx.n)]
     pivots = []  # (entry, place, row): digit `place` of row[entry] is 1
     kernel = []
-    for j in range(ctx.m * ctx.n):
-        row = (*f(p**j), p**j)
+    for s in span:
+        row = (*f(s), s)
         for i, place, piv in pivots:
             c = row[i] // place % p
-            if c:
+            if c == p - 1:
+                row = tuple(add(a, b) for a, b in zip(row, piv))
+            elif c:
                 row = tuple(add(a, mul(p - c, b)) for a, b in zip(row, piv))
         i = next((i for i, a in enumerate(row[:-1]) if a), None)
         if i is None:
@@ -172,7 +179,9 @@ def _kernel(ctx, f):
         while row[i] // place % p == 0:
             place *= p
         inv = pow(row[i] // place % p, -1, p)
-        pivots.append((i, place, tuple(mul(inv, a) for a in row)))
+        if inv != 1:
+            row = tuple(mul(inv, a) for a in row)
+        pivots.append((i, place, row))
     return kernel
 
 

@@ -10,11 +10,14 @@ can be restricted to an F_q-basis.
 
 Every check then reads an F_p-linear map off the images of the mn
 F_p-basis elements, through the primitives of :mod:`.gf`.  A zero
-divisor of y -> x*y, a member of a nucleus (associators against basis
-pairs; nuclei are subfields, hence F_p-subspaces) and a
-commutative-isotopy witness are kernels (``_kernel``), and the side
-maps y -> 1*y and x -> x*1 are tables (``_linear_table``), built once
-per op and shared by the unitalization and the isotopy test.  No check
+divisor of y -> x*y, a member of a nucleus and a commutative-isotopy
+witness are kernels (``_kernel``), and the side maps y -> 1*y and
+x -> x*1 are tables (``_linear_table``), built once per op and shared
+by the unitalization and the isotopy test.  Nuclei are subfields, hence
+F_p-subspaces through 1, so each is refined inside the complement
+span(p, ..., p^(mn-1)) of 1, one associator against an F_q-basis pair
+at a time, with the pairs that hold 1 skipped: those associators vanish
+in a unital op, whose two-sided 1 ``nuclei`` checks first.  No check
 tests candidates one by one over the whole field: cancellation needs
 one kernel per F_q^* orbit of units, and only the kernels themselves
 are listed, by ``_span``.
@@ -29,7 +32,7 @@ compare the two routes as independent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 from .errors import ConsistencyError
 from .gf import FieldCtx, _kernel, _linear_table, _span
@@ -224,37 +227,45 @@ class NucleiReport:
 def nuclei(op):
     """Left/middle/right nuclei and center of a unital op.
 
-    Each nucleus is the kernel of the associators with the candidate in
-    its slot and the two free slots running over an F_q-basis; the
-    center adds the commutators with the basis to all three.
+    A nucleus N is a subfield, so an F_p-subspace that holds 1, and
+    N = span(1) + (N meet W) for W = span(p, p^2, ..., p^(mn-1)).  Each
+    meet is refined from the basis of W one equation at a time, one
+    ``_kernel`` each, until the equations run out or nothing is left:
+    the associator with the candidate in its slot and an F_q-basis pair
+    (e, f) in the free slots.  Pairs with 1 in them are skipped, since
+    an associator or commutator with 1 in a slot vanishes in a unital
+    op.  The center refines the left nucleus's meet by the middle and
+    right associators and the commutators with the basis.
+
+    The op must be ``unital`` and its 1 must be two-sided, which is
+    checked on the F_p-basis (F_p-bilinearity carries it to the whole
+    field); a ValueError otherwise.
     """
     ctx = op.ctx
     if not op.unital:
         raise ValueError("nuclei need a unital op; call unitalize first")
-    sub = ctx.sub
-    basis = ctx.exp[: ctx.n]
+    p, sub = ctx.p, ctx.sub
+    W = [p**j for j in range(1, ctx.m * ctx.n)]
+    for e in [1] + W:
+        if op(1, e) != e or op(e, 1) != e:
+            raise ValueError(f"op is marked unital, but 1 is not a two-sided identity at {e}")
+    basis = ctx.exp[1 : ctx.n]
     pairs = [(e, f, op(e, f)) for e in basis for f in basis]
+    left = [lambda a, e=e, f=f, ef=ef: (sub(op(op(a, e), f), op(a, ef)),) for e, f, ef in pairs]
+    middle = [lambda a, e=e, f=f: (sub(op(op(e, a), f), op(e, op(a, f))),) for e, f, _ in pairs]
+    right = [lambda a, e=e, f=f, ef=ef: (sub(op(ef, a), op(e, op(f, a))),) for e, f, ef in pairs]
+    commutators = [lambda a, e=e: (sub(op(a, e), op(e, a)),) for e in basis]
 
-    def left(a):
-        return tuple(sub(op(op(a, e), f), op(a, ef)) for e, f, ef in pairs)
+    def refine(meet, equations):
+        for g in equations:
+            if not meet:
+                break
+            meet = _kernel(ctx, g, meet)
+        return meet
 
-    def middle(a):
-        return tuple(sub(op(op(e, a), f), op(e, op(a, f))) for e, f, _ in pairs)
-
-    def right(a):
-        return tuple(sub(op(ef, a), op(e, op(f, a))) for e, f, ef in pairs)
-
-    @cache
-    def slots(a):
-        # left, middle and right associators of a, once per F_p-basis element
-        return left(a), middle(a), right(a)
-
-    def center(a):
-        commutators = tuple(sub(op(a, e), op(e, a)) for e in basis)
-        return sum(slots(a), ()) + commutators
-
-    maps = [lambda a, i=i: slots(a)[i] for i in range(3)] + [center]
-    report = NucleiReport(*(frozenset(_span(ctx, _kernel(ctx, g))) for g in maps))
+    meets = [refine(W, equations) for equations in (left, middle, right)]
+    meets.append(refine(meets[0], middle + right + commutators))
+    report = NucleiReport(*(frozenset(_span(ctx, [1] + meet)) for meet in meets))
     for size in report.sizes:
         if size < 1 or ctx.order % size:
             raise ConsistencyError("nucleus size does not divide field order", size)

@@ -14,8 +14,9 @@ from semiswitch import (
     coset_leader,
     n3_construct,
     theta_set,
+    unitalize,
 )
-from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod
+from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
 
 
 # ---- gf ----
@@ -201,6 +202,32 @@ def _nuclei_scan(op):
     return left, middle, right, center
 
 
+def _nuclei_all_pairs(op):
+    """Each nucleus as one kernel on the whole F_p-basis: the associators
+    of a candidate against every F_q-basis pair, 1 included, and for the
+    center those of all three slots and the commutators with the basis."""
+    ctx = op.ctx
+    sub = ctx.sub
+    basis = ctx.exp[: ctx.n]
+    pairs = [(e, f, op(e, f)) for e in basis for f in basis]
+
+    def left(a):
+        return tuple(sub(op(op(a, e), f), op(a, ef)) for e, f, ef in pairs)
+
+    def middle(a):
+        return tuple(sub(op(op(e, a), f), op(e, op(a, f))) for e, f, _ in pairs)
+
+    def right(a):
+        return tuple(sub(op(ef, a), op(e, op(f, a))) for e, f, ef in pairs)
+
+    def center(a):
+        commutators = tuple(sub(op(a, e), op(e, a)) for e in basis)
+        return left(a) + middle(a) + right(a) + commutators
+
+    maps = (left, middle, right, center)
+    return tuple(frozenset(_span(ctx, _kernel(ctx, g))) for g in maps)
+
+
 def _isotopy_scan(op):
     """The first v in gamma order with A(v*e) * f = A(v*f) * e on basis
     pairs, A found by scanning x -> x*1 over the whole field."""
@@ -216,6 +243,63 @@ def _isotopy_scan(op):
         ):
             return True, v
     return False, None
+
+
+# ---- hand-built unital algebras, inputs to the nuclei routes ----
+
+
+def _matrix_algebra(ctx, first="I"):
+    """2x2 matrices over F_3 on the four digits of an element of F_81.
+
+    The digits are coordinates on (first, E12, E21, E22).  With first = I
+    the code 1 is the identity matrix; with first = "E11" the code 1 is
+    E11, which is no identity, so the op breaks its ``unital`` mark.
+    """
+    t = int(first == "I")  # the first coordinate also adds to entry (2, 2)
+
+    def matrix(x):
+        a, b, c, d = _decode(x, 3, 4)
+        return a, b, c, d + t * a
+
+    def matmul(x, y):
+        a, b, c, d = matrix(x)
+        e, f, g, h = matrix(y)
+        r11, r12, r21, r22 = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        return _encode([v % 3 for v in (r11, r12, r21, r22 - t * r11)], 3)
+
+    return BinaryOp(ctx, matmul, unital=True)
+
+
+def _center_separating_algebra(ctx):
+    """Basis 1, a, b, c, d on the five digits of F_{p^5}: ab = ba = c and
+    dc = d, every other product among a, b, c, d is 0."""
+    p = ctx.p
+
+    def product(x, y):
+        x0, x1, x2, x3, x4 = _decode(x, p, 5)
+        y0, y1, y2, y3, y4 = _decode(y, p, 5)
+        entries = (
+            x0 * y0,
+            x0 * y1 + x1 * y0,
+            x0 * y2 + x2 * y0,
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+            x0 * y4 + x4 * y0 + x4 * y3,
+        )
+        return _encode([v % p for v in entries], p)
+
+    return BinaryOp(ctx, product, unital=True)
+
+
+def _twisted_field(ctx, a, b):
+    """The unitalized generalised twisted field x y - gamma x^(q^a) y^(q^b)."""
+    c = ctx.generator
+
+    def twisted(x, y):
+        return ctx.sub(
+            ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
+        )
+
+    return unitalize(BinaryOp(ctx, twisted))
 
 
 # ---- families ----

@@ -130,6 +130,13 @@ def test_codes_reports():
     (rep,) = [r for r in records(res.stdout) if r["record"] == "result"]
     assert rep["dimension"] == 7
     assert rep["full_weight_nonconstant"] == 0
+    assert rep["candidates"] == 8**3
+
+    # random mode counts the draws, not the whole space
+    res = run("codes", "--p", "2", "--n", "3", "--random", "--seed", "-1", "--budget", "5")
+    assert res.returncode == 0
+    (rep,) = [r for r in records(res.stdout) if r["record"] == "result"]
+    assert rep["candidates"] == 5
 
     # F_2 over F_2: length q^n - 1 = 1, one defining coset {0} mod 1
     res = run("codes", "--p", "2", "--n", "1")

@@ -7,6 +7,8 @@ on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), failing ones, and
 at n = 4 dual-spread companions, which come from no switching spec.
+The all-pairs nuclei oracle also runs on hand-built unital algebras
+(``oracles.py``), at F_81 and at F_32 and F_243.
 """
 
 import random
@@ -37,18 +39,22 @@ from semiswitch.families import matches_n3
 from semiswitch.gf import _kernel, _linear_table
 
 from oracles import (
+    _center_separating_algebra,
     _is_permutation_scan,
     _isotopy_scan,
     _kernel_by_digits,
     _linear_map_oracle,
     _matches_n3_scan,
+    _matrix_algebra,
     _min_max_leader_full_scan,
     _negatives_by_digits,
+    _nuclei_all_pairs,
     _nuclei_scan,
     _random_members,
     _step_by_step_tables,
     _switch_product,
     _theta_set_scan,
+    _twisted_field,
     _unitalize_scan,
     _verify_by_right_kernels,
     _zero_divisor_scan,
@@ -60,6 +66,8 @@ from oracles import (
 FIELDS = ["f4", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9", "f729"]
 # the F_p-linear algebra also runs at p = 5 and 7, one of them with m > 1
 LINEAR_FIELDS = FIELDS + ["f125", "f343", "f625_q25"]
+# the center-separating algebra lives on the five digits of F_{p^5}
+NUCLEI_FIELDS = FIELDS + ["f32", "f243"]
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +88,16 @@ def f343():
 @pytest.fixture(scope="module")
 def f625_q25():
     return build_field(5, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def f32():
+    return build_field(2, 1, 5)
+
+
+@pytest.fixture(scope="module")
+def f243():
+    return build_field(3, 1, 5)
 
 
 # ---- inputs per field: lists of argument tuples ----
@@ -143,6 +161,19 @@ def _dual_spread_ops(ctx):
 
 def _unital_ops(ctx):
     return [(unitalize(op),) for (op,) in _passing_ops(ctx)]
+
+
+def _nuclei_ops(ctx):
+    """The unital ops above, plus the hand-built algebras: at F_81 = F_3^4
+    the three twisted fields and the 2x2 matrices, at F_{p^5} the
+    algebra whose center is not left nucleus meet commutant."""
+    if ctx.m * ctx.n == 5:
+        return [(_center_separating_algebra(ctx),)]
+    out = _unital_ops(ctx)
+    if (ctx.p, ctx.m, ctx.n) == (3, 1, 4):
+        twisted = [_twisted_field(ctx, a, b) for a, b in ((2, 1), (1, 2), (1, 3))]
+        out = out + [(op,) for op in twisted + [_matrix_algebra(ctx)]]
+    return out
 
 
 def _pairs(ctx):
@@ -327,6 +358,7 @@ PAIRS = [
     pair(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, "isotopy_dual_spread"),
     pair(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, "unitalize"),
     pair(_nuclei_sets, _nuclei_scan, _unital_ops, "nuclei"),
+    pair(_nuclei_sets, _nuclei_all_pairs, _nuclei_ops, "nuclei_all_pairs", NUCLEI_FIELDS),
 ]
 
 

@@ -29,9 +29,15 @@ from semiswitch import (
     verify_presemifield,
 )
 
-from semiswitch.gf import _decode, _encode
-
-from oracles import _isotopy_scan, _nuclei_scan, _zero_divisor_scan, right_unit_inverse
+from oracles import (
+    _center_separating_algebra,
+    _isotopy_scan,
+    _matrix_algebra,
+    _nuclei_scan,
+    _twisted_field,
+    _zero_divisor_scan,
+    right_unit_inverse,
+)
 
 
 def test_zero_b_is_field_multiplication(f9):
@@ -356,50 +362,6 @@ def test_kernel_routes_match_scans(request, field, mask, step):
         assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(star)
 
 
-def _matrix_algebra(ctx):
-    """2x2 matrices over F_3 on the four digits of an element of F_81."""
-
-    def matmul(x, y):
-        a, b, c, d = _decode(x, 3, 4)
-        e, f, g, h = _decode(y, 3, 4)
-        entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-        return _encode([v % 3 for v in entries], 3)
-
-    return BinaryOp(ctx, matmul, unital=True)
-
-
-def _center_separating_algebra(ctx):
-    """Basis 1, a, b, c, d on the five digits of F_{p^5}: ab = ba = c and
-    dc = d, every other product among a, b, c, d is 0."""
-    p = ctx.p
-
-    def product(x, y):
-        x0, x1, x2, x3, x4 = _decode(x, p, 5)
-        y0, y1, y2, y3, y4 = _decode(y, p, 5)
-        entries = (
-            x0 * y0,
-            x0 * y1 + x1 * y0,
-            x0 * y2 + x2 * y0,
-            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-            x0 * y4 + x4 * y0 + x4 * y3,
-        )
-        return _encode([v % p for v in entries], p)
-
-    return BinaryOp(ctx, product, unital=True)
-
-
-def _twisted_field(ctx, a, b):
-    """The unitalized generalised twisted field x y - gamma x^(q^a) y^(q^b)."""
-    c = ctx.generator
-
-    def twisted(x, y):
-        return ctx.sub(
-            ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
-        )
-
-    return unitalize(BinaryOp(ctx, twisted))
-
-
 def _q4_switching(ctx):
     """The unitalized F_64/F_4 switching that is not isotopic to a commutative one."""
     xi = ctx.generator
@@ -414,6 +376,33 @@ def test_nuclei_of_matrix_algebra(f81_n4):
     rep = nuclei(op)
     assert rep.sizes == (81, 81, 81, 3)
     assert (rep.left, rep.middle, rep.right, rep.center) == _nuclei_scan(op)
+
+
+def test_nuclei_reject_a_one_that_is_no_identity(f81_n4):
+    # the matrices on (E11, E12, E21, E22): the code 1 is E11, and
+    # E11 * E12 = E12 but E12 * E11 = 0
+    with pytest.raises(ValueError, match="two-sided identity at 3"):
+        nuclei(_matrix_algebra(f81_n4, first="E11"))
+
+
+def test_nuclei_op_call_ceilings(f27):
+    # op calls, identity check included: the all-pairs route takes 297
+    # at F_27 whatever the nuclei are
+    def sizes_and_calls(op):
+        calls = []
+        counted = BinaryOp(f27, lambda x, y: calls.append(x) or op(x, y), unital=True)
+        return nuclei(counted).sizes, len(calls)
+
+    sizes, calls = sizes_and_calls(unitalize(field_op(f27)))
+    assert sizes == (27, 27, 27, 27) and calls <= 160
+    seen = 0
+    for L in search(f27, mode="exhaustive"):
+        if L.is_monomial():
+            continue
+        sizes, calls = sizes_and_calls(unitalize(build_switch(switch_spec_for(L))))
+        assert sizes == (3, 3, 3, 3) and calls <= 50, (L.coeffs, calls)
+        seen += 1
+    assert seen == 234
 
 
 @pytest.mark.parametrize("p, sizes, commuting", [(2, (16, 4, 4, 2), 8), (3, (81, 9, 9, 3), 27)])

@@ -59,7 +59,6 @@ from .codes import (
     trace_codeword,
 )
 from .hws import (
-    coset_leader,
     curve_verdicts,
     leader_thresholds,
     min_max_leader,

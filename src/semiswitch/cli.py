@@ -15,7 +15,10 @@ Every output starts with a config record that pins the field (modulus
 and generator are always resolved and recorded), so a rerun with the
 same arguments reproduces the bytes exactly.  Budgets can also be set
 through SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
-file is replaced only when the command succeeds.
+file is replaced only when the command succeeds.  Every record passes
+through one writer, the only code that knows the format: with ``--format
+csv`` a result record is the row of its coeffs and then the command's
+``_CSV_COLUMNS``, and every other record stays JSON (``codes`` has no csv).
 
 Exit codes: 0 fine (also when nothing was found, and when the reader
 of stdout closes the pipe early), 2 bad input, 3 budget exceeded,
@@ -30,6 +33,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 from . import codes as codes_mod
 from . import digits, families, hws, linpoly, presemifield
@@ -41,34 +45,52 @@ def _dump(record):
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+# the csv row of a result record: its coeffs, then these keys
+_CSV_COLUMNS = {
+    "search": ("commutative", "ganley", "families"),
+    "verify": ("predicate", "presemifield"),
+    "hws": ("ell", "genus", "impossible_nonzero_trace", "impossible_zero_trace"),
+}
+
+
+def _cell(value):
+    return "|".join(value) if isinstance(value, list) else str(value)
+
+
 class _Writer:
-    def __init__(self, fh):
+    """Writes each record as a JSON line, or a result record as a csv row."""
+
+    def __init__(self, fh, columns):
         self._fh = fh
+        self._columns = columns
 
     def emit(self, record):
-        self._fh.write(_dump(record) + "\n")
-
-    def emit_csv_line(self, line):
+        if self._columns is None or record["record"] != "result":
+            line = _dump(record)
+        else:
+            cells = record["coeffs"] + [record.get(key, "") for key in self._columns]
+            line = ",".join(map(_cell, cells))
         self._fh.write(line + "\n")
 
 
 @contextmanager
-def _output(path):
-    """A _Writer on stdout, or on a temp file that replaces ``path`` on success.
+def _output(args):
+    """A _Writer in ``args.format`` on stdout, or on a temp file that replaces ``args.out``.
 
-    A failed command leaves an existing ``path`` untouched and removes
+    A failed command leaves an existing ``args.out`` untouched and removes
     the temp file, so no half-written output survives.
     """
-    if not path:
-        yield _Writer(sys.stdout)
+    columns = _CSV_COLUMNS[args.command] if args.format == "csv" else None
+    if not args.out:
+        yield _Writer(sys.stdout, columns)
         sys.stdout.flush()  # a closed pipe raises here, inside main's handlers
         return
-    target = os.path.realpath(path)
+    target = os.path.realpath(args.out)
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x")
     try:
         with fh:
-            yield _Writer(fh)
+            yield _Writer(fh, columns)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
@@ -166,7 +188,7 @@ def cmd_search(args):
     mask = _mask(args, ctx.n)
     # search first, so a budget failure writes nothing
     found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
-    with _output(args.out) as writer:
+    with _output(args) as writer:
         writer.emit(
             _config_record(
                 args,
@@ -180,22 +202,12 @@ def cmd_search(args):
             )
         )
         for L in found:
-            report = families.classify(L)
-            report["record"] = "result"
-            if args.format == "csv":
-                writer.emit_csv_line(
-                    ",".join(str(c) for c in L.coeffs)
-                    + f',{report["commutative"]},{report["ganley"]},'
-                    + "|".join(report["families"])
-                )
-            else:
-                writer.emit(report)
+            writer.emit({"record": "result", **families.classify(L)})
         writer.emit({"record": "summary", "found": len(found)})
     return 0
 
 
 def _verify_one(L):
-    ctx = L.ctx
     report = {"record": "result", "coeffs": list(L.coeffs)}
     if not linpoly.switching_predicate(L):
         op = presemifield.build_switch(families.switch_spec_for(L))
@@ -206,41 +218,35 @@ def _verify_one(L):
             )
         report.update(predicate=False, presemifield=False, zero_divisor=list(witness))
         return report
-    deep = families.classify(L)
-    deep.pop("record", None)
-    report.update(deep)
-    report["predicate"] = True
-    if any(L.coeffs[i] for i in range(1, ctx.n)):
-        report["hws"] = hws.curve_verdicts(L).to_dict()
-    else:
-        report["hws"] = None
-    if ctx.m == 1:
-        ok, witness = digits.vanishing_sums_check(L)
-        report["vanishing_sums"] = ok
-        if not ok:
-            report["vanishing_sums_witness"] = {
-                "i": list(witness["i"]),
-                "t": list(witness["t"]),
-            }
-    else:
-        report["vanishing_sums"] = None
+    report.update(families.classify(L))
+    report["hws"] = None if L.is_monomial() else hws.curve_verdicts(L).to_dict()
+    report["vanishing_sums"] = None
+    if L.ctx.m == 1:
+        report["vanishing_sums"], witness = digits.vanishing_sums_check(L)
+        if witness is not None:
+            report["vanishing_sums_witness"] = witness
     return report
 
 
-def cmd_verify(args):
+def _hws_one(L):
+    report = {"record": "result", "coeffs": list(L.coeffs)}
+    if L.is_monomial():
+        # a unit multiple has no curve statistic; report what exists
+        report["skipped"] = "no higher coefficients"
+        report["point_count"] = hws.rational_point_count(L)
+    else:
+        report.update(hws.curve_verdicts(L).to_dict())
+    return report
+
+
+def _report_rows(args, report):
+    """verify and hws: the config record, then ``report(L)`` per polynomial of the infile."""
     ctx = _build_ctx(args)
     polys = _read_polys(ctx, args.infile)
-    with _output(args.out) as writer:
+    with _output(args) as writer:
         writer.emit(_config_record(args, ctx, {"infile": args.infile}))
         for L in polys:
-            report = _verify_one(L)
-            if args.format == "csv":
-                writer.emit_csv_line(
-                    ",".join(str(c) for c in L.coeffs)
-                    + f',{report.get("predicate")},{report.get("presemifield")}'
-                )
-            else:
-                writer.emit(report)
+            writer.emit(report(L))
     return 0
 
 
@@ -254,38 +260,12 @@ def cmd_codes(args):
     # the census first, so a budget failure writes nothing
     dim = codes_mod.code_dimension(ctx.q, ctx.n)
     census = codes_mod.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
-    with _output(args.out) as writer:
+    with _output(args) as writer:
         pinned = {"mode": mode}
         if mode == "random":
             pinned.update(seed=args.seed, budget=linpoly.search_budget(args.budget))
         writer.emit(_config_record(args, ctx, pinned))
-        record = {"record": "result", "dimension": dim}
-        record.update(census)
-        writer.emit(record)
-    return 0
-
-
-def cmd_hws(args):
-    ctx = _build_ctx(args)
-    polys = _read_polys(ctx, args.infile)
-    with _output(args.out) as writer:
-        writer.emit(_config_record(args, ctx, {"infile": args.infile}))
-        for L in polys:
-            rec = {"record": "result", "coeffs": list(L.coeffs)}
-            if not any(L.coeffs[1:]):
-                # a unit multiple has no curve statistic; report what exists
-                rec["skipped"] = "no higher coefficients"
-                rec["point_count"] = hws.rational_point_count(L)
-            else:
-                rec.update(hws.curve_verdicts(L).to_dict())
-            if args.format == "csv":
-                writer.emit_csv_line(
-                    ",".join(str(c) for c in L.coeffs)
-                    + f',{rec.get("ell", "")},{rec.get("genus", "")},'
-                    + f'{rec.get("impossible_nonzero_trace", "")},{rec.get("impossible_zero_trace", "")}'
-                )
-            else:
-                writer.emit(rec)
+        writer.emit({"record": "result", "dimension": dim, **census})
     return 0
 
 
@@ -307,7 +287,7 @@ def make_parser():
     p_verify = sub.add_parser("verify", help="full report for polynomials from a file")
     _add_field_args(p_verify)
     p_verify.add_argument("infile", help="JSON lines with a coeffs entry per line")
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=partial(_report_rows, report=_verify_one))
 
     p_codes = sub.add_parser("codes", help="code dimension and full-weight census")
     _add_field_args(p_codes)
@@ -317,7 +297,7 @@ def make_parser():
     p_hws = sub.add_parser("hws", help="curve-bound verdicts for polynomials")
     _add_field_args(p_hws)
     p_hws.add_argument("infile", help="JSON lines with a coeffs entry per line")
-    p_hws.set_defaults(fn=cmd_hws)
+    p_hws.set_defaults(fn=partial(_report_rows, report=_hws_one))
     return parser
 
 

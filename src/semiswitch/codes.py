@@ -111,7 +111,7 @@ def full_weight_search(ctx, mode="exhaustive", seed=None, budget=None):
     Full weight is the predicate, constant is monomial-ness, so this
     rides on the polynomial search and just relabels its output.
     ``candidates`` is the words searched: all order**n of them, or in
-    random mode the draws made (the budget, repeats included).
+    random mode the draws requested (the budget, repeats included).
     """
     sols = linpoly.search(ctx, range(ctx.n), mode=mode, seed=seed, budget=budget)
     constant = [L for L in sols if L.is_monomial()]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import codes
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, read_limit
 from .gf import build_field
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
@@ -189,7 +189,7 @@ def power_coefficient(L, alpha, budget=None):
     M = (q**n - 1) // (q - 1)
     if not 0 <= alpha <= M:
         raise ValueError(f"alpha must lie in 0..{M}")
-    limit = DEFAULT_TUPLE_BUDGET if budget is None else budget
+    limit = read_limit(budget, DEFAULT_TUPLE_BUDGET, "budget")
     if (n * n) ** (q - 1) > limit:
         raise BudgetExceeded(f"(n^2)^(q-1) tuples exceed budget {limit}")
     run_value = [[ones_run(q, n, j, i).value for i in range(n)] for j in range(n)]

@@ -3,8 +3,28 @@
 ValueError is used for plain bad input everywhere; the two classes here
 mark conditions a caller may want to treat specially: blowing a size
 budget, and finding a counterexample to something the library asserts
-can never happen (which means a bug, not bad input).
+can never happen (which means a bug, not bad input).  :func:`read_limit`
+is the one reader of every size budget.
 """
+
+import os
+
+
+def read_limit(value, default, name, env=None):
+    """``value``, else the int in environment variable ``env``, else ``default``.
+
+    Raises ValueError, naming ``name`` or ``env``, for a negative limit
+    or a non-integer environment value.
+    """
+    if value is None:
+        raw = os.environ.get(env) if env else None
+        try:
+            value = default if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 class BudgetExceeded(RuntimeError):

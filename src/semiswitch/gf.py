@@ -33,21 +33,10 @@ every run more start-up time than small fields spend on tables.
 from __future__ import annotations
 
 import json
-import os
 
-from .errors import BudgetExceeded, ConsistencyError
+from .errors import BudgetExceeded, ConsistencyError, read_limit
 
 DEFAULT_FIELD_CAP = 1 << 22
-
-
-def field_cap(cap=None):
-    """The largest field order to build: ``cap``, else SEMISWITCH_FIELD_CAP."""
-    if cap is None:
-        raw = os.environ.get("SEMISWITCH_FIELD_CAP")
-        cap = DEFAULT_FIELD_CAP if raw is None else int(raw)
-    if cap < 0:
-        raise ValueError(f"field cap must be >= 0, got {cap}")
-    return cap
 
 
 def _is_prime(v):
@@ -297,7 +286,7 @@ class FieldCtx:
             raise ValueError(f"p = {p} is not prime")
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        cap = field_cap(cap)
+        cap = read_limit(cap, DEFAULT_FIELD_CAP, "field cap", "SEMISWITCH_FIELD_CAP")
         order = p ** (m * n)
         if order > cap:
             raise BudgetExceeded(f"p^(m*n) = {order} exceeds cap {cap}")
@@ -533,6 +522,5 @@ __all__ = [
     "FieldCtx",
     "build_field",
     "field_from_spec",
-    "field_cap",
     "DEFAULT_FIELD_CAP",
 ]

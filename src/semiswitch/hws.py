@@ -27,51 +27,36 @@ from math import gcd, isqrt
 from .linpoly import transcript
 
 
-def coset_leader(j, p, mn):
-    """Smallest member of the p-cyclotomic coset of j mod p^mn - 1."""
-    N = p**mn - 1
-    j %= N
-    best = j
-    cur = (j * p) % N
-    while cur != j:
-        if cur < best:
-            best = cur
-        cur = (cur * p) % N
-    return best
-
-
 def min_max_leader(L):
     """(ell, argmin j) over j in 1..q^n-2 coprime to q^n - 1.
 
     ell(j) and gcd(j, q^n - 1) are constant on the p-cyclotomic coset
     of j (jp(q^i - 1) lies in the coset of j(q^i - 1), and p is prime to
     q^n - 1), so only coset leaders are scanned.  In ascending order each coset is
-    first met at its leader, which keeps the argmin the smallest j.
+    first met at its leader, so one walk over all cosets records every
+    element's leader in a table, from which each ell(j) is read.
     Needs at least one supported coefficient index i >= 1.
     """
     ctx = L.ctx
     support = [i for i in range(1, ctx.n) if L.coeffs[i]]
     if not support:
         raise ValueError("all higher coefficients vanish; the statistic is undefined")
-    q, n, p, mn = ctx.q, ctx.n, ctx.p, ctx.m * ctx.n
+    q, n, p = ctx.q, ctx.n, ctx.p
     N = q**n - 1
     exponents = [q**i - 1 for i in support]
-    seen = bytearray(N)
-    best = None
-    best_j = None
+    lead = [0] * N  # lead[x]: the leader of x's coset; 0 until x is walked
+    leaders = []
     for j in range(1, N):
-        if seen[j]:
+        if lead[j]:
             continue
         cur = j
-        while not seen[cur]:
-            seen[cur] = 1
+        while not lead[cur]:
+            lead[cur] = j
             cur = cur * p % N
-        if gcd(j, N) != 1:
-            continue
-        lj = max(coset_leader(j * e, p, mn) for e in exponents)
-        if best is None or lj < best:
-            best, best_j = lj, j
-    return best, best_j
+        if gcd(j, N) == 1:
+            leaders.append(j)
+    # ties go to the smallest j
+    return min((max(lead[j * e % N] for e in exponents), j) for j in leaders)
 
 
 def serre_term(q, n):
@@ -155,7 +140,6 @@ def curve_verdicts(L):
 
 
 __all__ = [
-    "coset_leader",
     "min_max_leader",
     "serre_term",
     "leader_thresholds",

@@ -25,24 +25,19 @@ coefficient index most significant.  Random mode draws from a seeded
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, read_limit
 from .gf import FieldCtx, _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
 def search_budget(budget=None):
-    if budget is None:
-        raw = os.environ.get("SEMISWITCH_SEARCH_BUDGET")
-        budget = DEFAULT_SEARCH_BUDGET if raw is None else int(raw)
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return budget
+    """The candidate budget: ``budget``, else SEMISWITCH_SEARCH_BUDGET."""
+    return read_limit(budget, DEFAULT_SEARCH_BUDGET, "budget", "SEMISWITCH_SEARCH_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -184,7 +179,8 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
     element code, lowest support index most significant) and needs
     ``order**len(support)`` to fit the budget.  mode="random" draws
     ``budget`` assignments from ``random.Random(seed)`` and returns the
-    distinct passing ones in discovery order.
+    distinct passing ones in discovery order; it stops early once every
+    assignment has been drawn, as every later draw would be a repeat.
     """
     if support is None:
         support = range(ctx.n)
@@ -204,9 +200,12 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
         return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
     if mode == "random":
         rng = random.Random(seed)
+        space = ctx.order ** len(support)
         seen = set()
         out = []
         for _ in range(limit):
+            if len(seen) == space:
+                break
             assignment = tuple(rng.randrange(ctx.order) for _ in support)
             if assignment in seen:
                 continue

@@ -11,7 +11,6 @@ from math import gcd
 from semiswitch import (
     BinaryOp,
     ConsistencyError,
-    coset_leader,
     n3_construct,
     theta_set,
     unitalize,
@@ -367,6 +366,19 @@ def _matches_n3_scan(L):
 
 
 # ---- hws ----
+
+
+def coset_leader(j, p, mn):
+    """Smallest member of the p-cyclotomic coset of j mod p^mn - 1, by walking it."""
+    N = p**mn - 1
+    j %= N
+    best = j
+    cur = (j * p) % N
+    while cur != j:
+        if cur < best:
+            best = cur
+        cur = (cur * p) % N
+    return best
 
 
 def _min_max_leader_full_scan(L):

@@ -288,8 +288,13 @@ def test_exit_code_budget_exceeded(tmp_path):
         (("codes", "--random", "--budget", "-1"), {}, "budget"),
         (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "-5"}, "budget"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "-1"}, "field cap"),
+        (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "abc"}, "SEMISWITCH_SEARCH_BUDGET"),
+        (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "abc"}, "SEMISWITCH_FIELD_CAP"),
     ],
-    ids=["search-random", "search-exhaustive", "codes", "env", "field-cap"],
+    ids=[
+        "search-random", "search-exhaustive", "codes", "env", "field-cap",
+        "env-not-int", "field-cap-not-int",
+    ],
 )
 def test_exit_code_negative_budget(args, env, word):
     res = run(*args, "--p", "3", "--n", "2", env={**os.environ, **env})

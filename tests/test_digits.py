@@ -169,6 +169,9 @@ def test_power_coefficient_budget(f9):
     L = LinearizedPoly(f9, (1, 1))
     with pytest.raises(BudgetExceeded):
         power_coefficient(L, 1, budget=2)
+    # a negative budget is bad input, as for the search and field budgets
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        power_coefficient(L, 1, budget=-1)
 
 
 # ------------------------------------------------------- coefficient lemma

@@ -8,7 +8,6 @@ import pytest
 from semiswitch import (
     LinearizedPoly,
     build_field,
-    coset_leader,
     curve_verdicts,
     leader_thresholds,
     min_max_leader,
@@ -18,7 +17,7 @@ from semiswitch import (
     switching_predicate,
 )
 
-from oracles import _min_max_leader_full_scan, trace_quotient
+from oracles import _min_max_leader_full_scan, coset_leader, trace_quotient
 
 
 def test_coset_leader_anchors():

@@ -1,6 +1,8 @@
 """Linearized polynomials, the trace-quotient predicate, and the search harness."""
 
 import itertools
+import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from semiswitch import (
     search,
     switching_predicate,
 )
+from semiswitch import linpoly
 
 from oracles import trace_quotient
 
@@ -149,6 +152,25 @@ def test_search_matches_naive_oracle():
                 naive.append(coeffs)
         fast = [L.coeffs for L in search(ctx, mode="exhaustive")]
         assert fast == naive
+
+
+def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(linpoly, "random", SimpleNamespace(Random=Counting))
+    found = search(f9, mode="random", seed=4, budget=100_000)
+    # replay the same stream until the 81 assignments have all come up
+    rng, seen, needed = random.Random(4), set(), 0
+    while len(seen) < f9.order**2:
+        seen.add((rng.randrange(f9.order), rng.randrange(f9.order)))
+        needed += 1
+    assert len(draws) == 2 * needed < 2 * 100_000
+    assert sorted(L.coeffs for L in found) == [L.coeffs for L in search(f9)]
 
 
 def test_search_random_mode_reproducible(f9):

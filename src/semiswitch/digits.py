@@ -225,11 +225,6 @@ def vanishing_sums_check(L):
         raise ValueError("check applies to prime fields only (m = 1)")
     p, n = ctx.p, ctx.n
     a = L.coeffs
-    if p == 2:
-        for i in range(1, n - 1):
-            if a[i] != 0:
-                return False, {"i": (i,), "t": ()}
-        return True, None
     for chain in combinations(range(1, n - 1), p - 1):
         top = chain[-1]
         for t_desc in combinations_with_replacement(range(n - 1 - top), p - 2):

@@ -205,18 +205,14 @@ def first_unit_trace_element(ctx):
     return ctx.tr.index(1)
 
 
-def switch_spec_for(L, alpha=None):
+def switch_spec_for(L):
     """Canonical switching spec of a predicate-passing L.
 
-    b agrees with the coefficients of L except b_0 = a_0 - alpha where
-    Tr(alpha) = 1; alpha defaults to the smallest such element code.
+    b agrees with the coefficients of L except b_0 = a_0 - alpha, where
+    alpha is the smallest element code with Tr(alpha) = 1.
     """
     ctx = L.ctx
-    if alpha is None:
-        alpha = first_unit_trace_element(ctx)
-    elif ctx.rel_trace(alpha) != 1:
-        raise ValueError("alpha must have trace 1")
-    b = (ctx.sub(L.coeffs[0], alpha),) + L.coeffs[1:]
+    b = (ctx.sub(L.coeffs[0], first_unit_trace_element(ctx)),) + L.coeffs[1:]
     return SwitchSpec(ctx, b, 1)
 
 

@@ -3,10 +3,11 @@
 An element of F_{q^n} (q = p^m) is a plain int in ``range(p**(m*n))``:
 the base-p digits of the int are the element's coefficient vector over
 F_p, least significant digit first.  0 is the zero element and 1 the
-multiplicative identity.  A :class:`FieldCtx` holds discrete-log tables
-built from a deterministic primitive element ``gamma``, plus q-power
-Frobenius, relative trace and relative norm tables, so that hot loops
-reduce to list lookups.
+multiplicative identity.  A :class:`FieldCtx` holds exactly three
+tables of field-order size: ``exp`` and ``log`` for a deterministic
+primitive element ``gamma``, and the relative trace ``tr``.  Frobenius,
+the relative norm and every other power map are one index read on
+``exp``, so hot loops reduce to list lookups.
 
 Subfields need no separate machinery: F_{q^d} (d | n) is the set of
 codes fixed by ``x -> x**(q**d)`` and its arithmetic is the ambient one.
@@ -22,12 +23,12 @@ is ``mul(c, x)``; negation is the product by the code p - 1.  An
 F_p-linear map is fixed by its images of the m*n basis elements p^j:
 :func:`_linear_table` lists it on every element, :func:`_kernel` gives
 an F_p-basis of its kernel by reducing rows of element codes, and
-:func:`_span` lists a kernel in full.
+:func:`_span` lists the span of a basis in full.
 Multiplication by gamma and the relative trace are such maps, so
 construction does no field arithmetic per element: ``exp`` is the orbit
-of 1 under the gamma table, and Frobenius and norm are read off ``exp``
-by index.  This stays pure Python: importing numpy here would cost
-every run more start-up time than small fields spend on tables.
+of 1 under the gamma table, and ``tr`` is read off the traces of the
+mn basis elements.  This stays pure Python: importing numpy here would
+cost every run more start-up time than small fields spend on tables.
 """
 
 from __future__ import annotations
@@ -367,24 +368,16 @@ class FieldCtx:
         del G, ints
         self.exp = exp
         self.log = log
-        # Frobenius and norm as exp-index maps, so they share exp's ints
-        M = N // (q - 1)
-        frob, nm = [0] * self.order, [0] * self.order
-        for k, x in enumerate(exp):
-            frob[x] = exp[k * q % N]
-            nm[x] = exp[k * M % N]
-        self.frob_q = frob
-        self.nm = nm
-        self.trace_step = M
+        self.trace_step = N // (q - 1)
         traces = []
         for e in basis:
             acc = 0
             for i in range(self.n):
-                acc = self.add(acc, exp[log[e] * q**i % N])
+                acc = self.add(acc, self.frobenius(e, i))
             traces.append(acc)
         tr = _linear_table(p, d, traces)
         self.tr = tr
-        unfixed = {t for t in set(tr) if frob[t] != t}
+        unfixed = {t for t in set(tr) if self.frobenius(t) != t}
         if unfixed:
             witness = next(x for x, t in enumerate(tr) if t in unfixed)
             raise ConsistencyError("trace image not fixed by Frobenius", witness=witness)
@@ -434,17 +427,15 @@ class FieldCtx:
 
     def frobenius(self, x, k=1):
         """k-fold q-power Frobenius x -> x^(q^k)."""
-        for _ in range(k % self.n):
-            x = self.frob_q[x]
-        return x
+        return self.pow(x, self.q ** (k % self.n))
 
     def rel_trace(self, x):
         """Trace of F_{q^n} onto F_q."""
         return self.tr[x]
 
     def rel_norm(self, x):
-        """Norm of F_{q^n} onto F_q."""
-        return self.nm[x]
+        """Norm of F_{q^n} onto F_q: x^M, M = (q^n - 1)/(q - 1)."""
+        return self.pow(x, self.trace_step)
 
     def in_subfield(self, x, d=1):
         """Whether x lies in F_{q^d}; d must divide n."""

@@ -78,11 +78,16 @@ def leader_thresholds(q, n):
 def rational_point_count(L):
     """N = 1 + q * #{x in F_{q^n} : Tr(L(x)/x) = 0} (x = 0 counts via a_0).
 
-    Each zero in the period-M transcript stands for q - 1 units.
+    Each zero in the period-M transcript stands for q - 1 units.  A
+    monomial's transcript is the constant Tr(a_0), so it is not walked.
     """
     ctx = L.ctx
-    zeros = sum(1 for v in transcript(ctx, L.coeffs) if v == 0)
-    return 1 + ctx.q * ((ctx.q - 1) * zeros + (ctx.rel_trace(L.coeffs[0]) == 0))
+    trace_zero = ctx.rel_trace(L.coeffs[0]) == 0
+    if L.is_monomial():
+        zeros = ctx.trace_step if trace_zero else 0
+    else:
+        zeros = sum(1 for v in transcript(ctx, L.coeffs) if v == 0)
+    return 1 + ctx.q * ((ctx.q - 1) * zeros + trace_zero)
 
 
 @dataclass(frozen=True)

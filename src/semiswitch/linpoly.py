@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import BudgetExceeded, read_limit
@@ -53,15 +54,21 @@ class LinearizedPoly:
             if not 0 <= c < self.ctx.order:
                 raise ValueError(f"coefficient {c} out of range")
 
+    @cached_property
+    def _terms(self):
+        """(log a_i, q^i) for each nonzero a_i."""
+        log, q = self.ctx.log, self.ctx.q
+        return tuple((log[a], q**i) for i, a in enumerate(self.coeffs) if a)
+
     def eval(self, x):
-        """L(x), stepping x -> x^q once per coefficient index."""
+        """L(x) = sum_i exp[(log a_i + q^i log x) mod N], strided reads as in transcript."""
+        if x == 0:
+            return 0
         ctx = self.ctx
-        add, mul, frob = ctx.add, ctx.mul, ctx.frob_q
+        N, exp, add, k = ctx.mult_order, ctx.exp, ctx.add, ctx.log[x]
         acc = 0
-        for a in self.coeffs:
-            if a:
-                acc = add(acc, mul(a, x))
-            x = frob[x]
+        for s, e in self._terms:
+            acc = add(acc, exp[(s + e * k) % N])
         return acc
 
     __call__ = eval

@@ -17,10 +17,12 @@ by the unitalization and the isotopy test.  Nuclei are subfields, hence
 F_p-subspaces through 1, so each is refined inside the complement
 span(p, ..., p^(mn-1)) of 1, one associator against an F_q-basis pair
 at a time, with the pairs that hold 1 skipped: those associators vanish
-in a unital op, whose two-sided 1 ``nuclei`` checks first.  No check
-tests candidates one by one over the whole field: cancellation needs
-one kernel per F_q^* orbit of units, and only the kernels themselves
-are listed, by ``_span``.
+in a unital op, whose two-sided 1 ``nuclei`` checks first.  Each
+nucleus is reported as its F_p-basis, so its size is p to the basis
+length.  No check tests candidates one by one over the whole field:
+cancellation needs one kernel per F_q^* orbit of units, and the only
+kernel listed in full, by ``_span``, is the isotopy test's, whose
+witness is its member of smallest discrete log.
 
 One walk, ``find_zero_divisor``, decides cancellation and finds its
 witness; ``verify_presemifield`` only asks whether it found one.
@@ -31,7 +33,7 @@ compare the two routes as independent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConsistencyError
@@ -107,10 +109,10 @@ class BinaryOp:
         out = ()
         for images in ([self(1, e) for e in basis], [self(e, 1) for e in basis]):
             fmap = _linear_table(p, d, images)
-            if len(set(fmap)) != order:
-                raise ConsistencyError("cancellative op with non-bijective side map")
-            inv = [0] * order
+            inv = [None] * order
             for x, v in enumerate(fmap):
+                if inv[v] is not None:
+                    raise ConsistencyError("cancellative op with non-bijective side map")
                 inv[v] = x
             out += (fmap, inv)
         return out
@@ -210,22 +212,17 @@ def unitalize(op):
 
 @dataclass(frozen=True)
 class NucleiReport:
-    left: frozenset
-    middle: frozenset
-    right: frozenset
-    center: frozenset
-    sizes: tuple = field(init=False)
+    """F_p-bases of the left, middle and right nuclei and the center, 1 first."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "sizes",
-            (len(self.left), len(self.middle), len(self.right), len(self.center)),
-        )
+    left: tuple
+    middle: tuple
+    right: tuple
+    center: tuple
+    sizes: tuple
 
 
 def nuclei(op):
-    """Left/middle/right nuclei and center of a unital op.
+    """F_p-bases of the left/middle/right nuclei and center of a unital op.
 
     A nucleus N is a subfield, so an F_p-subspace that holds 1, and
     N = span(1) + (N meet W) for W = span(p, p^2, ..., p^(mn-1)).  Each
@@ -265,7 +262,8 @@ def nuclei(op):
 
     meets = [refine(W, equations) for equations in (left, middle, right)]
     meets.append(refine(meets[0], middle + right + commutators))
-    report = NucleiReport(*(frozenset(_span(ctx, [1] + meet)) for meet in meets))
+    bases = [(1, *meet) for meet in meets]
+    report = NucleiReport(*bases, tuple(p ** len(b) for b in bases))
     for size in report.sizes:
         if size < 1 or ctx.order % size:
             raise ConsistencyError("nucleus size does not divide field order", size)

@@ -22,8 +22,8 @@ from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
 
 
 def _step_by_step_tables(ctx):
-    """exp, log, frob_q, tr, nm one element at a time: a polynomial product
-    per power of gamma and n - 1 additions per trace."""
+    """exp, log, Frobenius, trace and norm tables one element at a time: a
+    polynomial product per power of gamma and n - 1 additions per trace."""
     p, q, N, d = ctx.p, ctx.q, ctx.mult_order, ctx.m * ctx.n
     mod = list(ctx.modulus)
     gamma = _decode(ctx.generator, p, d)
@@ -182,6 +182,13 @@ def _unitalize_scan(op):
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
     return BinaryOp(ctx, star, unital=True)
+
+
+def nuclei_members(ctx, rep):
+    """The left, middle, right and center bases of a NucleiReport, each
+    listed in full, for comparison with the scans below."""
+    bases = (rep.left, rep.middle, rep.right, rep.center)
+    return tuple(frozenset(_span(ctx, b)) for b in bases)
 
 
 def _nuclei_scan(op):

@@ -284,9 +284,9 @@ def test_tables_match_step_by_step_construction(shape, modulus):
     exp, log, frob, tr, nm = _step_by_step_tables(ctx)
     assert ctx.exp == exp
     assert ctx.log == log
-    assert ctx.frob_q == frob
+    assert [ctx.frobenius(x) for x in ctx.elements()] == frob
     assert ctx.tr == tr
-    assert ctx.nm == nm
+    assert [ctx.rel_norm(x) for x in ctx.elements()] == nm
 
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 4), (5, 3), (7, 2), (13, 1)])
@@ -303,4 +303,13 @@ def test_linear_table_matches_digit_oracle(p, d):
 def test_build_field_wall_clock_cap(shape):
     start = time.perf_counter()
     build_field(*shape)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 2), (5, 1, 3)])
+def test_only_exp_log_and_tr_are_field_size(shape):
+    ctx = build_field(*shape)
+    big = {
+        k for k, v in vars(ctx).items() if isinstance(v, (list, tuple)) and len(v) >= ctx.mult_order
+    }
+    assert big == {"exp", "log", "tr"}

@@ -30,6 +30,8 @@ INPUTS = {
         '{"coeffs":[5,7,0,3]}\n'
     ),
     "polys16.jsonl": '{"coeffs":[2,1]}\n{"coeffs":[3,0]}\n{"coeffs":[1,1]}\n',
+    # the showcase q = 4 instance (scripts/showcase_instances.py) and a monomial
+    "polys64.jsonl": '{"coeffs":[7,28,26]}\n{"coeffs":[1,0,0]}\n',
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -82,6 +84,12 @@ GOLDEN = {
         "verify --p 2 --m 2 --n 2 polys16.jsonl",
         0,
         "3a3a03f3e68f9beb8d187ed90bed87b26b127eeff6a88627e92c2d5cb69ed816",
+        EMPTY,
+    ),
+    "verify-q4-showcase": (
+        "verify --p 2 --m 2 --n 3 --modulus 1,1,0,1,1,0,1 polys64.jsonl",
+        0,
+        "ed1e0d6b9d4f95de2d105570f1599a1e360197ae84f98ee7cb9836a917e5e9ef",
         EMPTY,
     ),
     "hws": (

@@ -59,6 +59,7 @@ from oracles import (
     _verify_by_right_kernels,
     _zero_divisor_scan,
     n2_lemma_roots,
+    nuclei_members,
     right_unit_inverse,
     trace_quotient,
 )
@@ -274,7 +275,9 @@ def _n3_polys(ctx):
 
 
 def _tables(ctx):
-    return ctx.exp, ctx.log, ctx.frob_q, ctx.tr, ctx.nm
+    frob = [ctx.frobenius(x) for x in ctx.elements()]
+    nm = [ctx.rel_norm(x) for x in ctx.elements()]
+    return ctx.exp, ctx.log, frob, ctx.tr, nm
 
 
 def _negatives(ctx):
@@ -331,8 +334,7 @@ def _right_inverse_closed_form(spec):
 
 
 def _nuclei_sets(op):
-    rep = nuclei(op)
-    return rep.left, rep.middle, rep.right, rep.center
+    return nuclei_members(op.ctx, nuclei(op))
 
 
 def pair(fast, oracle, inputs, id, fields=FIELDS):

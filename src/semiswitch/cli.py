@@ -4,10 +4,10 @@ Four subcommands:
 
 * ``search`` - enumerate or sample coefficient tuples, emit the
   predicate-passing ones with their classification.
-* ``verify`` - read polynomials from a JSON-lines file and emit a full
-  report per line (predicate, presemifield axioms, commutativity,
-  commutative-isotopy witness, nuclei, curve bounds, prime-field
-  coefficient identities).
+* ``verify`` - read polynomials from a JSON-lines file and emit
+  ``families.classify``'s report per line (both verdicts, and a zero
+  divisor or the family and behaviour report), with curve bounds and
+  prime-field coefficient identities for a passing one.
 * ``codes``  - code dimension and the full-weight word census.
 * ``hws``    - curve-bound verdict table for polynomials from a file.
 
@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from functools import partial
 
 from . import codes as codes_mod
-from . import digits, families, hws, linpoly, presemifield
+from . import digits, families, hws, linpoly
 from .errors import BudgetExceeded, ConsistencyError
 from .gf import build_field
 
@@ -48,7 +48,7 @@ def _dump(record):
 # the csv row of a result record: its coeffs, then these keys
 _CSV_COLUMNS = {
     "search": ("commutative", "ganley", "families"),
-    "verify": ("predicate", "presemifield"),
+    "verify": families.VERDICTS,
     "hws": ("ell", "genus", "impossible_nonzero_trace", "impossible_zero_trace"),
 }
 
@@ -208,17 +208,9 @@ def cmd_search(args):
 
 
 def _verify_one(L):
-    report = {"record": "result", "coeffs": list(L.coeffs)}
-    if not linpoly.switching_predicate(L):
-        op = presemifield.build_switch(families.switch_spec_for(L))
-        witness = presemifield.find_zero_divisor(op)
-        if witness is None:
-            raise ConsistencyError(
-                "predicate-failing L produced a presemifield", witness=L.coeffs
-            )
-        report.update(predicate=False, presemifield=False, zero_divisor=list(witness))
+    report = {"record": "result", **families.classify(L)}
+    if not report["predicate"]:
         return report
-    report.update(families.classify(L))
     report["hws"] = None if L.is_monomial() else hws.curve_verdicts(L).to_dict()
     report["vanishing_sums"] = None
     if L.ctx.m == 1:

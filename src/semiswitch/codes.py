@@ -105,7 +105,7 @@ def trace_codeword(ctx, coeffs):
     return Codeword(tuple(coeffs), values)
 
 
-def full_weight_search(ctx, mode="exhaustive", seed=None, budget=None):
+def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):
     """Census of full-weight words, split into constant and not.
 
     Full weight is the predicate, constant is monomial-ness, so this

@@ -245,7 +245,7 @@ def vanishing_sums_check(L):
     return True, None
 
 
-def monomial_census(p, n, budget=None, mode="exhaustive", seed=None):
+def monomial_census(p, n, budget=None, mode="exhaustive", seed=0):
     """Count predicate-passing L over F_{p^n}/F_p and test monomial-ness.
 
     The full-weight census of :mod:`.codes` under the names of the

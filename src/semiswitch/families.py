@@ -15,15 +15,16 @@ Each family comes with its published coefficient criterion:
   matching switched product ``xy + Tr(a_1 x y^(q^2) + a0t x y)`` with
   ``Tr(a0t) = -1`` is isotopic to a commutative semifield.
 
-``classify`` bundles the family matches with the behaviour of the
-induced switched multiplication (commutativity, commutative-isotopy
-witness, nuclei).
+``classify`` owns both verdicts on a polynomial, the trace predicate and
+one zero-divisor walk of its canonical switch, and raises
+``ConsistencyError`` when they disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import presemifield
 from .errors import ConsistencyError
 from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, switching_predicate
@@ -216,17 +217,38 @@ def switch_spec_for(L):
     return SwitchSpec(ctx, b, 1)
 
 
-def classify(L, deep=True):
-    """Family and behaviour report for a predicate-passing L.
+# the report keys of classify's two verdicts
+VERDICTS = ("predicate", "presemifield")
 
-    With deep=True the induced switched product is built, verified,
-    unitalized and measured (commutativity, commutative-isotopy
-    witness, nuclei sizes).
+
+def classify(L, deep=True):
+    """Both verdicts on L, and the family and behaviour report of a passing L.
+
+    deep=True walks the canonical switch for zero divisors once, and a
+    walk that disagrees with the trace predicate raises ConsistencyError.
+    A failing L is then reported with the walk's zero divisor and no
+    family test; a passing one with its families and, deeply, the
+    commutativity, commutative-isotopy witness and nuclei sizes of its
+    switched product.  deep=False builds no op.
     """
     ctx = L.ctx
-    if not switching_predicate(L):
-        raise ValueError("classify expects a predicate-passing polynomial")
-    families = []
+    predicate = switching_predicate(L)
+    if deep:
+        spec = switch_spec_for(L)
+        op = build_switch(spec)
+        if predicate:
+            walk = verify_presemifield(op)
+        else:
+            zero_divisor = presemifield.find_zero_divisor(op)
+            walk = zero_divisor is None
+        if walk != predicate:
+            raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
+    report = {"coeffs": list(L.coeffs), "predicate": predicate}
+    if not predicate:
+        if deep:
+            report.update(presemifield=False, zero_divisor=list(zero_divisor))
+        return report
+    families = report["families"] = []
     if L.is_monomial():
         families.append("monomial")
     if ctx.n == 2 and n2_criterion(ctx, L.coeffs[1], L.coeffs[0]):
@@ -241,29 +263,16 @@ def classify(L, deep=True):
         and n4_criterion(ctx, L.coeffs[2], L.coeffs[0])
     ):
         families.append("n4")
-    report = {
-        "coeffs": list(L.coeffs),
-        "families": families,
-        "predicate": True,
-    }
     if deep:
-        spec = switch_spec_for(L)
-        op = build_switch(spec)
-        if not verify_presemifield(op):
-            raise ConsistencyError(
-                "predicate-passing L produced a non-presemifield", witness=L.coeffs
-            )
         unital = unitalize(op)
         iso, witness = commutative_isotopy_test(op)
         report.update(
-            {
-                "spec": {"b": list(spec.b), "xi": spec.xi},
-                "presemifield": True,
-                "commutative": is_commutative(op),
-                "ganley": iso,
-                "ganley_witness": witness,
-                "nuclei": list(nuclei(unital).sizes),
-            }
+            spec={"b": list(spec.b), "xi": spec.xi},
+            presemifield=True,
+            commutative=is_commutative(op),
+            ganley=iso,
+            ganley_witness=witness,
+            nuclei=list(nuclei(unital).sizes),
         )
     return report
 

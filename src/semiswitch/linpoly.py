@@ -179,7 +179,7 @@ def _search_exhaustive(ctx, support):
     ]
 
 
-def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
+def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     """Find predicate-passing L with the given coefficient support.
 
     mode="exhaustive" enumerates every assignment (lexicographic by
@@ -188,6 +188,7 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order; it stops early once every
     assignment has been drawn, as every later draw would be a repeat.
+    The seed lies in 0..2^64-1: Random folds -s onto s.
     """
     if support is None:
         support = range(ctx.n)
@@ -206,6 +207,8 @@ def search(ctx, support=None, mode="exhaustive", seed=None, budget=None):
         hits = _search_exhaustive(ctx, support)
         return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
     if mode == "random":
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
         rng = random.Random(seed)
         space = ctx.order ** len(support)
         seen = set()

@@ -78,14 +78,12 @@ class BinaryOp:
     """An F_q-bilinear operation on a field context.
 
     Evaluation goes through a closure.  Every check in this module
-    relies on F_q-bilinearity, so a caller must not wrap anything else;
-    ``unital`` marks a verified two-sided 1.
+    relies on F_q-bilinearity, so a caller must not wrap anything else.
     """
 
-    def __init__(self, ctx, fn, *, unital=False):
+    def __init__(self, ctx, fn):
         self.ctx = ctx
         self._fn = fn
-        self.unital = unital
         self.verified = None
 
     def __call__(self, x, y):
@@ -120,7 +118,7 @@ class BinaryOp:
 
 def field_op(ctx):
     """The plain field multiplication as a BinaryOp."""
-    op = BinaryOp(ctx, ctx.mul, unital=True)
+    op = BinaryOp(ctx, ctx.mul)
     op.verified = True
     return op
 
@@ -205,7 +203,7 @@ def unitalize(op):
     for e in (ctx.p**j for j in range(ctx.m * ctx.n)):
         if star(e, 1) != e or star(1, e) != e:
             raise ConsistencyError("unitalization failed to produce an identity", e)
-    out = BinaryOp(ctx, star, unital=True)
+    out = BinaryOp(ctx, star)
     out.verified = op.verified
     return out
 
@@ -234,18 +232,15 @@ def nuclei(op):
     op.  The center refines the left nucleus's meet by the middle and
     right associators and the commutators with the basis.
 
-    The op must be ``unital`` and its 1 must be two-sided, which is
-    checked on the F_p-basis (F_p-bilinearity carries it to the whole
-    field); a ValueError otherwise.
+    Any op whose 1 is two-sided will do.  That is checked on the F_p-basis
+    (F_p-bilinearity carries it to the whole field); a ValueError otherwise.
     """
     ctx = op.ctx
-    if not op.unital:
-        raise ValueError("nuclei need a unital op; call unitalize first")
     p, sub = ctx.p, ctx.sub
     W = [p**j for j in range(1, ctx.m * ctx.n)]
     for e in [1] + W:
         if op(1, e) != e or op(e, 1) != e:
-            raise ValueError(f"op is marked unital, but 1 is not a two-sided identity at {e}")
+            raise ValueError(f"1 is not a two-sided identity at {e}")
     basis = ctx.exp[1 : ctx.n]
     pairs = [(e, f, op(e, f)) for e in basis for f in basis]
     left = [lambda a, e=e, f=f, ef=ef: (sub(op(op(a, e), f), op(a, ef)),) for e, f, ef in pairs]

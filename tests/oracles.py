@@ -181,7 +181,7 @@ def _unitalize_scan(op):
     for x in range(order):
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
-    return BinaryOp(ctx, star, unital=True)
+    return BinaryOp(ctx, star)
 
 
 def nuclei_members(ctx, rep):
@@ -259,7 +259,7 @@ def _matrix_algebra(ctx, first="I"):
 
     The digits are coordinates on (first, E12, E21, E22).  With first = I
     the code 1 is the identity matrix; with first = "E11" the code 1 is
-    E11, which is no identity, so the op breaks its ``unital`` mark.
+    E11, which is no identity, so ``nuclei`` must refuse the op.
     """
     t = int(first == "I")  # the first coordinate also adds to entry (2, 2)
 
@@ -273,7 +273,7 @@ def _matrix_algebra(ctx, first="I"):
         r11, r12, r21, r22 = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         return _encode([v % 3 for v in (r11, r12, r21, r22 - t * r11)], 3)
 
-    return BinaryOp(ctx, matmul, unital=True)
+    return BinaryOp(ctx, matmul)
 
 
 def _center_separating_algebra(ctx):
@@ -293,7 +293,7 @@ def _center_separating_algebra(ctx):
         )
         return _encode([v % p for v in entries], p)
 
-    return BinaryOp(ctx, product, unital=True)
+    return BinaryOp(ctx, product)
 
 
 def _twisted_field(ctx, a, b):

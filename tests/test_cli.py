@@ -133,7 +133,7 @@ def test_codes_reports():
     assert rep["candidates"] == 8**3
 
     # random mode counts the draws, not the whole space
-    res = run("codes", "--p", "2", "--n", "3", "--random", "--seed", "-1", "--budget", "5")
+    res = run("codes", "--p", "2", "--n", "3", "--random", "--seed", "1", "--budget", "5")
     assert res.returncode == 0
     (rep,) = [r for r in records(res.stdout) if r["record"] == "result"]
     assert rep["candidates"] == 5
@@ -183,6 +183,28 @@ def test_failing_row_that_verifies_is_a_consistency_failure(tmp_path, capsys, mo
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "consistency"
     assert err["witness"] == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_passing_row_that_fails_verification_is_a_consistency_failure(
+    tmp_path, capsys, monkeypatch, command
+):
+    from semiswitch import build_field, families, search
+
+    first = list(search(build_field(3, 1, 2))[0].coeffs)
+    infile = tmp_path / "row.jsonl"
+    infile.write_text(json.dumps({"coeffs": first}) + "\n")
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    monkeypatch.setattr(families, "verify_presemifield", lambda op: False)
+    argv = [command, "--p", "3", "--n", "2", "--out", str(out)]
+    argv += [str(infile)] if command == "verify" else []
+    assert cli.main(argv) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "consistency"
+    assert err["witness"] == first
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(tmp_path.iterdir()) == [out, infile]
 
 
 def test_hws_table(tmp_path):
@@ -286,14 +308,16 @@ def test_exit_code_budget_exceeded(tmp_path):
         (("search", "--random", "--budget", "-5"), {}, "budget"),
         (("search", "--exhaustive", "--budget", "-5"), {}, "budget"),
         (("codes", "--random", "--budget", "-1"), {}, "budget"),
+        (("search", "--random", "--seed", "-1"), {}, "seed"),
+        (("codes", "--random", "--seed", "-1"), {}, "seed"),
         (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "-5"}, "budget"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "-1"}, "field cap"),
         (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "abc"}, "SEMISWITCH_SEARCH_BUDGET"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "abc"}, "SEMISWITCH_FIELD_CAP"),
     ],
     ids=[
-        "search-random", "search-exhaustive", "codes", "env", "field-cap",
-        "env-not-int", "field-cap-not-int",
+        "search-random", "search-exhaustive", "codes", "search-seed", "codes-seed",
+        "env", "field-cap", "env-not-int", "field-cap-not-int",
     ],
 )
 def test_exit_code_negative_budget(args, env, word):

@@ -297,6 +297,40 @@ def test_classify_monomial(f9):
     assert rep["predicate"] and rep["presemifield"]
 
 
+def test_classify_failing_row_is_both_verdicts_and_a_zero_divisor(f9, monkeypatch):
+    from semiswitch import families
+
+    failing = [
+        LinearizedPoly(f9, c)
+        for c in itertools.product(range(9), repeat=2)
+        if not switching_predicate(LinearizedPoly(f9, c))
+    ]
+    assert len(failing) == 81 - 18
+    for L in failing:
+        rep = classify(L)
+        x, y = rep.pop("zero_divisor")
+        assert rep == {"coeffs": list(L.coeffs), "predicate": False, "presemifield": False}
+        assert x and y and build_switch(switch_spec_for(L))(x, y) == 0
+    # deep=False builds no op, passing or failing
+    monkeypatch.setattr(families, "build_switch", None)
+    assert classify(failing[0], deep=False) == {
+        "coeffs": list(failing[0].coeffs),
+        "predicate": False,
+    }
+    assert "n2" in classify(search(f9)[0], deep=False)["families"]
+
+
+def test_classify_raises_when_the_two_routes_disagree(f9, monkeypatch):
+    from semiswitch import families, presemifield
+
+    monkeypatch.setattr(families, "verify_presemifield", lambda op: False)
+    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: None)
+    for L in (search(f9)[0], LinearizedPoly(f9, (0, 0))):
+        with pytest.raises(ConsistencyError) as info:
+            classify(L)
+        assert info.value.witness == L.coeffs
+
+
 def test_classify_search_output_n2(f9):
     for L in search(f9, mode="exhaustive"):
         rep = classify(L, deep=False)

@@ -177,9 +177,22 @@ def test_search_random_mode_reproducible(f9):
     a = search(f9, mode="random", seed=42, budget=300)
     b = search(f9, mode="random", seed=42, budget=300)
     assert [L.coeffs for L in a] == [L.coeffs for L in b]
+    # no seed is the seed 0, never one drawn from the OS
+    unseeded = [search(f9, mode="random", budget=300) for _ in range(2)]
+    assert [[L.coeffs for L in c] for c in unseeded] == 2 * [
+        [L.coeffs for L in search(f9, mode="random", seed=0, budget=300)]
+    ]
     assert all(switching_predicate(L) for L in a)
     exhaustive = {L.coeffs for L in search(f9, mode="exhaustive")}
     assert {L.coeffs for L in a} <= exhaustive
+
+
+def test_search_random_mode_rejects_seeds_outside_64_bits(f9):
+    # Random folds -5 onto 5, so a negative seed would repeat another's stream
+    for seed in (-1, -5, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            search(f9, mode="random", seed=seed, budget=10)
+    assert all(map(switching_predicate, search(f9, mode="random", seed=2**64 - 1, budget=10)))
 
 
 def test_predicate_scaling_invariance(f9):

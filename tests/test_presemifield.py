@@ -131,7 +131,6 @@ def test_unitalize_gives_two_sided_identity(f9):
     for L in search(f9, mode="exhaustive")[:6]:
         op = build_switch(switch_spec_for(L))
         star = unitalize(op)
-        assert star.unital
         for x in f9.elements():
             assert star(x, 1) == x and star(1, x) == x
         # cancellation survives
@@ -201,6 +200,8 @@ def test_side_maps_are_built_once(f81_n4, monkeypatch):
 def test_nuclei_of_field(f9):
     rep = nuclei(unitalize(field_op(f9)))
     assert rep.sizes == (9, 9, 9, 9)
+    # any op whose 1 is two-sided will do, not only one unitalize returned
+    assert nuclei(BinaryOp(f9, f9.mul)) == rep
 
 
 def test_nuclei_of_commutative_family_instance(f81_n4):
@@ -391,7 +392,7 @@ def test_nuclei_op_call_ceilings(f27):
     # at F_27 whatever the nuclei are
     def sizes_and_calls(op):
         calls = []
-        counted = BinaryOp(f27, lambda x, y: calls.append(x) or op(x, y), unital=True)
+        counted = BinaryOp(f27, lambda x, y: calls.append(x) or op(x, y))
         return nuclei(counted).sizes, len(calls)
 
     sizes, calls = sizes_and_calls(unitalize(field_op(f27)))
@@ -450,7 +451,7 @@ def test_opposite_op_swaps_left_and_right_nuclei(request, field, build):
     # nucleus and the center stay
     op = build(request.getfixturevalue(field))
     assert not is_commutative(op)
-    opposite = BinaryOp(op.ctx, lambda x, y: op(y, x), unital=True)
+    opposite = BinaryOp(op.ctx, lambda x, y: op(y, x))
     left, middle, right, center = nuclei_members(op.ctx, nuclei(op))
     assert nuclei_members(op.ctx, nuclei(opposite)) == (right, middle, left, center)
 

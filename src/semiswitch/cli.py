@@ -310,7 +310,7 @@ def main(argv=None):
         payload = {"error": "consistency", "message": str(e), "witness": getattr(e, "witness", None)}
         print(json.dumps(payload, default=str), file=sys.stderr)
         return 4
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
 

@@ -27,8 +27,7 @@ an F_p-basis of its kernel by reducing rows of element codes, and
 Multiplication by gamma and the relative trace are such maps, so
 construction does no field arithmetic per element: ``exp`` is the orbit
 of 1 under the gamma table, and ``tr`` is read off the traces of the
-mn basis elements.  This stays pure Python: importing numpy here would
-cost every run more start-up time than small fields spend on tables.
+mn basis elements.
 """
 
 from __future__ import annotations
@@ -41,14 +40,7 @@ DEFAULT_FIELD_CAP = 1 << 22
 
 
 def _is_prime(v):
-    if v < 2:
-        return False
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            return False
-        d += 1
-    return True
+    return v > 1 and _prime_factors(v) == [v]
 
 
 def _prime_factors(v):

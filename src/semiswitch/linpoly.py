@@ -10,12 +10,14 @@ the polynomials whose induced switching of the field multiplication
 stays a presemifield.
 
 One kernel, :func:`transcript`, computes the trace quotient along the
-powers of gamma, and every predicate, code and point-count caller reads
-it.  Two facts keep it small.  L is F_q-linear, so L(cx)/(cx) = L(x)/x
-for c in F_q^*: the transcript is constant on F_q^* cosets and has
-period M = (q^n - 1)/(q - 1), not q^n - 1.  And a_0 enters only
-through Tr(a_0), so the exhaustive search treats a_0 as one of q trace
-classes and expands each class back into its a_0 values at the end.
+powers of gamma, and every predicate, search, code and point-count
+caller reads it.  Three facts keep it small.  L is F_q-linear, so
+L(cx)/(cx) = L(x)/x for c in F_q^*: the transcript is constant on F_q^*
+cosets and has period M = (q^n - 1)/(q - 1), not q^n - 1.  a_0 enters
+only through Tr(a_0), so the exhaustive search treats a_0 as one of q
+trace classes and expands each class back into its a_0 values at the
+end.  And the transcript is additive in L, so the exhaustive search
+walks one transcript per head tuple against bitsets of tail tuples.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -29,6 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 
 from .errors import BudgetExceeded, read_limit
 from .gf import FieldCtx, _kernel
@@ -108,10 +111,6 @@ def is_permutation(L):
 # ---- search ----
 
 
-# Most tuples the exhaustive kernel compares in one numpy block.
-_TAIL_TUPLES = 4096
-
-
 def _coeffs(n, support, assignment):
     coeffs = [0] * n
     for i, a in zip(support, assignment):
@@ -122,58 +121,60 @@ def _coeffs(n, support, assignment):
 def _search_exhaustive(ctx, support):
     """Every passing assignment to ``support``, in code order.
 
-    The transcripts of the monomials a X^(q^i) are F_p digit planes (one
-    per digit position that some F_q value uses), so a transcript sum is
-    a plane-wise sum mod p.  Index 0 takes only its q trace classes; the
-    candidates split into head tuples, walked one by one, and a block of
-    at most _TAIL_TUPLES tail tuples whose summed transcripts are held in
-    one array.  A candidate fails exactly where the tail transcript
-    equals the negated head transcript in every plane.
+    Index 0 takes one a_0 per trace class, t alpha for t in F_q with
+    Tr(alpha) = 1.  The candidates split into head tuples and a block of
+    T tail tuples; the transcript is additive in L, so a candidate fails
+    at k exactly when its tail's value there is minus its head's.
+    Column k keeps ``need[k][v]``, the bitset of tail tuples whose value
+    at k is -v, read in lockstep from the tails' transcripts the first
+    time a head needs it.  Each head walks its own transcript, ORs in the
+    tails it fails, and stops once all have failed.  The cut minimises
+    T M + (candidates / T) min(M, q): a column costs a step per tail, and
+    a head meets 0 after about min(M, q) columns.  With no tail this is
+    the predicate itself, one transcript per candidate.
     """
-    import numpy as np
+    n, M, q = ctx.n, ctx.trace_step, ctx.q
+    fq = ctx.subfield(1)
+    alpha = ctx.tr.index(1)
+    choices = [[ctx.mul(t, alpha) for t in fq] if i == 0 else range(ctx.order) for i in support]
+    total = prod(map(len, choices))
 
-    p, N, M = ctx.p, ctx.mult_order, ctx.trace_step
-    place = p ** np.arange(ctx.m * ctx.n)
-    fq = np.array(ctx.subfield(1))
-    place = place[(fq[:, None] // place % p).any(axis=0)]
-    dtype = np.min_scalar_type(2 * (p - 1))
+    def cost(cut):
+        T = prod(map(len, choices[cut:]))
+        return T * M + total // T * min(M, q)
 
-    def planes(codes):
-        return (np.asarray(codes)[None, :] // place[:, None] % p).astype(dtype)
-
-    along = planes(np.array(ctx.tr)[ctx.exp])
-    zero = np.zeros((len(place), M), dtype)
-    k = np.arange(M)
-
-    def row(i, a):
-        if i == 0:
-            return np.repeat(planes([a]), M, axis=1)
-        return along[:, (ctx.log[a] + k * ctx.qpow_minus1[i]) % N] if a else zero
-
-    choices = [ctx.subfield(1) if i == 0 else range(ctx.order) for i in support]
-    cut, size = len(support), 1
-    while cut and size * len(choices[cut - 1]) <= _TAIL_TUPLES:
-        cut -= 1
-        size *= len(choices[cut])
-    tail = zero[None]
-    for i, values in zip(support[cut:], choices[cut:]):
-        rows = np.stack([row(i, a) for a in values])
-        tail = ((tail[:, None] + rows[None]) % p).reshape(-1, *zero.shape)
-    tail_tuples = list(product(*choices[cut:]))
-
-    hits = []
-    for head in product(*choices[:cut]):
-        acc = np.zeros(zero.shape, np.int64)
-        for i, a in zip(support, head):
-            acc += row(i, a)
-        fails = (tail == (-acc % p).astype(dtype)).all(axis=1).any(axis=1)
-        hits.extend(head + tail_tuples[j] for j in np.flatnonzero(~fails))
+    cut = min(range(len(support), -1, -1), key=cost)
+    head_support, tail_support = support[:cut], support[cut:]
+    heads = product(*choices[:cut])
+    if not tail_support:
+        hits = [h for h in heads if all(transcript(ctx, _coeffs(n, support, h)))]
+    else:
+        tails = list(product(*choices[cut:]))
+        columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
+        neg = {v: ctx.neg(v) for v in fq}
+        need, full, hits = [], (1 << len(tails)) - 1, []
+        for head in heads:
+            failed = 0
+            for k, v in enumerate(transcript(ctx, _coeffs(n, head_support, head))):
+                if k == len(need):
+                    column = {}
+                    for j, w in enumerate(next(columns)):
+                        column[neg[w]] = column.get(neg[w], 0) | 1 << j
+                    need.append(column)
+                failed |= need[k].get(v, 0)
+                if failed == full:
+                    break
+            else:
+                # some tails never failed: bit j of full ^ failed marks tail j,
+                # and bin() lists the bits most significant first
+                bits = reversed(bin(full ^ failed))
+                hits.extend(head + t for t, b in zip(tails, bits) if b == "1")
     if support[0] != 0:
         return hits
     # expand each Tr(a_0) class back into its a_0 values, in code order
     by_class = {}
     for hit in hits:
-        by_class.setdefault(hit[0], []).append(hit[1:])
+        by_class.setdefault(ctx.tr[hit[0]], []).append(hit[1:])
     return [
         (a0,) + rest for a0 in range(ctx.order) for rest in by_class.get(ctx.tr[a0], ())
     ]

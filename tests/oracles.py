@@ -6,6 +6,7 @@ closed form.  The tests compare the two; ``test_oracles.py`` holds the
 one table of (fast route, oracle) pairs.
 """
 
+from itertools import product
 from math import gcd
 
 from semiswitch import (
@@ -13,6 +14,7 @@ from semiswitch import (
     ConsistencyError,
     n3_construct,
     theta_set,
+    transcript,
     unitalize,
 )
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
@@ -104,6 +106,19 @@ def trace_quotient(L, x):
         if a:
             acc = ctx.add(acc, ctx.mul(a, ctx.exp[(k * ctx.qpow_minus1[i]) % N]))
     return ctx.rel_trace(acc)
+
+
+def _search_by_predicate(ctx, mask):
+    """Every assignment to ``mask`` in code order whose transcript never
+    vanishes, one whole candidate at a time."""
+    hits = []
+    for assignment in product(range(ctx.order), repeat=len(mask)):
+        coeffs = [0] * ctx.n
+        for i, a in zip(mask, assignment):
+            coeffs[i] = a
+        if all(transcript(ctx, coeffs)):
+            hits.append(tuple(coeffs))
+    return hits
 
 
 def _is_permutation_scan(L):

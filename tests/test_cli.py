@@ -207,6 +207,18 @@ def test_passing_row_that_fails_verification_is_a_consistency_failure(
     assert sorted(tmp_path.iterdir()) == [out, infile]
 
 
+def test_internal_key_error_is_not_bad_input(monkeypatch):
+    # a KeyError from the library is a bug: it propagates, never exit 2
+    from semiswitch import families
+
+    def broken(L, deep=True):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(families, "classify", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["search", "--p", "3", "--n", "2"])
+
+
 def test_hws_table(tmp_path):
     infile = tmp_path / "polys.jsonl"
     infile.write_text('{"coeffs":[0,0,1,0]}\n')
@@ -348,9 +360,9 @@ def test_closed_pipe_exits_quietly():
 
 
 def test_commands_do_not_import_numpy(tmp_path):
-    # numpy is for the exhaustive search only; field construction, verify,
-    # hws and random search stay pure Python (two passing F_27 rows and
-    # two failing ones, so classify, nuclei and curve bounds all run)
+    # the package is pure Python: field construction, verify, hws, both
+    # search modes and the code census import no numpy (two passing F_27
+    # rows and two failing ones, so classify, nuclei and curve bounds run)
     rows = tmp_path / "rows.jsonl"
     rows.write_text(
         "".join(
@@ -363,6 +375,8 @@ def test_commands_do_not_import_numpy(tmp_path):
         ["verify", *field, str(rows)],
         ["hws", *field, str(rows)],
         ["search", *field, "--random", "--seed", "1", "--budget", "300"],
+        ["search", *field, "--exhaustive"],
+        ["codes", *field, "--exhaustive"],
     ]
     script = (
         "import sys\n"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -152,6 +153,29 @@ def test_search_matches_naive_oracle():
                 naive.append(coeffs)
         fast = [L.coeffs for L in search(ctx, mode="exhaustive")]
         assert fast == naive
+
+
+def test_search_beyond_order_4096_is_the_monomials():
+    # orders 8192 and 6561, supports (0, 1) and (0, n - 1): only a_0 X
+    # passes, so each head's walk stops at its first 0 of the transcript
+    cases = [(build_field(2, 1, 13), (0, 1)), (build_field(3, 1, 8), (0, 7))]
+    t0 = time.perf_counter()
+    found = [
+        [L.coeffs for L in search(ctx, mask, budget=ctx.order**2)] for ctx, mask in cases
+    ]
+    assert time.perf_counter() - t0 < 1
+    rng = random.Random(13)
+    for (ctx, mask), hits in zip(cases, found):
+        zeros = (0,) * (ctx.n - 1)
+        assert hits == [(a0,) + zeros for a0 in range(ctx.order) if ctx.tr[a0]]
+        hit_set, misses = set(hits), 0
+        while misses < 200:
+            coeffs = [0] * ctx.n
+            for i in mask:
+                coeffs[i] = rng.randrange(ctx.order)
+            if tuple(coeffs) not in hit_set:
+                assert not switching_predicate(LinearizedPoly(ctx, coeffs)), coeffs
+                misses += 1
 
 
 def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):

@@ -7,12 +7,15 @@ on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), failing ones, and
 at n = 4 dual-spread companions, which come from no switching spec.
+Exhaustive search runs on every support of at most 20,000 candidates,
+against the predicate applied to each candidate.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
 """
 
 import random
 from functools import cache
+from itertools import combinations
 
 import pytest
 
@@ -51,6 +54,7 @@ from oracles import (
     _nuclei_all_pairs,
     _nuclei_scan,
     _random_members,
+    _search_by_predicate,
     _step_by_step_tables,
     _switch_product,
     _theta_set_scan,
@@ -239,6 +243,18 @@ def _kernel_maps(ctx):
     return out
 
 
+def _masks(ctx):
+    """Every support with at most 20,000 candidates: with and without
+    index 0, so with and without a_0's trace classes, and with and
+    without a block of tail tuples beside the head walk."""
+    return [
+        (ctx, mask)
+        for r in range(1, ctx.n + 1)
+        if ctx.order**r <= 20_000
+        for mask in combinations(range(ctx.n), r)
+    ]
+
+
 def _higher_support(ctx):
     return [(L,) for (L,) in _polys(ctx) if any(L.coeffs[1:])]
 
@@ -290,6 +306,10 @@ def _linear_map_scan(p, d, images):
 
 def _transcript(L):
     return list(transcript(L.ctx, L.coeffs))
+
+
+def _search_hits(ctx, mask):
+    return [L.coeffs for L in search(ctx, mask)]
 
 
 def _trace_quotients(L):
@@ -347,6 +367,7 @@ PAIRS = [
     pair(_kernel, _kernel_by_digits, _kernel_maps, "kernel", LINEAR_FIELDS),
     pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
     pair(_transcript, _trace_quotients, _polys, "transcript"),
+    pair(_search_hits, _search_by_predicate, _masks, "search"),
     pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),
     pair(_n2_by_criterion, _n2_by_lemma, _n2_polys, "n2_lemma"),
     pair(theta_set, _theta_set_scan, _unit_pairs, "theta_set"),

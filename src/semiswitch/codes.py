@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linpoly
+from .errors import ConsistencyError
 from .linpoly import LinearizedPoly, transcript
 
 
@@ -73,8 +74,6 @@ def code_dimension(q, n):
     dim = len(union)
     expected = n * n - n + 1
     if dim != expected:
-        from .errors import ConsistencyError
-
         raise ConsistencyError(
             f"defining coset union has {dim} elements, expected {expected}"
         )

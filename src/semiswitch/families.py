@@ -81,7 +81,7 @@ def theta_set(ctx, u, v):
         raise ValueError("u and v must be nonzero")
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
     rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
-    x0 = ctx.div(ctx.mul(rhs, first_unit_trace_element(ctx)), w)
+    x0 = ctx.div(ctx.mul(rhs, ctx.tr.index(1)), w)
     kernel = _kernel(ctx, lambda x: (ctx.rel_trace(ctx.mul(w, x)),))
     out = sorted(
         (ctx.add(x0, k) for k in _span(ctx, kernel)),
@@ -201,11 +201,6 @@ def n4_commutative_op(ctx, a1, a0t):
 # ---- classification ----
 
 
-def first_unit_trace_element(ctx):
-    """Smallest element code with relative trace 1."""
-    return ctx.tr.index(1)
-
-
 def switch_spec_for(L):
     """Canonical switching spec of a predicate-passing L.
 
@@ -213,7 +208,7 @@ def switch_spec_for(L):
     alpha is the smallest element code with Tr(alpha) = 1.
     """
     ctx = L.ctx
-    b = (ctx.sub(L.coeffs[0], first_unit_trace_element(ctx)),) + L.coeffs[1:]
+    b = (ctx.sub(L.coeffs[0], ctx.tr.index(1)),) + L.coeffs[1:]
     return SwitchSpec(ctx, b, 1)
 
 
@@ -286,7 +281,6 @@ __all__ = [
     "is_square_in_base",
     "n4_criterion",
     "n4_commutative_op",
-    "first_unit_trace_element",
     "switch_spec_for",
     "classify",
 ]

@@ -275,21 +275,23 @@ class FieldCtx:
     """
 
     def __init__(self, p, m, n, modulus=None, cap=None):
-        if not _is_prime(p):
+        cap = read_limit(cap, DEFAULT_FIELD_CAP, "field cap", "SEMISWITCH_FIELD_CAP")
+        # trial division only for p <= cap: a larger p puts the order over the cap
+        if p < 2 or p <= cap and not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1 or n < 1:
             raise ValueError("m and n must be positive")
-        cap = read_limit(cap, DEFAULT_FIELD_CAP, "field cap", "SEMISWITCH_FIELD_CAP")
-        order = p ** (m * n)
-        if order > cap:
-            raise BudgetExceeded(f"p^(m*n) = {order} exceeds cap {cap}")
+        # p >= 2, so a degree above cap.bit_length() is over the cap: p^deg stays unformed
+        deg = m * n
+        order = p**deg if deg <= cap.bit_length() else None
+        if order is None or order > cap:
+            raise BudgetExceeded(f"p^(m*n) = {order or f'{p}^{deg}'} exceeds cap {cap}")
         self.p = p
         self.m = m
         self.n = n
         self.q = p**m
         self.order = order
         self.mult_order = order - 1
-        deg = m * n
         if modulus is None:
             modulus = _find_modulus(p, deg)
         else:

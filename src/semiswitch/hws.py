@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
+from .errors import ConsistencyError
 from .linpoly import transcript
 
 
@@ -120,8 +121,6 @@ def curve_verdicts(L):
     ell, argmin_j = min_max_leader(L)
     prod = (q - 1) * (ell - 1)
     if prod % 2:
-        from .errors import ConsistencyError
-
         raise ConsistencyError("(q-1)(ell-1) must be even", witness=(q, ell))
     genus = prod // 2
     s = serre_term(q, n)

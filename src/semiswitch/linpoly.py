@@ -16,8 +16,8 @@ L(cx)/(cx) = L(x)/x for c in F_q^*: the transcript is constant on F_q^*
 cosets and has period M = (q^n - 1)/(q - 1), not q^n - 1.  a_0 enters
 only through Tr(a_0), so the exhaustive search treats a_0 as one of q
 trace classes and expands each class back into its a_0 values at the
-end.  And the transcript is additive in L, so the exhaustive search
-walks one transcript per head tuple against bitsets of tail tuples.
+end.  And the transcript is additive in L, so every search, random
+draws included, walks head transcripts against bitsets of tail tuples.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -118,23 +118,52 @@ def _coeffs(n, support, assignment):
     return tuple(coeffs)
 
 
+def _walk(ctx, head_support, heads, tail_support, tails):
+    """Every passing head + tail, heads in the order given, then tails in order.
+
+    The transcript is additive in L, so a candidate fails at k exactly
+    when its tail's value there is minus its head's.  Column k,
+    ``need[k][v]``, is the bitset of tails with value -v at k, built from
+    the tails' transcripts when a head first reaches k.  Each head ORs in
+    the tails it fails and stops once all have; with the one empty tail
+    ``[()]`` this is the predicate on each head.
+    """
+    n = ctx.n
+    columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
+    neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
+    need, full, hits = [], (1 << len(tails)) - 1, []
+    for head in heads:
+        failed, values = 0, transcript(ctx, _coeffs(n, head_support, head))
+        for column, v in zip(need, values):
+            failed |= column.get(v, 0)
+            if failed == full:
+                break
+        else:
+            for v in values:  # past the columns any head has reached
+                need.append(column := {})
+                for j, w in enumerate(next(columns)):
+                    column[neg[w]] = column.get(neg[w], 0) | 1 << j
+                failed |= column.get(v, 0)
+                if failed == full:
+                    break
+            else:
+                # some tails never failed: bit j of full ^ failed marks tail j,
+                # and bin() lists the bits most significant first
+                bits = reversed(bin(full ^ failed))
+                hits.extend(head + t for t, b in zip(tails, bits) if b == "1")
+    return hits
+
+
 def _search_exhaustive(ctx, support):
     """Every passing assignment to ``support``, in code order.
 
     Index 0 takes one a_0 per trace class, t alpha for t in F_q with
     Tr(alpha) = 1.  The candidates split into head tuples and a block of
-    T tail tuples; the transcript is additive in L, so a candidate fails
-    at k exactly when its tail's value there is minus its head's.
-    Column k keeps ``need[k][v]``, the bitset of tail tuples whose value
-    at k is -v, read in lockstep from the tails' transcripts the first
-    time a head needs it.  Each head walks its own transcript, ORs in the
-    tails it fails, and stops once all have failed.  The cut minimises
-    T M + (candidates / T) min(M, q): a column costs a step per tail, and
-    a head meets 0 after about min(M, q) columns.  With no tail this is
-    the predicate itself, one transcript per candidate.
+    T tail tuples (one empty tail after a cut at the end) for :func:`_walk`.
+    The cut minimises T M + (candidates / T) min(M, q): a column costs a
+    step per tail, and a head meets 0 after about min(M, q) columns.
     """
-    n, M, q = ctx.n, ctx.trace_step, ctx.q
-    fq = ctx.subfield(1)
+    M, q, fq = ctx.trace_step, ctx.q, ctx.subfield(1)
     alpha = ctx.tr.index(1)
     choices = [[ctx.mul(t, alpha) for t in fq] if i == 0 else range(ctx.order) for i in support]
     total = prod(map(len, choices))
@@ -144,31 +173,8 @@ def _search_exhaustive(ctx, support):
         return T * M + total // T * min(M, q)
 
     cut = min(range(len(support), -1, -1), key=cost)
-    head_support, tail_support = support[:cut], support[cut:]
-    heads = product(*choices[:cut])
-    if not tail_support:
-        hits = [h for h in heads if all(transcript(ctx, _coeffs(n, support, h)))]
-    else:
-        tails = list(product(*choices[cut:]))
-        columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
-        neg = {v: ctx.neg(v) for v in fq}
-        need, full, hits = [], (1 << len(tails)) - 1, []
-        for head in heads:
-            failed = 0
-            for k, v in enumerate(transcript(ctx, _coeffs(n, head_support, head))):
-                if k == len(need):
-                    column = {}
-                    for j, w in enumerate(next(columns)):
-                        column[neg[w]] = column.get(neg[w], 0) | 1 << j
-                    need.append(column)
-                failed |= need[k].get(v, 0)
-                if failed == full:
-                    break
-            else:
-                # some tails never failed: bit j of full ^ failed marks tail j,
-                # and bin() lists the bits most significant first
-                bits = reversed(bin(full ^ failed))
-                hits.extend(head + t for t, b in zip(tails, bits) if b == "1")
+    tails = list(product(*choices[cut:]))
+    hits = _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
     if support[0] != 0:
         return hits
     # expand each Tr(a_0) class back into its a_0 values, in code order
@@ -189,7 +195,8 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order; it stops early once every
     assignment has been drawn, as every later draw would be a repeat.
-    The seed lies in 0..2^64-1: Random folds -s onto s.
+    The seed lies in 0..2^64-1: Random folds -s onto s.  Both modes test
+    candidates in :func:`_walk`, a random draw as a head with no tail.
     """
     if support is None:
         support = range(ctx.n)
@@ -198,34 +205,26 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
         raise ValueError(f"support indices must lie in 0..{ctx.n - 1}")
     if not support:
         return []
-    limit = search_budget(budget)
+    limit, space = search_budget(budget), ctx.order ** len(support)
     if mode == "exhaustive":
-        total = ctx.order ** len(support)
-        if total > limit:
+        if space > limit:
             raise BudgetExceeded(
-                f"exhaustive search needs {total} candidates, budget is {limit}"
+                f"exhaustive search needs {space} candidates, budget is {limit}"
             )
         hits = _search_exhaustive(ctx, support)
-        return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
-    if mode == "random":
+    elif mode == "random":
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
         rng = random.Random(seed)
-        space = ctx.order ** len(support)
-        seen = set()
-        out = []
+        draws = {}  # distinct draws in discovery order
         for _ in range(limit):
-            if len(seen) == space:
+            if len(draws) == space:
                 break
-            assignment = tuple(rng.randrange(ctx.order) for _ in support)
-            if assignment in seen:
-                continue
-            seen.add(assignment)
-            coeffs = _coeffs(ctx.n, support, assignment)
-            if all(transcript(ctx, coeffs)):
-                out.append(LinearizedPoly(ctx, coeffs))
-        return out
-    raise ValueError(f"unknown mode {mode!r}")
+            draws[tuple([rng.randrange(ctx.order) for _ in support])] = None
+        hits = _walk(ctx, support, draws, (), [()])
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
 
 
 __all__ = [

@@ -315,6 +315,8 @@ def commutative_isotopy_test(op):
     kernel = _kernel(ctx, defect)
     if not kernel:
         return False, None
+    if len(kernel) == ctx.m * ctx.n:
+        return True, 1  # the whole field: gamma^0 has the smallest log
     return True, min(_span(ctx, kernel)[1:], key=ctx.log.__getitem__)
 
 

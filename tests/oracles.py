@@ -6,6 +6,7 @@ closed form.  The tests compare the two; ``test_oracles.py`` holds the
 one table of (fast route, oracle) pairs.
 """
 
+import random
 from itertools import product
 from math import gcd
 
@@ -108,16 +109,38 @@ def trace_quotient(L, x):
     return ctx.rel_trace(acc)
 
 
+def _passes(ctx, mask, assignment):
+    """The coefficients of ``assignment`` on ``mask``, or None when the
+    transcript vanishes somewhere."""
+    coeffs = [0] * ctx.n
+    for i, a in zip(mask, assignment):
+        coeffs[i] = a
+    return tuple(coeffs) if all(transcript(ctx, coeffs)) else None
+
+
 def _search_by_predicate(ctx, mask):
     """Every assignment to ``mask`` in code order whose transcript never
     vanishes, one whole candidate at a time."""
-    hits = []
-    for assignment in product(range(ctx.order), repeat=len(mask)):
-        coeffs = [0] * ctx.n
-        for i, a in zip(mask, assignment):
-            coeffs[i] = a
-        if all(transcript(ctx, coeffs)):
-            hits.append(tuple(coeffs))
+    hits = (_passes(ctx, mask, a) for a in product(range(ctx.order), repeat=len(mask)))
+    return [h for h in hits if h]
+
+
+def _random_search_by_predicate(ctx, mask, seed, budget):
+    """Random search one draw at a time: a draw not seen before is kept
+    when its transcript never vanishes; the draws stop at the budget, or
+    once every assignment has come up."""
+    rng = random.Random(seed)
+    space = ctx.order ** len(mask)
+    seen, hits = set(), []
+    for _ in range(budget):
+        if len(seen) == space:
+            break
+        assignment = tuple(rng.randrange(ctx.order) for _ in mask)
+        if assignment in seen:
+            continue
+        seen.add(assignment)
+        if hit := _passes(ctx, mask, assignment):
+            hits.append(hit)
     return hits
 
 

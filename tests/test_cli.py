@@ -295,6 +295,15 @@ def test_exit_code_invalid_field():
         assert message in res.stderr and res.stdout == ""
 
 
+def test_orders_far_over_the_cap_exit_3_at_once():
+    # no trial division of p and no p^(m n) before the order meets the cap
+    for args in (("--p", "2305843009213693951", "--n", "1"), ("--p", "3", "--n", "100000000")):
+        res = subprocess.run(BASE + ["search", *args], capture_output=True, text=True, timeout=2)
+        assert res.returncode == 3 and "exceeds cap" in res.stderr, args
+    res = run("search", "--p", "4", "--n", "1")
+    assert res.returncode == 2 and "not prime" in res.stderr
+
+
 def test_exit_code_budget_exceeded(tmp_path):
     res = run("search", "--p", "3", "--n", "9", "--exhaustive")
     assert res.returncode == 3

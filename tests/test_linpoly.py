@@ -157,8 +157,10 @@ def test_search_matches_naive_oracle():
 
 def test_search_beyond_order_4096_is_the_monomials():
     # orders 8192 and 6561, supports (0, 1) and (0, n - 1): only a_0 X
-    # passes, so each head's walk stops at its first 0 of the transcript
-    cases = [(build_field(2, 1, 13), (0, 1)), (build_field(3, 1, 8), (0, 7))]
+    # passes, so each head's walk stops at its first 0 of the transcript;
+    # the supports (0,) and (1,) walk their heads with no tail
+    f8192 = build_field(2, 1, 13)
+    cases = [(f8192, (0, 1)), (build_field(3, 1, 8), (0, 7)), (f8192, (0,)), (f8192, (1,))]
     t0 = time.perf_counter()
     found = [
         [L.coeffs for L in search(ctx, mask, budget=ctx.order**2)] for ctx, mask in cases
@@ -167,7 +169,8 @@ def test_search_beyond_order_4096_is_the_monomials():
     rng = random.Random(13)
     for (ctx, mask), hits in zip(cases, found):
         zeros = (0,) * (ctx.n - 1)
-        assert hits == [(a0,) + zeros for a0 in range(ctx.order) if ctx.tr[a0]]
+        monomials = [(a0,) + zeros for a0 in range(ctx.order) if ctx.tr[a0]]
+        assert hits == (monomials if 0 in mask else [])
         hit_set, misses = set(hits), 0
         while misses < 200:
             coeffs = [0] * ctx.n

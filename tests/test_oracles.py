@@ -8,7 +8,8 @@ ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), failing ones, and
 at n = 4 dual-spread companions, which come from no switching spec.
 Exhaustive search runs on every support of at most 20,000 candidates,
-against the predicate applied to each candidate.
+and random search on draws with and without an early stop, against the
+predicate applied to each candidate.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
 """
@@ -54,6 +55,7 @@ from oracles import (
     _nuclei_all_pairs,
     _nuclei_scan,
     _random_members,
+    _random_search_by_predicate,
     _search_by_predicate,
     _step_by_step_tables,
     _switch_product,
@@ -255,6 +257,18 @@ def _masks(ctx):
     ]
 
 
+def _random_searches(ctx):
+    """Supports with and without index 0 at seeds 0, 1 and 2^64 - 1, on a
+    budget below the space and, where the space is small, one that draws
+    every assignment and stops early."""
+    out = []
+    for mask in ((0,), (ctx.n - 1,), (0, ctx.n - 1)):
+        space = ctx.order ** len(mask)
+        budgets = [min(space // 2, 5000)] + ([20 * space] if space <= 1000 else [])
+        out += [(ctx, mask, s, b) for s in (0, 1, 2**64 - 1) for b in budgets]
+    return out
+
+
 def _higher_support(ctx):
     return [(L,) for (L,) in _polys(ctx) if any(L.coeffs[1:])]
 
@@ -310,6 +324,10 @@ def _transcript(L):
 
 def _search_hits(ctx, mask):
     return [L.coeffs for L in search(ctx, mask)]
+
+
+def _random_search_hits(ctx, mask, seed, budget):
+    return [L.coeffs for L in search(ctx, mask, mode="random", seed=seed, budget=budget)]
 
 
 def _trace_quotients(L):
@@ -368,6 +386,7 @@ PAIRS = [
     pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
     pair(_transcript, _trace_quotients, _polys, "transcript"),
     pair(_search_hits, _search_by_predicate, _masks, "search"),
+    pair(_random_search_hits, _random_search_by_predicate, _random_searches, "search-random"),
     pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),
     pair(_n2_by_criterion, _n2_by_lemma, _n2_polys, "n2_lemma"),
     pair(theta_set, _theta_set_scan, _unit_pairs, "theta_set"),

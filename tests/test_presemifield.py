@@ -28,6 +28,7 @@ from semiswitch import (
     unitalize,
     verify_presemifield,
 )
+from semiswitch import presemifield
 
 from oracles import (
     _center_separating_algebra,
@@ -290,6 +291,18 @@ def test_isotopy_test_commutative_gives_one(f81_n4):
     op = n4_commutative_op(f81_n4, 1, 2)
     ok, witness = commutative_isotopy_test(op)
     assert ok and witness == 1
+
+
+def test_isotopy_test_whole_field_kernel_lists_no_span(monkeypatch):
+    # every v is a witness for the field product, and 1 = gamma^0 comes back
+    # without listing the 3^10 members of the kernel's span
+    op = field_op(build_field(3, 1, 10))
+
+    def no_span(*args):
+        raise AssertionError("the whole-field kernel was listed")
+
+    monkeypatch.setattr(presemifield, "_span", no_span)
+    assert commutative_isotopy_test(op) == (True, 1)
 
 
 def test_isotopy_test_noncommutative_family(f81_n4):

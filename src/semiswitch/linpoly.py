@@ -14,10 +14,12 @@ powers of gamma, and every predicate, search, code and point-count
 caller reads it.  Three facts keep it small.  L is F_q-linear, so
 L(cx)/(cx) = L(x)/x for c in F_q^*: the transcript is constant on F_q^*
 cosets and has period M = (q^n - 1)/(q - 1), not q^n - 1.  a_0 enters
-only through Tr(a_0), so the exhaustive search treats a_0 as one of q
-trace classes and expands each class back into its a_0 values at the
-end.  And the transcript is additive in L, so every search, random
-draws included, walks head transcripts against bitsets of tail tuples.
+only through Tr(a_0), so every search treats a_0 as one of q trace
+classes: exhaustive search expands each class back into its a_0 values
+at the end, random search keeps the draws whose class passes.  And the
+transcript is additive in L, so every search walks head transcripts
+against bitsets of tail tuples: the product of the candidates, or the
+distinct heads and tails of the random draws, split at a computed cut.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -30,8 +32,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import prod
+from itertools import islice, product, repeat
+from math import expm1, log1p, prod
 
 from .errors import BudgetExceeded, read_limit
 from .gf import FieldCtx, _kernel
@@ -126,7 +128,8 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     ``need[k][v]``, is the bitset of tails with value -v at k, built from
     the tails' transcripts when a head first reaches k.  Each head ORs in
     the tails it fails and stops once all have; with the one empty tail
-    ``[()]`` this is the predicate on each head.
+    ``[()]`` this is the predicate on each head.  ``heads`` is any
+    iterable, walked once: a product of choices, or distinct tuples.
     """
     n = ctx.n
     columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
@@ -154,23 +157,41 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     return hits
 
 
+def _a0_classes(ctx):
+    """One a_0 per trace class: t -> t alpha for t in F_q, with Tr(alpha) = 1."""
+    alpha = ctx.tr.index(1)
+    return {t: ctx.mul(t, alpha) for t in ctx.subfield(1)}
+
+
+def _cost(ctx, heads, tails):
+    """The walk of ``heads`` head tuples against ``tails`` tail tuples: a
+    column costs a step per tail, and a head meets 0 after about min(M, q)
+    columns."""
+    M = ctx.trace_step
+    return tails * M + heads * min(M, ctx.q)
+
+
+def _distinct(draws, space):
+    """Expected distinct values among ``draws`` uniform draws from ``space``,
+    S (1 - (1 - 1/S)^D), in a form that does not round to 0 for large S."""
+    return min(draws, -space * expm1(draws * log1p(-1 / space)))
+
+
 def _search_exhaustive(ctx, support):
     """Every passing assignment to ``support``, in code order.
 
-    Index 0 takes one a_0 per trace class, t alpha for t in F_q with
-    Tr(alpha) = 1.  The candidates split into head tuples and a block of
-    T tail tuples (one empty tail after a cut at the end) for :func:`_walk`.
-    The cut minimises T M + (candidates / T) min(M, q): a column costs a
-    step per tail, and a head meets 0 after about min(M, q) columns.
+    Index 0 takes one a_0 per trace class.  The candidates split into head
+    tuples and a block of T tail tuples (one empty tail after a cut at the
+    end) for :func:`_walk`, at the cut of least :func:`_cost`.
     """
-    M, q, fq = ctx.trace_step, ctx.q, ctx.subfield(1)
-    alpha = ctx.tr.index(1)
-    choices = [[ctx.mul(t, alpha) for t in fq] if i == 0 else range(ctx.order) for i in support]
+    choices = [
+        list(_a0_classes(ctx).values()) if i == 0 else range(ctx.order) for i in support
+    ]
     total = prod(map(len, choices))
 
     def cost(cut):
         T = prod(map(len, choices[cut:]))
-        return T * M + total // T * min(M, q)
+        return _cost(ctx, total // T, T)
 
     cut = min(range(len(support), -1, -1), key=cost)
     tails = list(product(*choices[cut:]))
@@ -186,6 +207,51 @@ def _search_exhaustive(ctx, support):
     ]
 
 
+def _search_random(ctx, support, seed, limit):
+    """The distinct passing draws among ``limit`` from ``Random(seed)``, in
+    discovery order.
+
+    Each coefficient is ``randrange(order)`` as CPython draws it: getrandbits
+    of order's bit length, redrawn until below order.  The draws stop early
+    once every assignment has come up.  At the cut of least cost the draws,
+    a_0 taken to its trace class, split into distinct heads and distinct
+    tails (their expected counts from the draws made, plus a step per draw
+    split and per head stored), and the draws whose class tuple passes the
+    walk are kept; a cut at the end walks the draws themselves.
+    """
+    rng = random.Random(seed)
+    space, order = ctx.order ** len(support), ctx.order
+    coeffs = filter(order.__gt__, map(rng.getrandbits, repeat(order.bit_length())))
+    draws, drawn = {}, 0  # distinct draws in discovery order
+    for drawn, draw in enumerate(islice(zip(*[coeffs] * len(support)), limit), 1):
+        draws[draw] = None
+        if len(draws) == space:
+            break
+    sizes = [ctx.q if i == 0 else order for i in support]
+
+    def cost(cut):
+        if cut == len(support):
+            return _cost(ctx, len(draws), 1)
+        H, T = _distinct(drawn, prod(sizes[:cut])), _distinct(drawn, prod(sizes[cut:]))
+        return _cost(ctx, H, T) + len(draws) + H
+
+    # a cut at 0 (every draw a tail) never costs less than no tail
+    cut = min(range(len(support), 0, -1), key=cost)
+    if cut == len(support):
+        return _walk(ctx, support, draws, (), [()])
+
+    classes, tr, has_a0 = _a0_classes(ctx), ctx.tr, support[0] == 0
+
+    def canonical(draw):  # a_0 taken to its trace class
+        return (classes[tr[draw[0]]],) + draw[1:] if has_a0 else draw
+
+    heads, tails = {}, {}
+    for draw in map(canonical, draws):
+        heads[draw[:cut]] = tails[draw[cut:]] = None
+    hits = set(_walk(ctx, support[:cut], heads, support[cut:], list(tails)))
+    return [draw for draw in draws if canonical(draw) in hits]
+
+
 def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     """Find predicate-passing L with the given coefficient support.
 
@@ -196,7 +262,9 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     distinct passing ones in discovery order; it stops early once every
     assignment has been drawn, as every later draw would be a repeat.
     The seed lies in 0..2^64-1: Random folds -s onto s.  Both modes test
-    candidates in :func:`_walk`, a random draw as a head with no tail.
+    candidates in :func:`_walk`, heads against tails split at the cut of
+    least :func:`_cost`; random mode walks each distinct head and tail of
+    its draws once, or at a cut at the end the draws themselves.
     """
     if support is None:
         support = range(ctx.n)
@@ -205,9 +273,9 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
         raise ValueError(f"support indices must lie in 0..{ctx.n - 1}")
     if not support:
         return []
-    limit, space = search_budget(budget), ctx.order ** len(support)
+    limit = search_budget(budget)
     if mode == "exhaustive":
-        if space > limit:
+        if (space := ctx.order ** len(support)) > limit:
             raise BudgetExceeded(
                 f"exhaustive search needs {space} candidates, budget is {limit}"
             )
@@ -215,13 +283,7 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     elif mode == "random":
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
-        rng = random.Random(seed)
-        draws = {}  # distinct draws in discovery order
-        for _ in range(limit):
-            if len(draws) == space:
-                break
-            draws[tuple([rng.randrange(ctx.order) for _ in support])] = None
-        hits = _walk(ctx, support, draws, (), [()])
+        hits = _search_random(ctx, support, seed, limit)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]

@@ -56,6 +56,13 @@ GOLDEN = {
         "31b59a3ebe7e6f2c0b7d5caed19b0099cd5240673a6ba66e0acf2ac9a2a72754",
         EMPTY,
     ),
+    # random draws split into heads and tails, a_0 taken to its trace class
+    "search-random-split": (
+        "search --p 3 --n 4 --mask 0,1,3 --random --seed 2 --budget 30000",
+        0,
+        "37486ce86855b39363cc2412bca11d36e2c90a4af9a627e16e718b378f5142e8",
+        EMPTY,
+    ),
     "search-random-small-space": (
         "search --p 3 --n 2 --random --seed 4 --budget 100000",
         0,
@@ -114,6 +121,12 @@ GOLDEN = {
         "codes --p 2 --n 3 --random --seed 1 --budget 5000",
         0,
         "dd5af69404732acc2e091e318b70eeb68dbadc0711cee607806f13aedc1c9c32",
+        EMPTY,
+    ),
+    "codes-random-split": (
+        "codes --p 5 --n 3 --random --seed 1 --budget 20000",
+        0,
+        "1655d0f7b678e3570731fa966b797b2efc52c9e779142ad30f9bf45dffba4cb7",
         EMPTY,
     ),
     "codes-csv": (

@@ -182,22 +182,69 @@ def test_search_beyond_order_4096_is_the_monomials():
 
 
 def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):
-    draws = []
+    calls = []
 
     class Counting(random.Random):
-        def randrange(self, *args):
-            draws.append(args)
-            return super().randrange(*args)
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
 
     monkeypatch.setattr(linpoly, "random", SimpleNamespace(Random=Counting))
     found = search(f9, mode="random", seed=4, budget=100_000)
-    # replay the same stream until the 81 assignments have all come up
-    rng, seen, needed = random.Random(4), set(), 0
+    searched, calls[:] = calls[:], []
+    # replay the same randrange stream until the 81 assignments have all come up
+    rng, seen, needed = Counting(4), set(), 0
     while len(seen) < f9.order**2:
         seen.add((rng.randrange(f9.order), rng.randrange(f9.order)))
         needed += 1
-    assert len(draws) == 2 * needed < 2 * 100_000
+    assert searched == calls and needed < 100_000
     assert sorted(L.coeffs for L in found) == [L.coeffs for L in search(f9)]
+
+
+def _walk_shapes(monkeypatch, ctx, budget, seed=0):
+    """(heads, tails) of each walk a random search makes, heads counted;
+    the walks themselves are skipped."""
+    shapes = []
+
+    def recording(ctx, head_support, heads, tail_support, tails):
+        shapes.append((len(list(heads)), list(tails)))
+        return []
+
+    monkeypatch.setattr(linpoly, "_walk", recording)
+    search(ctx, mode="random", seed=seed, budget=budget)
+    return shapes
+
+
+def test_random_search_splits_draws_into_heads_and_tails(monkeypatch):
+    # (5,1,3): the draws, a_0 taken to its 5 trace classes, split after a_1
+    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(5, 1, 3), 50_000)
+    assert heads <= 5 * 125 and 1 < len(tails) <= 125
+
+
+def test_random_search_keeps_the_tail_less_walk_where_a_split_costs_more(monkeypatch):
+    # at (3,1,10) a column costs M = 29,524 steps per tail, more than the
+    # 3,000 draws' own walks, as long as the expected head count over a
+    # space of 3^81 class tuples does not round to 0
+    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 10), 3000, seed=5)
+    assert (heads, tails) == (3000, [()])
+    # at (3,1,5) nearly every draw would be a distinct head, so a split
+    # would only add a head dict beside the draws
+    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 5), 200_000)
+    assert tails == [()] and heads > 199_000
+
+
+def test_exhaustive_and_random_search_share_the_cost(f27, monkeypatch):
+    cost, calls = linpoly._cost, []
+
+    def recording(ctx, heads, tails):
+        calls.append(heads)
+        return cost(ctx, heads, tails)
+
+    monkeypatch.setattr(linpoly, "_cost", recording)
+    for mode in ("exhaustive", "random"):
+        calls.clear()
+        search(f27, mode=mode, budget=20_000)
+        assert calls, mode
 
 
 def test_search_random_mode_reproducible(f9):

@@ -260,9 +260,12 @@ def _masks(ctx):
 def _random_searches(ctx):
     """Supports with and without index 0 at seeds 0, 1 and 2^64 - 1, on a
     budget below the space and, where the space is small, one that draws
-    every assignment and stops early."""
+    every assignment and stops early.  At n = 3, support (1, 2) and full
+    support also take splits into head and tail tuples, without and with
+    a_0's trace classes (at n = 2, (0, 1) is full support)."""
     out = []
-    for mask in ((0,), (ctx.n - 1,), (0, ctx.n - 1)):
+    masks = [(0,), (ctx.n - 1,), (0, ctx.n - 1)] + ([(1, 2), (0, 1, 2)] if ctx.n == 3 else [])
+    for mask in masks:
         space = ctx.order ** len(mask)
         budgets = [min(space // 2, 5000)] + ([20 * space] if space <= 1000 else [])
         out += [(ctx, mask, s, b) for s in (0, 1, 2**64 - 1) for b in budgets]

@@ -37,7 +37,7 @@ def main():
 
     for L in hits[: args.show]:
         rep = classify(L, deep=False)
-        if any(L.coeffs[1:]):
+        if not L.is_monomial():
             rep["hws"] = curve_verdicts(L).to_dict()
         print(json.dumps(rep, sort_keys=True))
 

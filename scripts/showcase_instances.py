@@ -15,7 +15,7 @@ from semiswitch.families import classify, n3_construct, theta_set
 
 def show(title, L, deep=True):
     rep = classify(L, deep=deep)
-    if any(L.coeffs[1:]):
+    if not L.is_monomial():
         rep["hws"] = curve_verdicts(L).to_dict()
     print(f"== {title}")
     print(json.dumps(rep, indent=2, sort_keys=True))

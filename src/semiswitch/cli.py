@@ -120,8 +120,11 @@ def _add_mode_args(sub):
 
 def _build_ctx(args):
     modulus = None
-    if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
+    if args.modulus is not None:
+        try:
+            modulus = [int(c) for c in args.modulus.split(",")]
+        except ValueError:
+            raise ValueError(f"--modulus {args.modulus!r} is not a list of integers") from None
     return build_field(args.p, args.m, args.n, modulus=modulus)
 
 

@@ -105,8 +105,6 @@ def ascent_descent(digits):
             asc.extend([i] * diff)
         elif diff < 0:
             des.extend([i] * (-diff))
-    if len(asc) != len(des):
-        raise AssertionError("cyclic ascents and descents must balance")
     return tuple(sorted(asc)), tuple(sorted(des)), len(asc)
 
 

@@ -145,7 +145,7 @@ def matches_n3(L):
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
     t = ctx.div(c1, ctx.mul(w, v))
     # norm-1 elements are exactly the (q-1)-th powers, so a^(q-1) = t has a root
-    a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
+    a = ctx.exp[ctx.log[t] // (q - 1)]
     return u, v, ctx.div(c0, w), a
 
 

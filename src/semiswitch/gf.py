@@ -312,7 +312,6 @@ class FieldCtx:
         self._build_tables()
         # q^i - 1 for i in 0..n-1, used all over for x -> x^(q^i - 1)
         self.qpow_minus1 = tuple(self.q**i - 1 for i in range(n))
-        self._subfields = {}
 
     # ---- construction helpers ----
 
@@ -448,27 +447,11 @@ class FieldCtx:
         """Nonzero codes in code order."""
         return range(1, self.order)
 
-    def star_units(self):
-        """Nonzero elements in gamma-power order: gamma^0, gamma^1, ..."""
-        return self.exp
-
     def subfield(self, d=1):
         """Elements of F_{q^d}, zero first then powers of a generator."""
         if d < 1 or self.n % d:
             raise ValueError(f"d = {d} does not divide n = {self.n}")
-        if d not in self._subfields:
-            sub_order = self.q**d
-            step = self.mult_order // (sub_order - 1)
-            elems = [0] + [self.exp[k * step] for k in range(sub_order - 1)]
-            self._subfields[d] = tuple(elems)
-        return self._subfields[d]
-
-    # ---- dual element views ----
-
-    def from_index(self, k):
-        if k is None:
-            return 0
-        return self.exp[k % self.mult_order]
+        return (0, *self.exp[:: self.mult_order // (self.q**d - 1)])
 
     # ---- serialization ----
 

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product, repeat
-from math import expm1, log1p, prod
+from math import prod
 
 from .errors import BudgetExceeded, read_limit
 from .gf import FieldCtx, _kernel
@@ -171,12 +171,6 @@ def _cost(ctx, heads, tails):
     return tails * M + heads * min(M, ctx.q)
 
 
-def _distinct(draws, space):
-    """Expected distinct values among ``draws`` uniform draws from ``space``,
-    S (1 - (1 - 1/S)^D), in a form that does not round to 0 for large S."""
-    return min(draws, -space * expm1(draws * log1p(-1 / space)))
-
-
 def _search_exhaustive(ctx, support):
     """Every passing assignment to ``support``, in code order.
 
@@ -193,7 +187,8 @@ def _search_exhaustive(ctx, support):
         T = prod(map(len, choices[cut:]))
         return _cost(ctx, total // T, T)
 
-    cut = min(range(len(support), -1, -1), key=cost)
+    # a cut at 0 (every candidate a tail) never costs less than no tail
+    cut = min(range(len(support), 0, -1), key=cost)
     tails = list(product(*choices[cut:]))
     hits = _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
     if support[0] != 0:
@@ -215,9 +210,10 @@ def _search_random(ctx, support, seed, limit):
     of order's bit length, redrawn until below order.  The draws stop early
     once every assignment has come up.  At the cut of least cost the draws,
     a_0 taken to its trace class, split into distinct heads and distinct
-    tails (their expected counts from the draws made, plus a step per draw
-    split and per head stored), and the draws whose class tuple passes the
-    walk are kept; a cut at the end walks the draws themselves.
+    tails, and the draws whose class tuple passes the walk are kept; a cut
+    at the end walks the draws themselves.  The cost bounds each distinct
+    count by the exact integer min(draws made, head or tail tuples), and
+    adds a step per draw split and per head stored.
     """
     rng = random.Random(seed)
     space, order = ctx.order ** len(support), ctx.order
@@ -232,7 +228,7 @@ def _search_random(ctx, support, seed, limit):
     def cost(cut):
         if cut == len(support):
             return _cost(ctx, len(draws), 1)
-        H, T = _distinct(drawn, prod(sizes[:cut])), _distinct(drawn, prod(sizes[cut:]))
+        H, T = min(drawn, prod(sizes[:cut])), min(drawn, prod(sizes[cut:]))
         return _cost(ctx, H, T) + len(draws) + H
 
     # a cut at 0 (every draw a tail) never costs less than no tail
@@ -264,7 +260,8 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     The seed lies in 0..2^64-1: Random folds -s onto s.  Both modes test
     candidates in :func:`_walk`, heads against tails split at the cut of
     least :func:`_cost`; random mode walks each distinct head and tail of
-    its draws once, or at a cut at the end the draws themselves.
+    its draws once, or at a cut at the end the draws themselves, and
+    counts at most min(draws made, head or tail tuples) of each.
     """
     if support is None:
         support = range(ctx.n)

@@ -278,7 +278,7 @@ def _isotopy_scan(op):
     ctx = op.ctx
     A = {op(x, 1): x for x in ctx.elements()}
     basis = ctx.exp[: ctx.n]
-    for v in ctx.star_units():
+    for v in ctx.exp:
         w = [A[op(v, e)] for e in basis]
         if all(
             op(w[i], basis[j]) == op(w[j], basis[i])
@@ -368,14 +368,14 @@ def _theta_set_scan(ctx, u, v):
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
     rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
     out = [x for x in [0] if ctx.rel_trace(0) == rhs]
-    return out + [x for x in ctx.star_units() if ctx.rel_trace(ctx.mul(w, x)) == rhs]
+    return out + [x for x in ctx.exp if ctx.rel_trace(ctx.mul(w, x)) == rhs]
 
 
 def _random_members(ctx, rng, count):
     """Coefficients of ``count`` random degree-3 family members, by construction."""
     out = []
     while len(out) < count:
-        u, v, a = (ctx.from_index(rng.randrange(ctx.mult_order)) for _ in range(3))
+        u, v, a = (ctx.exp[rng.randrange(ctx.mult_order)] for _ in range(3))
         if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
             continue
         theta = rng.choice(theta_set(ctx, u, v))
@@ -392,8 +392,8 @@ def _matches_n3_scan(L):
     if c1 == 0 or c2 == 0:
         return None
     q = ctx.q
-    for u in ctx.star_units():
-        for v in ctx.star_units():
+    for u in ctx.exp:
+        for v in ctx.exp:
             if ctx.rel_norm(ctx.neg(ctx.div(v, u))) == 1:
                 continue
             w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
@@ -405,7 +405,7 @@ def _matches_n3_scan(L):
             theta = ctx.div(c0, w)
             rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
             if ctx.rel_trace(ctx.mul(w, theta)) == rhs:
-                a = 1 if t == 1 else ctx.from_index(ctx.log[t] // (q - 1))
+                a = 1 if t == 1 else ctx.exp[ctx.log[t] // (q - 1)]
                 return u, v, theta, a
     return None
 

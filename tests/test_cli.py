@@ -289,6 +289,7 @@ def test_exit_code_invalid_field():
         ("1,0,4", "coefficient 4 is outside 0..2"),
         ("-2,0,1", "coefficient -2 is outside 0..2"),
         ("2,0,2", "monic (leading coefficient 2)"),
+        ("", "--modulus"),  # empty is not the default modulus
     ):
         res = run("search", "--p", "3", "--n", "2", f"--modulus={modulus}")
         assert res.returncode == 2

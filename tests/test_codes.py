@@ -103,7 +103,7 @@ def test_codeword_matches_trace_quotient(f9, f27, f16_q4, f81_q9):
             coeffs = tuple(rng.randrange(ctx.order) for _ in range(ctx.n))
             w = trace_codeword(ctx, coeffs)
             L = LinearizedPoly(ctx, coeffs)
-            xs = ctx.star_units()
+            xs = ctx.exp
             assert len(w.values) == ctx.mult_order
             for k, x in enumerate(xs):
                 assert w.values[k] == trace_quotient(L, x)

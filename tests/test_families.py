@@ -204,7 +204,7 @@ def test_matches_n3_agrees_with_scan(shape, members, randoms):
 def test_matches_n3_worst_case_is_fast():
     # u = gamma^(q-2) is the last norm class the (u, v) scan reaches
     ctx = build_field(2, 5, 3)
-    u = ctx.from_index(ctx.q - 2)
+    u = ctx.exp[ctx.q - 2]
     theta = theta_set(ctx, u, 1)[0]
     L = n3_construct(ctx, u, 1, theta).poly
     start = time.perf_counter()

@@ -1,5 +1,6 @@
 """Field arithmetic: construction, tables, Frobenius, trace, norm, subfields."""
 
+import copy
 import json
 import random
 import time
@@ -158,9 +159,31 @@ def test_subfield_enumeration(f64_q4, f81_q9):
 
 def test_dual_representation_roundtrip(f9, f64_q4):
     for ctx in (f9, f64_q4):
-        for x in ctx.elements():
-            assert ctx.from_index(ctx.log[x]) == x
+        # exp lists each unit once, and log inverts it
+        assert sorted(ctx.exp) == list(ctx.units())
+        for k, x in enumerate(ctx.exp):
+            assert ctx.log[x] == k
         assert ctx.log[0] is None
+
+
+def test_field_state_is_fixed_after_construction():
+    ctx = build_field(3, 1, 4)
+    before = copy.deepcopy(vars(ctx))
+    x, y = ctx.generator, ctx.add(ctx.generator, 1)
+    calls = {
+        "add": (x, y), "neg": (x,), "sub": (x, y), "mul": (x, y), "inv": (x,),
+        "div": (x, y), "pow": (x, -5), "frobenius": (x, 3), "rel_trace": (x,),
+        "rel_norm": (x,), "in_subfield": (x, 2), "elements": (), "units": (),
+        "to_spec": (),
+    }
+    public = {k for k in dir(ctx) if not k.startswith("_") and callable(getattr(ctx, k))}
+    assert public == set(calls) | {"subfield"}
+    for name, args in calls.items():
+        getattr(ctx, name)(*args)
+    for d in (1, 2, 4):
+        ctx.subfield(d)
+    repr(ctx)
+    assert vars(ctx) == before
 
 
 def test_reducible_modulus_rejected():

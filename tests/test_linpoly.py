@@ -201,36 +201,45 @@ def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):
     assert sorted(L.coeffs for L in found) == [L.coeffs for L in search(f9)]
 
 
-def _walk_shapes(monkeypatch, ctx, budget, seed=0):
-    """(heads, tails) of each walk a random search makes, heads counted;
-    the walks themselves are skipped."""
+def _walk_shapes(monkeypatch, ctx, budget, seed=0, support=None):
+    """(cut, heads, tails) of each walk a random search makes, heads and
+    tails counted; the walks themselves are skipped."""
     shapes = []
 
     def recording(ctx, head_support, heads, tail_support, tails):
-        shapes.append((len(list(heads)), list(tails)))
+        shapes.append((len(head_support), len(list(heads)), len(tails)))
         return []
 
     monkeypatch.setattr(linpoly, "_walk", recording)
-    search(ctx, mode="random", seed=seed, budget=budget)
+    search(ctx, support, mode="random", seed=seed, budget=budget)
     return shapes
 
 
 def test_random_search_splits_draws_into_heads_and_tails(monkeypatch):
-    # (5,1,3): the draws, a_0 taken to its 5 trace classes, split after a_1
-    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(5, 1, 3), 50_000)
-    assert heads <= 5 * 125 and 1 < len(tails) <= 125
+    # full support, the draws' a_0 taken to its q trace classes: the cut
+    # and the distinct head and tail counts of each split
+    for shape, draws, seed, walk in (
+        ((5, 1, 3), 50_000, 0, (2, 625, 125)),
+        ((3, 1, 4), 50_000, 1, (3, 18_124, 81)),
+        ((7, 1, 3), 100_000, 2, (2, 2_401, 343)),
+    ):
+        assert _walk_shapes(monkeypatch, build_field(*shape), draws, seed) == [walk], shape
 
 
 def test_random_search_keeps_the_tail_less_walk_where_a_split_costs_more(monkeypatch):
     # at (3,1,10) a column costs M = 29,524 steps per tail, more than the
-    # 3,000 draws' own walks, as long as the expected head count over a
-    # space of 3^81 class tuples does not round to 0
-    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 10), 3000, seed=5)
-    assert (heads, tails) == (3000, [()])
+    # 3,000 draws' own walks; the head count is the integer min(draws,
+    # 3^81 class tuples), exact at any size
+    ctx = build_field(3, 1, 10)
+    assert _walk_shapes(monkeypatch, ctx, 3000, seed=5) == [(10, 3000, 1)]
+    # on support (0, 9) a split would walk at most 3 heads but 59,049 tails
+    assert _walk_shapes(monkeypatch, ctx, 200_000, seed=3, support=(0, 9)) == [
+        (2, 199_997, 1)
+    ]
     # at (3,1,5) nearly every draw would be a distinct head, so a split
     # would only add a head dict beside the draws
-    [(heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 5), 200_000)
-    assert tails == [()] and heads > 199_000
+    [(cut, heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 5), 200_000)
+    assert (cut, tails) == (5, 1) and heads > 199_000
 
 
 def test_exhaustive_and_random_search_share_the_cost(f27, monkeypatch):

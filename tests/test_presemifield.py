@@ -155,7 +155,7 @@ def test_unitalize_reads_only_basis_images():
     # at F_{32^3}: m n = 15 images per side map and the identity on the
     # F_p-basis, so at most 4 m n = 60 op calls (not 4 q^n = 131,072)
     ctx = build_field(2, 5, 3)
-    u = ctx.from_index(ctx.q - 2)
+    u = ctx.exp[ctx.q - 2]
     op = build_switch(switch_spec_for(n3_construct(ctx, u, 1, theta_set(ctx, u, 1)[0]).poly))
     calls = []
 

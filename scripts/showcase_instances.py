@@ -24,7 +24,11 @@ def show(title, L, deep=True):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shallow", action="store_true", help="skip the isotopy scan")
+    parser.add_argument(
+        "--shallow",
+        action="store_true",
+        help="skip the switched-product report (zero-divisor walk, nuclei, isotopy test)",
+    )
     args = parser.parse_args()
     deep = not args.shallow
 

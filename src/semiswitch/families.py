@@ -219,24 +219,20 @@ VERDICTS = ("predicate", "presemifield")
 def classify(L, deep=True):
     """Both verdicts on L, and the family and behaviour report of a passing L.
 
-    deep=True walks the canonical switch for zero divisors once, and a
-    walk that disagrees with the trace predicate raises ConsistencyError.
-    A failing L is then reported with the walk's zero divisor and no
-    family test; a passing one with its families and, deeply, the
-    commutativity, commutative-isotopy witness and nuclei sizes of its
-    switched product.  deep=False builds no op.
+    deep=True walks the canonical switch for zero divisors once, passing
+    or failing, and a walk that disagrees with the trace predicate raises
+    ConsistencyError.  A failing L is then reported with the walk's zero
+    divisor and no family test; a passing one with its families and,
+    deeply, the commutativity, commutative-isotopy witness and nuclei
+    sizes of its switched product.  deep=False builds no op.
     """
     ctx = L.ctx
     predicate = switching_predicate(L)
     if deep:
         spec = switch_spec_for(L)
         op = build_switch(spec)
-        if predicate:
-            walk = verify_presemifield(op)
-        else:
-            zero_divisor = presemifield.find_zero_divisor(op)
-            walk = zero_divisor is None
-        if walk != predicate:
+        zero_divisor = presemifield.find_zero_divisor(op)
+        if (walk := zero_divisor is None) != predicate:
             raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
     report = {"coeffs": list(L.coeffs), "predicate": predicate}
     if not predicate:

@@ -295,10 +295,10 @@ class FieldCtx:
         if modulus is None:
             modulus = _find_modulus(p, deg)
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(modulus)
             for c in modulus:
-                if not 0 <= c < p:
-                    raise ValueError(f"modulus coefficient {c} is outside 0..{p - 1}")
+                if type(c) is not int or not 0 <= c < p:
+                    raise ValueError(f"modulus coefficient {c!r} is outside 0..{p - 1}")
             if len(modulus) != deg + 1:
                 raise ValueError(
                     f"modulus must be monic of degree {deg} (got {len(modulus) - 1})"

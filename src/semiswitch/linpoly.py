@@ -48,16 +48,19 @@ def search_budget(budget=None):
 
 @dataclass(frozen=True)
 class LinearizedPoly:
+    """sum_i a_i X^(q^i); the one check of a coefficient tuple, which coerces nothing."""
+
     ctx: FieldCtx
     coeffs: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) != self.ctx.n:
             raise ValueError(f"need {self.ctx.n} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
         for c in self.coeffs:
-            if not 0 <= c < self.ctx.order:
-                raise ValueError(f"coefficient {c} out of range")
+            # type() rather than isinstance(): bools are ints too
+            if type(c) is not int or not 0 <= c < self.ctx.order:
+                raise ValueError(f"coefficient {c!r} is not an int in 0..{self.ctx.order - 1}")
 
     @cached_property
     def _terms(self):
@@ -257,17 +260,19 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order; it stops early once every
     assignment has been drawn, as every later draw would be a repeat.
-    The seed lies in 0..2^64-1: Random folds -s onto s.  Both modes test
+    The seed lies in 0..2^64-1: Random folds -s onto s.  ``support`` holds
+    distinct int indices in 0..n-1, in any order.  Both modes test
     candidates in :func:`_walk`, heads against tails split at the cut of
     least :func:`_cost`; random mode walks each distinct head and tail of
     its draws once, or at a cut at the end the draws themselves, and
     counts at most min(draws made, head or tail tuples) of each.
     """
-    if support is None:
-        support = range(ctx.n)
-    support = tuple(sorted(set(int(i) for i in support)))
-    if support and not (0 <= support[0] and support[-1] < ctx.n):
+    support = tuple(range(ctx.n) if support is None else support)
+    if not all(type(i) is int and 0 <= i < ctx.n for i in support):
         raise ValueError(f"support indices must lie in 0..{ctx.n - 1}")
+    if len(set(support)) < len(support):
+        raise ValueError(f"support indices must be distinct, got {list(support)}")
+    support = tuple(sorted(support))
     if not support:
         return []
     limit = search_budget(budget)

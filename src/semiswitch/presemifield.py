@@ -24,11 +24,11 @@ cancellation needs one kernel per F_q^* orbit of units, and the only
 kernel listed in full, by ``_span``, is the isotopy test's, whose
 witness is its member of smallest discrete log.
 
-One walk, ``find_zero_divisor``, decides cancellation and finds its
-witness; ``verify_presemifield`` only asks whether it found one.
-Bilinearity is assumed, not checked.  The walk makes no reference to
-the trace criterion, so that ``predicate_equivalence_check`` can
-compare the two routes as independent computations.
+One walk, ``find_zero_divisor``, decides cancellation, finds its
+witness and sets ``op.verified``; ``verify_presemifield`` asks only
+whether it found one.  Bilinearity is assumed, not checked.  The walk
+never reads the trace criterion, so ``predicate_equivalence_check``
+compares the two routes as independent computations.
 """
 
 from __future__ import annotations
@@ -43,20 +43,15 @@ from .linpoly import LinearizedPoly, transcript
 
 @dataclass(frozen=True)
 class SwitchSpec:
-    """Parameters (b, xi) of a switching over a fixed field context."""
+    """Switching parameters: b checked as LinearizedPoly coefficients, xi a nonzero int."""
 
     ctx: FieldCtx
     b: tuple
     xi: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "b", tuple(int(c) for c in self.b))
-        if len(self.b) != self.ctx.n:
-            raise ValueError(f"b must have {self.ctx.n} entries")
-        for c in self.b:
-            if not 0 <= c < self.ctx.order:
-                raise ValueError(f"b entry {c} out of range")
-        if not 0 < self.xi < self.ctx.order:
+        object.__setattr__(self, "b", LinearizedPoly(self.ctx, self.b).coeffs)
+        if type(self.xi) is not int or not 0 < self.xi < self.ctx.order:
             raise ValueError("xi must be a nonzero element code")
 
     def bilinear_form(self, x, y):
@@ -138,10 +133,9 @@ def verify_presemifield(op):
     """Whether every one-sided product by a nonzero element is a bijection.
 
     Both sides fail together, at a zero divisor x*y = 0, so this is the
-    question ``find_zero_divisor`` answers.
+    question ``find_zero_divisor`` answers (and records on the op).
     """
-    op.verified = find_zero_divisor(op) is None
-    return op.verified
+    return find_zero_divisor(op) is None
 
 
 def find_zero_divisor(op):
@@ -152,7 +146,8 @@ def find_zero_divisor(op):
     y, would meet first.  Since (c x)*y = c (x*y) for c in F_q, that
     kernel is the same on the whole orbit gamma^k F_q^* = exp[k::M] of
     x, M = (q^n-1)/(q-1): only the first member met of each orbit is
-    tried, and its first zero divisor is the first of the orbit's.
+    tried, and its first zero divisor is the first of the orbit's.  The
+    verdict, whether the op is a presemifield, is set as ``op.verified``.
     """
     ctx = op.ctx
     M, log = ctx.trace_step, ctx.log
@@ -164,7 +159,9 @@ def find_zero_divisor(op):
         seen[k] = 1
         kernel = _kernel(ctx, lambda y: (op(x, y),))
         if kernel:
+            op.verified = False
             return (x, kernel[0])
+    op.verified = True
     return None
 
 

@@ -70,8 +70,9 @@ def test_search_mask_matches_library():
 
 
 def test_search_mask_records_searched_support():
-    # a mask is a set of indices: order and repeats do not change the search
-    messy = run("search", "--p", "3", "--n", "3", "--mask", "2,0,0", "--exhaustive")
+    # a mask lists distinct indices: their order does not change the search,
+    # and a repeated one exits 2 (see test_exit_code_negative_budget)
+    messy = run("search", "--p", "3", "--n", "3", "--mask", "2,0", "--exhaustive")
     clean = run("search", "--p", "3", "--n", "3", "--mask", "0,2", "--exhaustive")
     assert messy.returncode == clean.returncode == 0
     assert records(messy.stdout)[0]["mask"] == [0, 2]
@@ -189,14 +190,14 @@ def test_failing_row_that_verifies_is_a_consistency_failure(tmp_path, capsys, mo
 def test_passing_row_that_fails_verification_is_a_consistency_failure(
     tmp_path, capsys, monkeypatch, command
 ):
-    from semiswitch import build_field, families, search
+    from semiswitch import build_field, presemifield, search
 
     first = list(search(build_field(3, 1, 2))[0].coeffs)
     infile = tmp_path / "row.jsonl"
     infile.write_text(json.dumps({"coeffs": first}) + "\n")
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"earlier output\n")
-    monkeypatch.setattr(families, "verify_presemifield", lambda op: False)
+    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: (1, 1))
     argv = [command, "--p", "3", "--n", "2", "--out", str(out)]
     argv += [str(infile)] if command == "verify" else []
     assert cli.main(argv) == 4
@@ -336,10 +337,14 @@ def test_exit_code_budget_exceeded(tmp_path):
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "-1"}, "field cap"),
         (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "abc"}, "SEMISWITCH_SEARCH_BUDGET"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "abc"}, "SEMISWITCH_FIELD_CAP"),
+        (("search", "--mask="), {}, "--mask '' is not a list of integers"),
+        (("search", "--mask", "0,,1"), {}, "--mask '0,,1' is not a list of integers"),
+        (("search", "--mask=0,0"), {}, "support indices must be distinct, got [0, 0]"),
     ],
     ids=[
         "search-random", "search-exhaustive", "codes", "search-seed", "codes-seed",
         "env", "field-cap", "env-not-int", "field-cap-not-int",
+        "mask-empty", "mask-empty-entry", "mask-repeat",
     ],
 )
 def test_exit_code_negative_budget(args, env, word):

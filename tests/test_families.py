@@ -321,11 +321,11 @@ def test_classify_failing_row_is_both_verdicts_and_a_zero_divisor(f9, monkeypatc
 
 
 def test_classify_raises_when_the_two_routes_disagree(f9, monkeypatch):
-    from semiswitch import families, presemifield
+    from semiswitch import presemifield
 
-    monkeypatch.setattr(families, "verify_presemifield", lambda op: False)
-    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: None)
-    for L in (search(f9)[0], LinearizedPoly(f9, (0, 0))):
+    # classify's one walk, told a zero divisor for the passing L and none for the failing L
+    for L, walk in ((search(f9)[0], (1, 1)), (LinearizedPoly(f9, (0, 0)), None)):
+        monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op, walk=walk: walk)
         with pytest.raises(ConsistencyError) as info:
             classify(L)
         assert info.value.witness == L.coeffs

@@ -191,8 +191,8 @@ def test_reducible_modulus_rejected():
         build_field(2, 1, 2, modulus=(1, 0, 1))  # X^2+1 = (X+1)^2 over F_2
     with pytest.raises(ValueError):
         build_field(2, 1, 2, modulus=(0, 1, 1))  # X^2+X has the root 0
-    # entries are taken as given, not reduced mod p
-    for modulus in ((1, 0, 4), (-2, 0, 1)):
+    # entries are taken as given, not reduced mod p nor coerced to int
+    for modulus in ((1, 0, 4), (-2, 0, 1), (1.5, 0, 1), (True, 0, 1)):
         with pytest.raises(ValueError, match=r"outside 0\.\.2"):
             build_field(3, 1, 2, modulus=modulus)
     with pytest.raises(ValueError, match=r"monic \(leading coefficient 2\)"):

@@ -52,6 +52,13 @@ def test_coeff_length_enforced(f9):
         LinearizedPoly(f9, (1, 0, 0))
 
 
+def test_coeffs_must_be_int_codes(f9):
+    # type() rather than isinstance(): a bool is rejected, not read as 1
+    for coeffs in ((1.5, 0), (True, 0), (9, 0), (-1, 0)):
+        with pytest.raises(ValueError, match=r"is not an int in 0\.\.8"):
+            LinearizedPoly(f9, coeffs)
+
+
 def test_trace_quotient_constant_family(f9):
     # L = bX gives the constant Tr(b) on units
     for b in f9.elements():
@@ -128,6 +135,10 @@ def test_search_restricted_support(f9):
     assert all(L.coeffs[0] == 0 for L in hits)
     full = [L for L in search(f9, mode="exhaustive") if L.coeffs[0] == 0]
     assert [L.coeffs for L in hits] == [L.coeffs for L in full]
+    # a support lists distinct int indices in 0..n-1, never coerced
+    for support, message in (([1.7], "lie in"), ([True], "lie in"), ([1, 1], "distinct")):
+        with pytest.raises(ValueError, match=message):
+            search(f9, support)
 
 
 def test_search_budget(f9):

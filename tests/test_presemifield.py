@@ -54,6 +54,13 @@ def test_xi_zero_rejected(f9):
         SwitchSpec(f9, (1, 0), xi=0)
 
 
+def test_spec_entries_must_be_int_codes(f9):
+    # b is checked as LinearizedPoly coefficients are, and no entry is coerced
+    for b, xi in (((True, 0), 1), ((1, 0), True)):
+        with pytest.raises(ValueError):
+            SwitchSpec(f9, b, xi=xi)
+
+
 def test_field_op_is_presemifield(f9):
     assert verify_presemifield(field_op(f9))
 
@@ -85,6 +92,11 @@ def test_failing_spec_has_zero_divisor(f9):
     assert bad is not None
     op = build_switch(bad)
     assert not verify_presemifield(op)
+    # the walk records its verdict on a fresh op, passing or failing
+    for fresh in (build_switch(switch_spec_for(search(f9)[0])), build_switch(bad)):
+        assert fresh.verified is None
+        result = find_zero_divisor(fresh)
+        assert fresh.verified is (result is None)
     wit = find_zero_divisor(op)
     assert wit is not None
     x, a = wit

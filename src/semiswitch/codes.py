@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linpoly
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .linpoly import LinearizedPoly, transcript
 
 
@@ -36,6 +36,8 @@ def cyclotomic_coset(base, modulus, e):
     Modulus 1 is allowed: F_2 over F_2 has q^n - 1 = 1, and the coset of
     0 mod 1 is {0}.
     """
+    for name, v in (("base", base), ("modulus", modulus), ("e", e)):
+        require_int(v, name)
     if modulus < 1:
         raise ValueError("modulus must be at least 1")
     if gcd(base, modulus) != 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import codes
-from .errors import BudgetExceeded, read_limit
+from .errors import BudgetExceeded, read_limit, require_int
 from .gf import build_field
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
@@ -29,9 +29,10 @@ class DigitVector:
     digits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        require_int(self.q, "q")
+        object.__setattr__(self, "digits", tuple(self.digits))
         for d in self.digits:
-            if not 0 <= d < self.q:
+            if not 0 <= require_int(d, "digit") < self.q:
                 raise ValueError(f"digit {d} out of range for q = {self.q}")
 
     @property
@@ -140,15 +141,8 @@ def power_expansion(L):
         for e1, c1 in result.items():
             for e2, c2 in base.items():
                 e = reduce_exponent(q, n, e1 + e2)
-                c = ctx.mul(c1, c2)
-                if c:
-                    prev = nxt.get(e, 0)
-                    s = ctx.add(prev, c)
-                    if s:
-                        nxt[e] = s
-                    elif e in nxt:
-                        del nxt[e]
-        result = nxt
+                nxt[e] = ctx.add(nxt.get(e, 0), ctx.mul(c1, c2))
+        result = {e: c for e, c in nxt.items() if c}
     return result
 
 

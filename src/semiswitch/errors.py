@@ -4,7 +4,8 @@ ValueError is used for plain bad input everywhere; the two classes here
 mark conditions a caller may want to treat specially: blowing a size
 budget, and finding a counterexample to something the library asserts
 can never happen (which means a bug, not bad input).  :func:`read_limit`
-is the one reader of every size budget.
+is the one reader of every size budget, and :func:`require_int` the one
+type check of a number that the library would otherwise coerce.
 """
 
 import os
@@ -13,8 +14,8 @@ import os
 def read_limit(value, default, name, env=None):
     """``value``, else the int in environment variable ``env``, else ``default``.
 
-    Raises ValueError, naming ``name`` or ``env``, for a negative limit
-    or a non-integer environment value.
+    Raises ValueError, naming ``name`` or ``env``, for a limit that is
+    negative or not an int, or a non-integer environment value.
     """
     if value is None:
         raw = os.environ.get(env) if env else None
@@ -22,8 +23,15 @@ def read_limit(value, default, name, env=None):
             value = default if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 0:
+    if require_int(value, name) < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def require_int(value, name):
+    """``value`` if it is an int; ValueError, naming ``name``, for a bool or any other type."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
     return value
 
 

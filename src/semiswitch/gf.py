@@ -7,7 +7,10 @@ multiplicative identity.  A :class:`FieldCtx` holds exactly three
 tables of field-order size: ``exp`` and ``log`` for a deterministic
 primitive element ``gamma``, and the relative trace ``tr``.  Frobenius,
 the relative norm and every other power map are one index read on
-``exp``, so hot loops reduce to list lookups.
+``exp``, so hot loops reduce to list lookups.  So is addition for odd p,
+as a + b = b (1 + a/b): the digits are coefficients in the polynomial
+basis, so adding 1 moves only the constant digit, p - 1 wrapping to 0
+with no carry.  For p = 2 addition is XOR.
 
 Subfields need no separate machinery: F_{q^d} (d | n) is the set of
 codes fixed by ``x -> x**(q**d)`` and its arithmetic is the ambient one.
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import BudgetExceeded, ConsistencyError, read_limit
+from .errors import BudgetExceeded, ConsistencyError, read_limit, require_int
 
 DEFAULT_FIELD_CAP = 1 << 22
 
@@ -220,11 +223,7 @@ def _poly_gcd(a, b, p):
                 return i
         return -1
 
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
+    while (db := deg(b)) >= 0:
         inv = pow(b[db], p - 2, p)
         while deg(a) >= db:
             da = deg(a)
@@ -236,10 +235,8 @@ def _poly_gcd(a, b, p):
 
 
 def _is_irreducible(mod, p):
-    """Rabin test for a monic polynomial over F_p."""
+    """Rabin test for a monic polynomial of degree >= 1 over F_p."""
     d = len(mod) - 1
-    if d < 1 or mod[d] != 1:
-        return False
     if d == 1:
         return True
     x = [0, 1]
@@ -276,6 +273,8 @@ class FieldCtx:
 
     def __init__(self, p, m, n, modulus=None, cap=None):
         cap = read_limit(cap, DEFAULT_FIELD_CAP, "field cap", "SEMISWITCH_FIELD_CAP")
+        for name, v in (("p", p), ("m", m), ("n", n)):
+            require_int(v, name)
         # trial division only for p <= cap: a larger p puts the order over the cap
         if p < 2 or p <= cap and not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
@@ -310,8 +309,7 @@ class FieldCtx:
         self.modulus = modulus
         self.generator = self._find_generator()
         self._build_tables()
-        # q^i - 1 for i in 0..n-1, used all over for x -> x^(q^i - 1)
-        self.qpow_minus1 = tuple(self.q**i - 1 for i in range(n))
+        self.qpow_minus1 = tuple(self.q**i - 1 for i in range(n))  # the exponents of L(x)/x
 
     # ---- construction helpers ----
 
@@ -378,16 +376,19 @@ class FieldCtx:
     # ---- basic arithmetic ----
 
     def add(self, a, b):
+        """a ^ b for p = 2, else b (1 + a/b) on exp and log (module docstring)."""
         p = self.p
         if p == 2:
             return a ^ b
-        s, mult = 0, 1
-        while a or b:
-            s += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return s
+        if a < p and b < p:  # F_p values
+            return (a + b) % p
+        if not a or not b:
+            return a or b
+        exp, log, N = self.exp, self.log, self.mult_order
+        # exp[i - N] is exp[i] for 0 <= i < 2N, so neither read needs a mod
+        c = exp[log[a] - log[b]]  # a/b
+        c = c + 1 if (c + 1) % p else c + 1 - p  # only the constant digit moves
+        return exp[log[c] + log[b] - N] if c else 0
 
     def neg(self, a):
         return self.mul(self.p - 1, a)  # the code p - 1 is -1

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import gcd, isqrt
 
-from .errors import ConsistencyError
 from .linpoly import transcript
 
 
@@ -119,10 +118,7 @@ def curve_verdicts(L):
     ctx = L.ctx
     q, n = ctx.q, ctx.n
     ell, argmin_j = min_max_leader(L)
-    prod = (q - 1) * (ell - 1)
-    if prod % 2:
-        raise ConsistencyError("(q-1)(ell-1) must be even", witness=(q, ell))
-    genus = prod // 2
+    genus = (q - 1) * (ell - 1) // 2
     s = serre_term(q, n)
     window = genus * s
     t_nonzero, t_zero = leader_thresholds(q, n)

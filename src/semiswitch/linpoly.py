@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import islice, product, repeat
 from math import prod
 
-from .errors import BudgetExceeded, read_limit
+from .errors import BudgetExceeded, read_limit, require_int
 from .gf import FieldCtx, _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
@@ -68,7 +68,7 @@ class LinearizedPoly:
         log, q = self.ctx.log, self.ctx.q
         return tuple((log[a], q**i) for i, a in enumerate(self.coeffs) if a)
 
-    def eval(self, x):
+    def __call__(self, x):
         """L(x) = sum_i exp[(log a_i + q^i log x) mod N], strided reads as in transcript."""
         if x == 0:
             return 0
@@ -78,8 +78,6 @@ class LinearizedPoly:
         for s, e in self._terms:
             acc = add(acc, exp[(s + e * k) % N])
         return acc
-
-    __call__ = eval
 
     def is_monomial(self):
         """Only the X term present (a_i = 0 for all i >= 1)."""
@@ -138,25 +136,25 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
+
+    def column(k):
+        if k == len(need):  # the first head to reach column k builds it
+            need.append(built := {})
+            for j, w in enumerate(next(columns)):
+                built[neg[w]] = built.get(neg[w], 0) | 1 << j
+        return need[k]
+
     for head in heads:
-        failed, values = 0, transcript(ctx, _coeffs(n, head_support, head))
-        for column, v in zip(need, values):
-            failed |= column.get(v, 0)
+        failed = 0
+        for k, v in enumerate(transcript(ctx, _coeffs(n, head_support, head))):
+            failed |= column(k).get(v, 0)
             if failed == full:
                 break
         else:
-            for v in values:  # past the columns any head has reached
-                need.append(column := {})
-                for j, w in enumerate(next(columns)):
-                    column[neg[w]] = column.get(neg[w], 0) | 1 << j
-                failed |= column.get(v, 0)
-                if failed == full:
-                    break
-            else:
-                # some tails never failed: bit j of full ^ failed marks tail j,
-                # and bin() lists the bits most significant first
-                bits = reversed(bin(full ^ failed))
-                hits.extend(head + t for t, b in zip(tails, bits) if b == "1")
+            # some tails never failed: bit j of full ^ failed marks tail j,
+            # and bin() lists the bits most significant first
+            bits = reversed(bin(full ^ failed))
+            hits.extend(head + t for t, b in zip(tails, bits) if b == "1")
     return hits
 
 
@@ -283,7 +281,7 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
             )
         hits = _search_exhaustive(ctx, support)
     elif mode == "random":
-        if not 0 <= seed < 2**64:
+        if not 0 <= require_int(seed, "seed") < 2**64:
             raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
         hits = _search_random(ctx, support, seed, limit)
     else:

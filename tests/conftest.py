@@ -18,6 +18,17 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
+def f5():
+    # the prime field itself, m = n = 1: every element is an F_p value
+    return build_field(5, 1, 1)
+
+
+@pytest.fixture(scope="session")
+def f7():
+    return build_field(7, 1, 1)
+
+
+@pytest.fixture(scope="session")
 def f4():
     # F_4 = F_2[w]/(w^2+w+1)
     return build_field(2, 1, 2, modulus=(1, 1, 1))

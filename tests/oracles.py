@@ -24,9 +24,26 @@ from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
 # ---- gf ----
 
 
+def add_by_digits(p, a, b):
+    """a + b digit by digit: the base-p digits add mod p, with no carry."""
+    s, mult = 0, 1
+    while a or b:
+        s += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return s
+
+
+def _sums_by_digits(ctx):
+    """a + b for every pair of elements, a major."""
+    return [add_by_digits(ctx.p, a, b) for a in ctx.elements() for b in ctx.elements()]
+
+
 def _step_by_step_tables(ctx):
     """exp, log, Frobenius, trace and norm tables one element at a time: a
-    polynomial product per power of gamma and n - 1 additions per trace."""
+    polynomial product per power of gamma and n - 1 digit-loop additions
+    per trace."""
     p, q, N, d = ctx.p, ctx.q, ctx.mult_order, ctx.m * ctx.n
     mod = list(ctx.modulus)
     gamma = _decode(ctx.generator, p, d)
@@ -49,7 +66,7 @@ def _step_by_step_tables(ctx):
         acc, y = x, x
         for _ in range(ctx.n - 1):
             y = frob[y]
-            acc = ctx.add(acc, y)
+            acc = add_by_digits(p, acc, y)
         tr.append(acc)
     return exp, log, frob, tr, nm
 

@@ -31,6 +31,13 @@ def test_coset_of_zero():
         cyclotomic_coset(2, 0, 0)
 
 
+def test_coset_takes_only_ints():
+    # a float e would give float members
+    for args in ((3, 8, 2.0), (3.0, 8, 2), (3, True, 0), (True, 8, 2)):
+        with pytest.raises(ValueError, match="must be an int"):
+            cyclotomic_coset(*args)
+
+
 def test_coset_doubling_mod_15():
     c = cyclotomic_coset(2, 15, 3)
     assert set(c.members) == {3, 6, 12, 9}

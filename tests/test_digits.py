@@ -40,6 +40,17 @@ def test_digitvector_value():
     assert DigitVector(3, (2, 0, 1, 1)).value == 2 + 9 + 27
 
 
+def test_digitvector_takes_only_ints():
+    for digits in ((1.7, True), (1, True), (1.0,)):
+        with pytest.raises(ValueError, match="digit must be an int"):
+            DigitVector(3, digits)
+    for q in (2.5, True):
+        with pytest.raises(ValueError, match="q must be an int"):
+            DigitVector(q, (0,))
+    with pytest.raises(ValueError, match="digit 3 out of range for q = 3"):
+        DigitVector(3, (0, 3))
+
+
 def test_wrap_add_zero_rule():
     assert wrap_add_many(3, 2, (0, 0)) == 0
 
@@ -172,6 +183,8 @@ def test_power_coefficient_budget(f9):
     # a negative budget is bad input, as for the search and field budgets
     with pytest.raises(ValueError, match="budget must be >= 0"):
         power_coefficient(L, 1, budget=-1)
+    with pytest.raises(ValueError, match="budget must be an int"):
+        power_coefficient(L, 1, budget=True)
 
 
 # ------------------------------------------------------- coefficient lemma

@@ -199,6 +199,18 @@ def test_reducible_modulus_rejected():
         build_field(3, 1, 2, modulus=(2, 0, 2))
 
 
+def test_field_shape_and_cap_must_be_ints():
+    # int() would read True as m = 1 and record "m": true in to_spec()
+    for shape in ((2, True, 2), (2.0, 1, 2), (3, 1, 2.0), (3, 1.0, 2)):
+        with pytest.raises(ValueError, match="must be an int"):
+            build_field(*shape)
+    for cap in (True, 100.0):
+        with pytest.raises(ValueError, match="field cap must be an int"):
+            build_field(3, 1, 2, cap=cap)
+    with pytest.raises(ValueError, match="m and n must be positive"):
+        build_field(3, 0, 2)
+
+
 def test_cap_enforced():
     from semiswitch import BudgetExceeded
 

@@ -32,6 +32,18 @@ INPUTS = {
     "polys16.jsonl": '{"coeffs":[2,1]}\n{"coeffs":[3,0]}\n{"coeffs":[1,1]}\n',
     # the showcase q = 4 instance (scripts/showcase_instances.py) and a monomial
     "polys64.jsonl": '{"coeffs":[7,28,26]}\n{"coeffs":[1,0,0]}\n',
+    # F_81 as F_9^2: odd p with m > 1, so sums of multi-digit F_q values;
+    # passing rows, failing rows and a monomial
+    "polys81q9.jsonl": (
+        '{"coeffs":[10,11]}\n'
+        '{"coeffs":[37,52]}\n'
+        '{"coeffs":[0,13]}\n'
+        '{"coeffs":[42,40]}\n'
+        '{"coeffs":[45,23]}\n'
+        '{"coeffs":[12,0]}\n'
+        '{"coeffs":[80,33]}\n'
+        '{"coeffs":[80,79]}\n'
+    ),
 }
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -99,6 +111,12 @@ GOLDEN = {
         "ed1e0d6b9d4f95de2d105570f1599a1e360197ae84f98ee7cb9836a917e5e9ef",
         EMPTY,
     ),
+    "verify-q9": (
+        "verify --p 3 --m 2 --n 2 polys81q9.jsonl",
+        0,
+        "0114558eb4a9e5f45aa8f7fbbd51eae4844cdb47c30a0f93884b367b141f5caa",
+        EMPTY,
+    ),
     "hws": (
         "hws --p 3 --n 4 polys81.jsonl",
         0,
@@ -109,6 +127,12 @@ GOLDEN = {
         "hws --p 3 --n 4 --format csv polys81.jsonl",
         0,
         "76400fbaf24630b343eafb39c55452c2f0fe8d9d3a0d073765c573cd731b9b54",
+        EMPTY,
+    ),
+    "hws-q9": (
+        "hws --p 3 --m 2 --n 2 polys81q9.jsonl",
+        0,
+        "cf9c70968fead177373089366d60b24f92b7eb1967cd2b614589c693804f7a8a",
         EMPTY,
     ),
     "codes": (

@@ -12,7 +12,10 @@ from semiswitch import (
     BudgetExceeded,
     LinearizedPoly,
     build_field,
+    classify,
+    full_weight_search,
     is_permutation,
+    rational_point_count,
     search,
     switching_predicate,
 )
@@ -287,6 +290,39 @@ def test_search_random_mode_rejects_seeds_outside_64_bits(f9):
         with pytest.raises(ValueError, match="seed"):
             search(f9, mode="random", seed=seed, budget=10)
     assert all(map(switching_predicate, search(f9, mode="random", seed=2**64 - 1, budget=10)))
+
+
+def test_search_takes_seed_and_budget_only_as_ints(f9):
+    # bools are ints to isinstance(), and int() would truncate a float
+    for seed in (1.5, True, "3"):
+        with pytest.raises(ValueError, match="seed must be an int"):
+            search(f9, mode="random", seed=seed, budget=10)
+    for budget in (True, 2.5):
+        with pytest.raises(ValueError, match="budget must be an int"):
+            search(f9, mode="random", seed=1, budget=budget)
+        with pytest.raises(ValueError, match="budget must be an int"):
+            linpoly.search_budget(budget)
+
+
+def test_prime_field_closed_forms(f5):
+    # n = 1: Tr is the identity and M = 1, so L = a_0 X passes iff a_0 != 0
+    assert f5.trace_step == 1
+    assert [L.coeffs for L in search(f5)] == [(1,), (2,), (3,), (4,)]
+    drawn = search(f5, mode="random", seed=1, budget=100)
+    assert sorted(L.coeffs for L in drawn) == [(1,), (2,), (3,), (4,)]
+    for a0 in range(5):
+        L = LinearizedPoly(f5, (a0,))
+        report = classify(L, deep=True)
+        assert report["predicate"] is report["presemifield"] is (a0 != 0)
+        if a0:
+            assert report["families"] == ["monomial"] and report["nuclei"] == [5] * 4
+        else:
+            assert report["zero_divisor"] == [1, 1]
+        # N = 1 + q #{x : a_0 = 0}
+        assert rational_point_count(L) == (1 if a0 else 1 + 5 * 5)
+    census = full_weight_search(f5)
+    assert (census["length"], census["candidates"]) == (4, 5)
+    assert (census["full_weight_constant"], census["full_weight_nonconstant"]) == (4, 0)
 
 
 def test_predicate_scaling_invariance(f9):

@@ -2,7 +2,8 @@
 
 One parametrised test, one line per (fast route, oracle) pair.  Each
 pair runs over the shared fields of conftest.py and over F_729 as F_9^3
-(the F_p-linear pairs also over F_125, F_343 and F_625 as F_25^2),
+(the F_p-linear pairs also over F_125, F_343 and F_625 as F_25^2, and
+addition on every pair of the odd ones and of the prime fields F_5, F_7),
 on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), failing ones, and
@@ -58,6 +59,7 @@ from oracles import (
     _random_search_by_predicate,
     _search_by_predicate,
     _step_by_step_tables,
+    _sums_by_digits,
     _switch_product,
     _theta_set_scan,
     _twisted_field,
@@ -73,6 +75,8 @@ from oracles import (
 FIELDS = ["f4", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9", "f729"]
 # the F_p-linear algebra also runs at p = 5 and 7, one of them with m > 1
 LINEAR_FIELDS = FIELDS + ["f125", "f343", "f625_q25"]
+# addition reads exp and log for odd p: every pair, F_5 and F_7 (m = n = 1) first
+ADD_FIELDS = ["f5", "f7", "f9", "f27", "f81_n4", "f81_q9", "f729", "f125", "f343", "f625_q25"]
 # the center-separating algebra lives on the five digits of F_{p^5}
 NUCLEI_FIELDS = FIELDS + ["f32", "f243"]
 
@@ -313,6 +317,10 @@ def _tables(ctx):
     return ctx.exp, ctx.log, frob, ctx.tr, nm
 
 
+def _sums(ctx):
+    return [ctx.add(a, b) for a in ctx.elements() for b in ctx.elements()]
+
+
 def _negatives(ctx):
     return [ctx.neg(a) for a in ctx.elements()]
 
@@ -386,6 +394,7 @@ PAIRS = [
     pair(_tables, _step_by_step_tables, lambda ctx: [(ctx,)], "build_field"),
     pair(_linear_table, _linear_map_scan, _linear_maps, "linear_table"),
     pair(_kernel, _kernel_by_digits, _kernel_maps, "kernel", LINEAR_FIELDS),
+    pair(_sums, _sums_by_digits, lambda ctx: [(ctx,)], "add", ADD_FIELDS),
     pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
     pair(_transcript, _trace_quotients, _polys, "transcript"),
     pair(_search_hits, _search_by_predicate, _masks, "search"),

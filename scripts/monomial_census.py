@@ -7,11 +7,16 @@ for a range of degrees and prints one line per field.
 
     python scripts/monomial_census.py --p 2 --max-n 4
     python scripts/monomial_census.py --p 3 --max-n 3 --budget 33554432
+
+Bad input exits 2 and a blown budget 3, each with a one-line message on
+stderr, as the ``semiswitch`` command does.
 """
 
 import argparse
+import sys
 import time
 
+from semiswitch import BudgetExceeded
 from semiswitch.digits import monomial_census
 
 
@@ -24,7 +29,18 @@ def main():
     parser.add_argument("--random", action="store_true", help="sample instead")
     parser.add_argument("--seed", type=int, default=0, help="used when sampling")
     args = parser.parse_args()
+    try:
+        census(args)
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print(f"invalid input: {e}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def census(args):
     mode = "random" if args.random else "exhaustive"
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
@@ -40,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

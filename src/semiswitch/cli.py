@@ -200,14 +200,15 @@ def cmd_search(args):
                 },
             )
         )
+        orbits = {}  # one field per run
         for L in found:
-            writer.emit({"record": "result", **families.classify(L)})
+            writer.emit({"record": "result", **families.classify(L, orbits=orbits)})
         writer.emit({"record": "summary", "found": len(found)})
     return 0
 
 
-def _verify_one(L):
-    report = {"record": "result", **families.classify(L)}
+def _verify_one(L, orbits=None):
+    report = {"record": "result", **families.classify(L, orbits=orbits)}
     if not report["predicate"]:
         return report
     report["hws"] = None if L.is_monomial() else hws.curve_verdicts(L).to_dict()
@@ -239,6 +240,11 @@ def _report_rows(args, report):
         for L in polys:
             writer.emit(report(L))
     return 0
+
+
+def cmd_verify(args):
+    orbits = {}  # one field per run
+    return _report_rows(args, lambda L: _verify_one(L, orbits))
 
 
 def cmd_codes(args):
@@ -278,7 +284,7 @@ def make_parser():
     p_verify = sub.add_parser("verify", help="full report for polynomials from a file")
     _add_field_args(p_verify)
     p_verify.add_argument("infile", help="JSON lines with a coeffs entry per line")
-    p_verify.set_defaults(fn=partial(_report_rows, report=_verify_one))
+    p_verify.set_defaults(fn=cmd_verify)
 
     p_codes = sub.add_parser("codes", help="code dimension and full-weight census")
     _add_field_args(p_codes)

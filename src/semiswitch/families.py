@@ -17,7 +17,10 @@ Each family comes with its published coefficient criterion:
 
 ``classify`` owns both verdicts on a polynomial, the trace predicate and
 one zero-divisor walk of its canonical switch, and raises
-``ConsistencyError`` when they disagree.
+``ConsistencyError`` when they disagree.  Given a dict of scaling orbits,
+the predicate still runs per polynomial, but the walk, its check, the
+nuclei and the isotopy kernel run once per orbit of passing
+non-monomial hits: the scaled switch is an isotope of the first one.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from dataclasses import dataclass
 from . import presemifield
 from .errors import ConsistencyError
 from .gf import _kernel, _span
-from .linpoly import LinearizedPoly, switching_predicate
+from .linpoly import LinearizedPoly, orbit_rep, switching_predicate
 from .presemifield import (
     SwitchSpec,
     build_switch,
     commutative_isotopy_test,
     is_commutative,
+    isotopy_witness,
     nuclei,
+    transport_isotopy_kernel,
     unitalize,
     verify_presemifield,
 )
@@ -216,7 +221,27 @@ def switch_spec_for(L):
 VERDICTS = ("predicate", "presemifield")
 
 
-def classify(L, deep=True):
+@dataclass(frozen=True)
+class _Orbit:
+    """What ``classify`` keeps of the first member met of a scaling orbit:
+    its scaling k to the rep, its spec, its isotopy kernel basis and the
+    verdicts that hold on the whole orbit."""
+
+    k: int
+    spec: SwitchSpec
+    kernel: tuple
+    ganley: bool
+    nuclei: tuple
+
+    def witness(self, k):
+        """ganley_witness of the member that gamma^k scales to the rep: that
+        member is the first one scaled by c = gamma^(self.k - k)."""
+        ctx = self.spec.ctx
+        c = ctx.exp[(self.k - k) % ctx.mult_order]
+        return isotopy_witness(ctx, transport_isotopy_kernel(self.spec, self.kernel, c))[1]
+
+
+def classify(L, deep=True, orbits=None):
     """Both verdicts on L, and the family and behaviour report of a passing L.
 
     deep=True walks the canonical switch for zero divisors once, passing
@@ -225,15 +250,33 @@ def classify(L, deep=True):
     divisor and no family test; a passing one with its families and,
     deeply, the commutativity, commutative-isotopy witness and nuclei
     sizes of its switched product.  deep=False builds no op.
+
+    ``orbits`` is a dict the caller keeps for one field.  Scaling L by
+    c != 0 keeps the predicate and makes the switched product the isotope
+    (x/c) * (cy), so the presemifield verdict, the nuclei sizes and
+    ``ganley`` hold on the whole scaling orbit (``linpoly.orbit_rep``).  A
+    passing non-monomial L whose orbit is in the dict then gets no
+    zero-divisor walk, unitalization, nuclei or isotopy kernel: those
+    verdicts are copied, its witness is read off the kernel transported
+    by ``presemifield.transport_isotopy_kernel``, and the predicate, the
+    families, the spec and the commutativity still come per L.  The walk
+    and its ConsistencyError check so run once per orbit.  A failing L,
+    a monomial one (its own orbit) and a call without the dict are
+    classified alone.
     """
     ctx = L.ctx
     predicate = switching_predicate(L)
     if deep:
         spec = switch_spec_for(L)
         op = build_switch(spec)
-        zero_divisor = presemifield.find_zero_divisor(op)
-        if (walk := zero_divisor is None) != predicate:
-            raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
+        rep, k, orbit = None, 0, None
+        if predicate and orbits is not None and not L.is_monomial():
+            rep, k = orbit_rep(ctx, L.coeffs)
+            orbit = orbits.get(rep)
+        if orbit is None:
+            zero_divisor = presemifield.find_zero_divisor(op)
+            if (walk := zero_divisor is None) != predicate:
+                raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
     report = {"coeffs": list(L.coeffs), "predicate": predicate}
     if not predicate:
         if deep:
@@ -255,15 +298,21 @@ def classify(L, deep=True):
     ):
         families.append("n4")
     if deep:
-        unital = unitalize(op)
-        iso, witness = commutative_isotopy_test(op)
+        if orbit is None:
+            unital = unitalize(op)
+            iso, witness = commutative_isotopy_test(op)
+            orbit = _Orbit(k, spec, tuple(op.isotopy_kernel), iso, nuclei(unital).sizes)
+            if rep is not None:
+                orbits[rep] = orbit
+        else:
+            witness = orbit.witness(k)
         report.update(
             spec={"b": list(spec.b), "xi": spec.xi},
             presemifield=True,
             commutative=is_commutative(op),
-            ganley=iso,
+            ganley=orbit.ganley,
             ganley_witness=witness,
-            nuclei=list(nuclei(unital).sizes),
+            nuclei=list(orbit.nuclei),
         )
     return report
 

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product, repeat
-from math import prod
+from math import gcd, prod
 
 from .errors import BudgetExceeded, read_limit, require_int
 from .gf import FieldCtx, _kernel
@@ -104,6 +104,35 @@ def transcript(ctx, coeffs):
 def switching_predicate(L):
     """True when Tr(L(x)/x) != 0 for every nonzero x."""
     return all(transcript(L.ctx, L.coeffs))
+
+
+def _scaled(ctx, coeffs, k):
+    """coeffs scaled by c = gamma^k: a_i -> a_i c^(q^i - 1), a_0 fixed."""
+    N, exp, log = ctx.mult_order, ctx.exp, ctx.log
+    return tuple(exp[(log[a] + k * e) % N] if a else 0 for a, e in zip(coeffs, ctx.qpow_minus1))
+
+
+def orbit_rep(ctx, coeffs):
+    """(rep, k): the canonical form of L's scaling orbit, rep = coeffs scaled by gamma^k.
+
+    Scaling by c != 0 keeps the predicate, as Tr(L'(x)/x) = Tr(L(cx)/(cx)),
+    and c in F_q^* moves nothing, so the orbit is the scalings by gamma^k,
+    k < M.  Let j >= 1 be the first nonzero index.  Scaling adds k (q^j - 1)
+    to log a_j, which so moves freely modulo g = gcd(q^j - 1, N) =
+    q^gcd(j,n) - 1: the rep takes it down to its residue mod g.  The g/(q-1)
+    scalings k < M that do so are k0 + t N/g; the rep is the least tuple
+    among them, and k the least k giving it.  A tuple with no nonzero a_i,
+    i >= 1, is its own rep, with k = 0.
+    """
+    j = next((i for i in range(1, ctx.n) if coeffs[i]), None)
+    if j is None:
+        return tuple(coeffs), 0
+    N, e, s = ctx.mult_order, ctx.qpow_minus1[j], ctx.log[coeffs[j]]
+    step = N // gcd(e, N)
+    g = N // step
+    # k e = (s mod g) - s (mod N): divide by g, where e/g is a unit mod N/g
+    k0 = -(s // g) * pow(e // g, -1, step) % step
+    return min((_scaled(ctx, coeffs, k), k) for k in range(k0, ctx.trace_step, step))
 
 
 def is_permutation(L):
@@ -293,6 +322,7 @@ __all__ = [
     "LinearizedPoly",
     "transcript",
     "switching_predicate",
+    "orbit_rep",
     "is_permutation",
     "search",
     "search_budget",

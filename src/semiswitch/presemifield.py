@@ -29,6 +29,12 @@ witness and sets ``op.verified``; ``verify_presemifield`` asks only
 whether it found one.  Bilinearity is assumed, not checked.  The walk
 never reads the trace criterion, so ``predicate_equivalence_check``
 compares the two routes as independent computations.
+
+The isotopy test records its kernel basis as ``op.isotopy_kernel``, and
+``transport_isotopy_kernel`` carries it to the switch of a scaled b,
+whose product is an isotope.  So a caller that keeps one kernel per
+scaling orbit (``families.classify``) runs the walk, the nuclei and the
+isotopy kernel once per orbit.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ class BinaryOp:
         self.ctx = ctx
         self._fn = fn
         self.verified = None
+        self.isotopy_kernel = None
 
     def __call__(self, x, y):
         return self._fn(x, y)
@@ -288,6 +295,7 @@ def commutative_isotopy_test(op):
     commutative semifield.  The witnesses are the nonzero kernel of an
     F_p-linear map in v; the one returned has the smallest discrete
     log, i.e. it is the first in gamma-power order, so reruns agree.
+    The kernel's F_p-basis is recorded as ``op.isotopy_kernel``.
     A is the inverse of x -> x*1 from ``op.side_maps``, so, like
     ``unitalize``, the test raises ValueError on an op that does not
     verify.
@@ -301,12 +309,57 @@ def commutative_isotopy_test(op):
         w = [A[op(v, e)] for e in basis]
         return tuple(ctx.sub(op(w[i], basis[j]), op(w[j], basis[i])) for i, j in pairs)
 
-    kernel = _kernel(ctx, defect)
+    op.isotopy_kernel = _kernel(ctx, defect)
+    return isotopy_witness(ctx, op.isotopy_kernel)
+
+
+def isotopy_witness(ctx, kernel):
+    """(ganley, witness) from an F_p-basis of the isotopy kernel.
+
+    The witness is the member of smallest discrete log: 1 when the kernel
+    is the whole field, otherwise read off its span listed in full.
+    """
     if not kernel:
         return False, None
     if len(kernel) == ctx.m * ctx.n:
         return True, 1  # the whole field: gamma^0 has the smallest log
     return True, min(_span(ctx, kernel)[1:], key=ctx.log.__getitem__)
+
+
+def transport_isotopy_kernel(spec, kernel, c):
+    """The isotopy kernel of ``spec`` scaled by c != 0, from an F_p-basis of spec's.
+
+    Scaling b_i -> b_i c^(q^i - 1) (b_0 fixed) gives B'(y) = B(cy)/c, so the
+    scaled product is the isotope x *' y = (x/c) * (cy).  Let A = R^(-1),
+    R(u) = u*1.  The kernel ``commutative_isotopy_test`` finds is
+    K = {v : A(v*x)*y is symmetric in x, y}, and the scaled one is
+
+        K' = {c A(v*c) : v in K}.
+
+    Proof.  R'(u) = u *' 1 = R_c(u/c) with R_c(u) = u*c, so
+    A'(z) = c R_c^(-1)(z), and with X = cx, Y = cy, w = v'/c the condition
+    on v' reads: R_c^(-1)(w*X)*Y is symmetric in X, Y.  For v in K put
+    w = A(v*c).  Symmetry of A(v*X)*Y at Y = c gives A(v*X)*c = w*X, that
+    is R_c^(-1)(w*X) = A(v*X), and A(v*X)*Y is symmetric: c w lies in K'.
+    The map v -> c A(v*c) is F_p-linear and injective (A is bijective,
+    and in a presemifield v*c = 0 only for v = 0), so dim K' >= dim K;
+    scaling back by 1/c gives the reverse, and the inclusion is an
+    equality.
+
+    A needs no table: z = u + Tr(u B(1)) xi inverts to
+    A(z) = z - xi Tr(z B(1)) / (1 + Tr(xi B(1))), whose denominator is
+    nonzero because xi*1 = xi (1 + Tr(xi B(1))) != 0.  So the image of a
+    basis of K is a basis of K', at mn products.
+    """
+    ctx = spec.ctx
+    op = build_switch(spec)
+    beta, xi, tr = LinearizedPoly(ctx, spec.b)(1), spec.xi, ctx.tr
+    den = ctx.add(1, tr[ctx.mul(xi, beta)])
+
+    def A(z):
+        return ctx.sub(z, ctx.mul(xi, ctx.div(tr[ctx.mul(z, beta)], den)))
+
+    return [ctx.mul(c, A(op(v, c))) for v in kernel]
 
 
 def dual_spread_op(ctx, a1, a0t):
@@ -335,5 +388,7 @@ __all__ = [
     "is_commutative",
     "commutative_criterion",
     "commutative_isotopy_test",
+    "isotopy_witness",
+    "transport_isotopy_kernel",
     "dual_spread_op",
 ]

@@ -161,6 +161,23 @@ def _random_search_by_predicate(ctx, mask, seed, budget):
     return hits
 
 
+def scale(ctx, coeffs, c):
+    """a_i -> a_i c^(q^i - 1), one field power and product per coefficient."""
+    return tuple(ctx.mul(a, ctx.pow(c, ctx.q**i - 1)) for i, a in enumerate(coeffs))
+
+
+def _orbit_rep_scan(ctx, coeffs):
+    """(rep, k) by trying every scaling gamma^k, k < M: the least key
+    (log of the first nonzero a_i with i >= 1, tuple, k)."""
+
+    def key(k):
+        t = scale(ctx, coeffs, ctx.exp[k])
+        return next((ctx.log[a] for a in t[1:] if a), 0), t, k
+
+    _, rep, k = min(map(key, range(ctx.trace_step)))
+    return rep, k
+
+
 def _is_permutation_scan(L):
     """No unit maps to zero."""
     return all(L(x) != 0 for x in L.ctx.units())

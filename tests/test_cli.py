@@ -212,7 +212,7 @@ def test_internal_key_error_is_not_bad_input(monkeypatch):
     # a KeyError from the library is a bug: it propagates, never exit 2
     from semiswitch import families
 
-    def broken(L, deep=True):
+    def broken(L, deep=True, orbits=None):
         raise KeyError("internal")
 
     monkeypatch.setattr(families, "classify", broken)

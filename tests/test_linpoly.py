@@ -347,6 +347,32 @@ def test_predicate_scaling_invariance(f9):
             assert switching_predicate(conj) == base
 
 
+@pytest.mark.parametrize("name", ["f9", "f16_q4", "f81_n4"])
+def test_orbit_rep_is_one_per_orbit(request, name):
+    # every scaling of a tuple has the tuple's rep, and rep = tuple scaled by gamma^k
+    ctx = request.getfixturevalue(name)
+    rng = random.Random(7)
+    if ctx.n == 2:
+        tuples = list(itertools.product(ctx.elements(), repeat=2))
+    else:  # first nonzero index j = 1, 2 and 3; a_0 and the a_i after j random
+        tuples = []
+        for j in (1, 2, 3):
+            for _ in range(10):
+                t = [rng.randrange(ctx.order) for _ in range(4)]
+                t[1:j] = [0] * (j - 1)
+                t[j] = rng.randrange(1, ctx.order)
+                tuples.append(tuple(t))
+
+    def scaled(coeffs, c):
+        return tuple(ctx.mul(a, ctx.pow(c, ctx.q**i - 1)) for i, a in enumerate(coeffs))
+
+    for coeffs in tuples:
+        rep, k = linpoly.orbit_rep(ctx, coeffs)
+        assert rep == scaled(coeffs, ctx.exp[k])
+        for c in ctx.exp[: ctx.trace_step]:
+            assert linpoly.orbit_rep(ctx, scaled(coeffs, c))[0] == rep
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.tuples(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26)))
 def test_predicate_matches_pointwise_definition(coeffs):

@@ -13,6 +13,10 @@ and random search on draws with and without an early stop, against the
 predicate applied to each candidate.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
+``orbit_rep`` runs against the scan over every scaling on every tuple
+of F_9^2 and F_16^2 and on seeded F_81^4 samples.  The per-orbit
+``classify`` and the isotopy kernel's transport run on every hit of
+(q, n) = (3, 3), (4, 2), (7, 2) and of (3, 4) on support (0, 2).
 """
 
 import random
@@ -26,6 +30,7 @@ from semiswitch import (
     SwitchSpec,
     build_field,
     build_switch,
+    classify,
     commutative_isotopy_test,
     dual_spread_op,
     find_zero_divisor,
@@ -41,7 +46,9 @@ from semiswitch import (
     verify_presemifield,
 )
 from semiswitch.families import matches_n3
-from semiswitch.gf import _kernel, _linear_table
+from semiswitch.gf import _kernel, _linear_table, _span
+from semiswitch.linpoly import orbit_rep
+from semiswitch.presemifield import transport_isotopy_kernel
 
 from oracles import (
     _center_separating_algebra,
@@ -55,6 +62,7 @@ from oracles import (
     _negatives_by_digits,
     _nuclei_all_pairs,
     _nuclei_scan,
+    _orbit_rep_scan,
     _random_members,
     _random_search_by_predicate,
     _search_by_predicate,
@@ -69,6 +77,7 @@ from oracles import (
     n2_lemma_roots,
     nuclei_members,
     right_unit_inverse,
+    scale,
     trace_quotient,
 )
 
@@ -79,6 +88,10 @@ LINEAR_FIELDS = FIELDS + ["f125", "f343", "f625_q25"]
 ADD_FIELDS = ["f5", "f7", "f9", "f27", "f81_n4", "f81_q9", "f729", "f125", "f343", "f625_q25"]
 # the center-separating algebra lives on the five digits of F_{p^5}
 NUCLEI_FIELDS = FIELDS + ["f32", "f243"]
+# F_9^2 and F_16^2 in full; F_81^4 with first nonzero index 1, 2 or 3
+ORBIT_FIELDS = ["f9", "f16_q4", "f81_n4"]
+# the hits of the search workload's two shapes, and of (7, 2) and (3, 4) on (0, 2)
+HIT_FIELDS = ["f27", "f16_q4", "f49", "f81_n4"]
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +112,11 @@ def f343():
 @pytest.fixture(scope="module")
 def f625_q25():
     return build_field(5, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def f49():
+    return build_field(7, 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +326,49 @@ def _n3_polys(ctx):
     return [(LinearizedPoly(ctx, c),) for c in cases]
 
 
+def _orbit_tuples(ctx):
+    """Every tuple at n = 2; at n = 4, 150 seeded tuples each with first
+    nonzero index 1, 2 (gcd(2, 4) = 2: four scalings fix log a_2 mod 8)
+    and 3, and with a_0 = 0 or not."""
+    if ctx.n == 2:
+        return [(ctx, (a0, a1)) for a0 in ctx.elements() for a1 in ctx.elements()]
+    rng = random.Random(2024)
+    out = []
+    for j in range(1, ctx.n):
+        for _ in range(150):
+            tail = [rng.randrange(ctx.order) for _ in range(j + 1, ctx.n)]
+            a0 = rng.choice((0, rng.randrange(ctx.order)))
+            out.append((ctx, (a0,) + (0,) * (j - 1) + (rng.randrange(1, ctx.order), *tail)))
+    return out
+
+
+@cache
+def _hits(ctx):
+    """Every hit, in search order: on support (0, 2) at n = 4, else full support."""
+    return search(ctx, (0, 2) if ctx.n == 4 else None)
+
+
+def _hit_lists(ctx):
+    return [(_hits(ctx),)]
+
+
+@cache
+def _isotopy_kernels(ctx):
+    """coeffs -> (spec, isotopy kernel basis) of every hit, each from its own op."""
+    out = {}
+    for L in _hits(ctx):
+        op = build_switch(spec := switch_spec_for(L))
+        commutative_isotopy_test(op)
+        out[L.coeffs] = spec, op.isotopy_kernel
+    return out
+
+
+def _scalings(ctx):
+    """Each non-monomial hit with c = gamma, gamma^2 and gamma^(M-1)."""
+    cs = [ctx.exp[k] for k in (1, 2, ctx.trace_step - 1)]
+    return [(L, c) for L in _hits(ctx) if not L.is_monomial() for c in cs]
+
+
 # ---- the two sides of a pair, where they are not library calls ----
 
 
@@ -386,6 +447,26 @@ def _nuclei_sets(op):
     return nuclei_members(op.ctx, nuclei(op))
 
 
+def _classify_sharing_orbits(hits):
+    orbits = {}
+    return [classify(L, orbits=orbits) for L in hits]
+
+
+def _classify_each(hits):
+    return [classify(L) for L in hits]
+
+
+def _transported_span(L, c):
+    """The span of L's isotopy kernel basis transported to L scaled by c."""
+    spec, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
+    return _span(L.ctx, transport_isotopy_kernel(spec, kernel, c))
+
+
+def _scaled_kernel_span(L, c):
+    """The span of the kernel that the isotopy test finds on L scaled by c."""
+    return _span(L.ctx, _isotopy_kernels(L.ctx)[scale(L.ctx, L.coeffs, c)][1])
+
+
 def pair(fast, oracle, inputs, id, fields=FIELDS):
     return pytest.param(fast, oracle, inputs, fields, id=id)
 
@@ -397,6 +478,7 @@ PAIRS = [
     pair(_sums, _sums_by_digits, lambda ctx: [(ctx,)], "add", ADD_FIELDS),
     pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
     pair(_transcript, _trace_quotients, _polys, "transcript"),
+    pair(orbit_rep, _orbit_rep_scan, _orbit_tuples, "orbit_rep", ORBIT_FIELDS),
     pair(_search_hits, _search_by_predicate, _masks, "search"),
     pair(_random_search_hits, _random_search_by_predicate, _random_searches, "search-random"),
     pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),
@@ -410,6 +492,8 @@ PAIRS = [
     pair(_right_inverse_table, _right_inverse_closed_form, _passing_specs, "right_inverse"),
     pair(commutative_isotopy_test, _isotopy_scan, _passing_ops, "isotopy"),
     pair(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, "isotopy_dual_spread"),
+    pair(_transported_span, _scaled_kernel_span, _scalings, "isotopy-transport", HIT_FIELDS),
+    pair(_classify_sharing_orbits, _classify_each, _hit_lists, "classify-orbits", HIT_FIELDS),
     pair(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, "unitalize"),
     pair(_nuclei_sets, _nuclei_scan, _unital_ops, "nuclei"),
     pair(_nuclei_sets, _nuclei_all_pairs, _nuclei_ops, "nuclei_all_pairs", NUCLEI_FIELDS),

@@ -26,3 +26,22 @@ def test_scripts_run():
         )
         assert res.returncode == 0, res.stderr
         assert any(out.startswith(line) for out in res.stdout.splitlines()), argv
+
+
+def test_scripts_exit_2_on_bad_input_and_3_on_a_budget():
+    cases = [
+        (["random_probe.py", "--p", "4", "--n", "2"], 2, "invalid input: p = 4 is not prime"),
+        (["random_probe.py", "--p", "3", "--n", "2", "--seed", "-1"], 2, "invalid input: seed"),
+        (["random_probe.py", "--p", "3", "--n", "2", "--budget", "-5"], 2, "invalid input: budget"),
+        (["random_probe.py", "--p", "3", "--n", "30"], 3, "budget exceeded: "),
+        (["monomial_census.py", "--p", "4"], 2, "invalid input: p = 4 is not prime"),
+        (["monomial_census.py", "--p", "3", "--max-n", "3", "--budget", "10"], 3, "budget exceeded: "),
+    ]
+    for argv, code, message in cases:
+        res = subprocess.run(
+            [sys.executable, str(SCRIPTS / argv[0])] + argv[1:],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == code, (argv, res.stderr)
+        assert res.stderr.startswith(message), (argv, res.stderr)
+        assert "Traceback" not in res.stderr, argv

@@ -8,15 +8,16 @@ for a range of degrees and prints one line per field.
     python scripts/monomial_census.py --p 2 --max-n 4
     python scripts/monomial_census.py --p 3 --max-n 3 --budget 33554432
 
-Bad input exits 2 and a blown budget 3, each with a one-line message on
-stderr, as the ``semiswitch`` command does.
+Failures exit with the ``semiswitch`` command's codes and one-line
+messages on stderr (bad input 2, a blown budget 3), and a reader that
+closes the pipe early ends the run quietly with 0.
 """
 
 import argparse
 import sys
 import time
 
-from semiswitch import BudgetExceeded
+from semiswitch.cli import exit_status
 from semiswitch.digits import monomial_census
 
 
@@ -28,16 +29,7 @@ def main():
     parser.add_argument("--budget", type=int, default=None, help="candidate cap")
     parser.add_argument("--random", action="store_true", help="sample instead")
     parser.add_argument("--seed", type=int, default=0, help="used when sampling")
-    args = parser.parse_args()
-    try:
-        census(args)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return 2
-    return 0
+    return exit_status(census, parser.parse_args())
 
 
 def census(args):

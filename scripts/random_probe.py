@@ -6,8 +6,9 @@ fields where the exhaustive sweep is out of reach.
 
     python scripts/random_probe.py --p 3 --n 3 --budget 100000 --seed 1
 
-Bad input exits 2 and a blown budget 3, each with a one-line message on
-stderr, as the ``semiswitch`` command does.
+Failures exit with the ``semiswitch`` command's codes and one-line
+messages on stderr (bad input 2, a blown budget 3), and a reader that
+closes the pipe early ends the run quietly with 0.
 """
 
 import argparse
@@ -15,7 +16,8 @@ import collections
 import json
 import sys
 
-from semiswitch import BudgetExceeded, build_field, curve_verdicts, search
+from semiswitch import build_field, curve_verdicts, search
+from semiswitch.cli import exit_status
 from semiswitch.families import classify
 
 
@@ -27,16 +29,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=100000)
     parser.add_argument("--show", type=int, default=3, help="reports to print")
-    args = parser.parse_args()
-    try:
-        probe(args)
-    except BudgetExceeded as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return 2
-    return 0
+    return exit_status(probe, parser.parse_args())
 
 
 def probe(args):
@@ -44,14 +37,12 @@ def probe(args):
     hits = search(ctx, mode="random", seed=args.seed, budget=args.budget)
     print(f"{len(hits)} passing of {args.budget} draws at order {ctx.order}")
 
-    tally = collections.Counter()
-    for L in hits:
-        tally[tuple(classify(L, deep=False)["families"])] += 1
+    reports = [classify(L, deep=False) for L in hits]
+    tally = collections.Counter(tuple(rep["families"]) for rep in reports)
     for fams, count in sorted(tally.items()):
         print(f"  {'+'.join(fams) or 'unclassified'}: {count}")
 
-    for L in hits[: args.show]:
-        rep = classify(L, deep=False)
+    for L, rep in zip(hits[: args.show], reports):
         if not L.is_monomial():
             rep["hws"] = curve_verdicts(L).to_dict()
         print(json.dumps(rep, sort_keys=True))

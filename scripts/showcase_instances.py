@@ -3,13 +3,17 @@
 Covers one member of each constructed family: the quadratic-root family
 at (q, n) = (3, 2), the norm-condition family at (3, 3), the
 commutative instance at (3, 4), and the q = 4 instance that passes
-every axiom but is not isotopic to a commutative semifield.
+every axiom but is not isotopic to a commutative semifield.  Exit codes
+are the ``semiswitch`` command's, and a reader that closes the pipe
+early ends the run quietly with 0.
 """
 
 import argparse
 import json
+import sys
 
 from semiswitch import LinearizedPoly, build_field, curve_verdicts, search
+from semiswitch.cli import exit_status
 from semiswitch.families import classify, n3_construct, theta_set
 
 
@@ -29,9 +33,10 @@ def main():
         action="store_true",
         help="skip the switched-product report (zero-divisor walk, nuclei, isotopy test)",
     )
-    args = parser.parse_args()
-    deep = not args.shallow
+    return exit_status(showcase, not parser.parse_args().shallow)
 
+
+def showcase(deep):
     ctx32 = build_field(3, 1, 2)
     first = next(L for L in search(ctx32, mode="exhaustive") if not L.is_monomial())
     show("quadratic-root family, (q, n) = (3, 2)", first, deep)
@@ -51,4 +56,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

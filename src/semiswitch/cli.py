@@ -13,8 +13,9 @@ Four subcommands:
 
 Every output starts with a config record that pins the field (modulus
 and generator are always resolved and recorded), so a rerun with the
-same arguments reproduces the bytes exactly.  Budgets can also be set
-through SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
+same arguments reproduces the bytes exactly (``verify`` and ``hws`` refuse
+a file whose config pins another field).  Budgets can also be set through
+SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
 file is replaced only when the command succeeds.  Every record passes
 through one writer, the only code that knows the format: with ``--format
 csv`` a result record is the row of its coeffs and then the command's
@@ -83,7 +84,6 @@ def _output(args):
     columns = _CSV_COLUMNS[args.command] if args.format == "csv" else None
     if not args.out:
         yield _Writer(sys.stdout, columns)
-        sys.stdout.flush()  # a closed pipe raises here, inside main's handlers
         return
     target = os.path.realpath(args.out)
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
@@ -169,6 +169,9 @@ def _read_polys(ctx, path):
                 raise ValueError(f"line {lineno}: not valid JSON ({e})") from None
             if not isinstance(data, dict):
                 raise ValueError(f"line {lineno}: expected a JSON object")
+            if data.get("record") == "config" and data.get("field") != ctx.to_spec():
+                pinned, asked = _dump(data.get("field")), _dump(ctx.to_spec())
+                raise ValueError(f"line {lineno}: config pins field {pinned}, not {asked}")
             if data.get("record") in ("config", "summary"):
                 continue
             coeffs = data.get("coeffs")
@@ -204,7 +207,6 @@ def cmd_search(args):
         for L in found:
             writer.emit({"record": "result", **families.classify(L, orbits=orbits)})
         writer.emit({"record": "summary", "found": len(found)})
-    return 0
 
 
 def _verify_one(L, orbits=None):
@@ -239,12 +241,11 @@ def _report_rows(args, report):
         writer.emit(_config_record(args, ctx, {"infile": args.infile}))
         for L in polys:
             writer.emit(report(L))
-    return 0
 
 
 def cmd_verify(args):
     orbits = {}  # one field per run
-    return _report_rows(args, lambda L: _verify_one(L, orbits))
+    _report_rows(args, lambda L: _verify_one(L, orbits))
 
 
 def cmd_codes(args):
@@ -263,7 +264,6 @@ def cmd_codes(args):
             pinned.update(seed=args.seed, budget=linpoly.search_budget(args.budget))
         writer.emit(_config_record(args, ctx, pinned))
         writer.emit({"record": "result", "dimension": dim, **census})
-    return 0
 
 
 def make_parser():
@@ -298,11 +298,12 @@ def make_parser():
     return parser
 
 
-def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+def exit_status(fn, *args):
+    """Run a command or script body; its exit code as above, a closed pipe included (0)."""
     try:
-        return args.fn(args)
+        fn(*args)
+        sys.stdout.flush()  # a reader that closed the pipe is met here, inside the handlers
+        return 0
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
@@ -318,6 +319,11 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv=None):
+    args = make_parser().parse_args(argv)
+    return exit_status(args.fn, args)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,9 @@ Each family comes with its published coefficient criterion:
 
 ``classify`` owns both verdicts on a polynomial, the trace predicate and
 one zero-divisor walk of its canonical switch, and raises
-``ConsistencyError`` when they disagree.  Given a dict of scaling orbits,
-the predicate still runs per polynomial, but the walk, its check, the
-nuclei and the isotopy kernel run once per orbit of passing
-non-monomial hits: the scaled switch is an isotope of the first one.
+``ConsistencyError`` when they disagree.  The switch is built and walked,
+with the nuclei and isotopy kernel, once per scaling orbit of passing
+polynomials, since a scaled switch is an isotope of the first one.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from .linpoly import LinearizedPoly, orbit_rep, switching_predicate
 from .presemifield import (
     SwitchSpec,
     build_switch,
+    commutative_criterion,
     commutative_isotopy_test,
-    is_commutative,
     isotopy_witness,
     nuclei,
     transport_isotopy_kernel,
@@ -241,79 +240,71 @@ class _Orbit:
         return isotopy_witness(ctx, transport_isotopy_kernel(self.spec, self.kernel, c))[1]
 
 
-def classify(L, deep=True, orbits=None):
-    """Both verdicts on L, and the family and behaviour report of a passing L.
-
-    deep=True walks the canonical switch for zero divisors once, passing
-    or failing, and a walk that disagrees with the trace predicate raises
-    ConsistencyError.  A failing L is then reported with the walk's zero
-    divisor and no family test; a passing one with its families and,
-    deeply, the commutativity, commutative-isotopy witness and nuclei
-    sizes of its switched product.  deep=False builds no op.
-
-    ``orbits`` is a dict the caller keeps for one field.  Scaling L by
-    c != 0 keeps the predicate and makes the switched product the isotope
-    (x/c) * (cy), so the presemifield verdict, the nuclei sizes and
-    ``ganley`` hold on the whole scaling orbit (``linpoly.orbit_rep``).  A
-    passing non-monomial L whose orbit is in the dict then gets no
-    zero-divisor walk, unitalization, nuclei or isotopy kernel: those
-    verdicts are copied, its witness is read off the kernel transported
-    by ``presemifield.transport_isotopy_kernel``, and the predicate, the
-    families, the spec and the commutativity still come per L.  The walk
-    and its ConsistencyError check so run once per orbit.  A failing L,
-    a monomial one (its own orbit) and a call without the dict are
-    classified alone.
-    """
-    ctx = L.ctx
-    predicate = switching_predicate(L)
-    if deep:
-        spec = switch_spec_for(L)
-        op = build_switch(spec)
-        rep, k, orbit = None, 0, None
-        if predicate and orbits is not None and not L.is_monomial():
-            rep, k = orbit_rep(ctx, L.coeffs)
-            orbit = orbits.get(rep)
-        if orbit is None:
-            zero_divisor = presemifield.find_zero_divisor(op)
-            if (walk := zero_divisor is None) != predicate:
-                raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
-    report = {"coeffs": list(L.coeffs), "predicate": predicate}
-    if not predicate:
-        if deep:
-            report.update(presemifield=False, zero_divisor=list(zero_divisor))
-        return report
-    families = report["families"] = []
-    if L.is_monomial():
-        families.append("monomial")
-    if ctx.n == 2 and n2_criterion(ctx, L.coeffs[1], L.coeffs[0]):
+def _families(L):
+    """The families whose criterion a predicate-passing L meets."""
+    ctx, c = L.ctx, L.coeffs
+    families = ["monomial"] if L.is_monomial() else []
+    if ctx.n == 2 and n2_criterion(ctx, c[1], c[0]):
         families.append("n2")
     if ctx.n == 3 and matches_n3(L):
         families.append("n3")
-    if (
-        ctx.n == 4
-        and ctx.p != 2
-        and L.coeffs[2] != 0
-        and all(c == 0 for i, c in enumerate(L.coeffs) if i not in (0, 2))
-        and n4_criterion(ctx, L.coeffs[2], L.coeffs[0])
-    ):
+    if ctx.n == 4 and ctx.p != 2 and c[2] and not (c[1] or c[3]) and n4_criterion(ctx, c[2], c[0]):
         families.append("n4")
-    if deep:
-        if orbit is None:
-            unital = unitalize(op)
-            iso, witness = commutative_isotopy_test(op)
-            orbit = _Orbit(k, spec, tuple(op.isotopy_kernel), iso, nuclei(unital).sizes)
-            if rep is not None:
-                orbits[rep] = orbit
-        else:
-            witness = orbit.witness(k)
-        report.update(
-            spec={"b": list(spec.b), "xi": spec.xi},
-            presemifield=True,
-            commutative=is_commutative(op),
-            ganley=orbit.ganley,
-            ganley_witness=witness,
-            nuclei=list(orbit.nuclei),
-        )
+    return families
+
+
+def classify(L, deep=True, orbits=None):
+    """Both verdicts on L, and the family and behaviour report of a passing L.
+
+    deep=False stops at the trace predicate and a passing L's families,
+    building no op.  deep=True adds the presemifield verdict: a failing L
+    is reported with the zero divisor of a walk of its canonical switch,
+    a passing one with its spec, its commutativity (the coefficient test
+    ``commutative_criterion``), the commutative-isotopy verdict and
+    witness and the nuclei sizes of its switched product.  A walk that
+    disagrees with the trace predicate raises ConsistencyError.
+
+    ``orbits`` is a dict the caller keeps for one field, fresh per call
+    when None.  Scaling L by c != 0 keeps the predicate and makes the
+    switched product the isotope (x/c) * (cy), so the presemifield verdict,
+    the nuclei sizes and ``ganley`` hold on the scaling orbit
+    (``linpoly.orbit_rep``; a monomial is its own orbit).  Only its first
+    passing member met builds and walks a switch, with the check, and
+    runs the unitalization, nuclei and isotopy kernel.  Later members
+    copy those verdicts and read their witness off the kernel transported
+    by ``presemifield.transport_isotopy_kernel``.
+    """
+    predicate = switching_predicate(L)
+    report = {"coeffs": list(L.coeffs), "predicate": predicate}
+    if predicate:
+        report["families"] = _families(L)
+    if not deep:
+        return report
+    spec = switch_spec_for(L)
+    rep, k = orbit_rep(L.ctx, L.coeffs) if predicate else (None, 0)
+    orbits = {} if orbits is None else orbits
+    orbit = orbits.get(rep)  # a failing L's key, None, is never stored
+    if orbit is None:
+        op = build_switch(spec)
+        zero_divisor = presemifield.find_zero_divisor(op)
+        if (walk := zero_divisor is None) != predicate:
+            raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
+        if not predicate:
+            report.update(presemifield=False, zero_divisor=list(zero_divisor))
+            return report
+        unital = unitalize(op)
+        iso, witness = commutative_isotopy_test(op)
+        orbit = orbits[rep] = _Orbit(k, spec, tuple(op.isotopy_kernel), iso, nuclei(unital).sizes)
+    else:
+        witness = orbit.witness(k)
+    report.update(
+        spec={"b": list(spec.b), "xi": spec.xi},
+        presemifield=True,
+        commutative=commutative_criterion(spec),
+        ganley=orbit.ganley,
+        ganley_witness=witness,
+        nuclei=list(orbit.nuclei),
+    )
     return report
 
 

@@ -266,7 +266,7 @@ def nuclei(op):
 
 
 def is_commutative(op):
-    """Direct commutativity check on basis pairs."""
+    """Direct commutativity check on basis pairs: ``commutative_criterion``'s test reference."""
     basis = op.ctx.exp[: op.ctx.n]
     return all(
         op(e, f) == op(f, e) for i, e in enumerate(basis) for f in basis[i + 1 :]

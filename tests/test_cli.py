@@ -174,6 +174,22 @@ def test_failing_row_walks_once(f81_n4, monkeypatch):
     assert row_calls == len(calls)
 
 
+def test_repeated_monomial_walks_once(tmp_path, capsys, monkeypatch):
+    # a monomial is its own scaling orbit, so its second row reuses the first walk
+    from semiswitch import build_field, presemifield, search
+
+    monomial = next(L for L in search(build_field(3, 1, 2)) if L.is_monomial())
+    infile = tmp_path / "rows.jsonl"
+    infile.write_text((json.dumps({"coeffs": list(monomial.coeffs)}) + "\n") * 2)
+    walks = []
+    walk = presemifield.find_zero_divisor
+    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: walks.append(op) or walk(op))
+    assert cli.main(["verify", "--p", "3", "--n", "2", str(infile)]) == 0
+    first, second = [r for r in records(capsys.readouterr().out) if r["record"] == "result"]
+    assert first == second and first["presemifield"]
+    assert len(walks) == 1
+
+
 def test_failing_row_that_verifies_is_a_consistency_failure(tmp_path, capsys, monkeypatch):
     from semiswitch import presemifield
 
@@ -279,6 +295,26 @@ def test_search_output_feeds_verify_and_hws(tmp_path):
     skipped = [r for r in results if "skipped" in r]
     assert skipped and all(r["point_count"] == 1 for r in skipped)
     assert all("ell" in r for r in results if "skipped" not in r)
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("verify", ["--p", "2", "--m", "2", "--n", "2"]),
+        ("hws", ["--p", "3", "--n", "2", "--modulus", "2,2,1"]),
+    ],
+)
+def test_file_pinned_to_another_field_exits_2(tmp_path, command, field):
+    # the coefficient codes of a search over F_9 mean nothing in another field
+    hits = tmp_path / "hits.jsonl"
+    assert run("search", "--p", "3", "--n", "2", "--out", str(hits)).returncode == 0
+    res = run(command, *field, str(hits))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("invalid input: line 1: config pins field ")
+    pinned = records(hits.read_text())[0]["field"]
+    asked = cli._build_ctx(cli.make_parser().parse_args([command, *field, str(hits)])).to_spec()
+    assert pinned != asked
+    assert cli._dump(pinned) in res.stderr and cli._dump(asked) in res.stderr
 
 
 def test_exit_code_invalid_field():

@@ -331,6 +331,28 @@ def test_classify_raises_when_the_two_routes_disagree(f9, monkeypatch):
         assert info.value.witness == L.coeffs
 
 
+def test_known_orbit_member_builds_no_switch(f9, monkeypatch):
+    from semiswitch import families
+
+    L = next(L for L in search(f9) if not L.is_monomial())
+    c = f9.generator
+    scaled = LinearizedPoly(
+        f9, tuple(f9.mul(a, f9.pow(c, f9.q**i - 1)) for i, a in enumerate(L.coeffs))
+    )
+    assert scaled.coeffs != L.coeffs and switching_predicate(scaled)
+    specs = []
+    build = families.build_switch
+    monkeypatch.setattr(families, "build_switch", lambda spec: specs.append(spec) or build(spec))
+    orbits = {}
+    classify(L, orbits=orbits)
+    assert len(specs) == 1
+    rep = classify(scaled, orbits=orbits)
+    assert len(specs) == 1
+    # without the dict the same member is a first one, walked on its own switch
+    assert classify(scaled) == rep
+    assert len(specs) == 2
+
+
 def test_classify_search_output_n2(f9):
     for L in search(f9, mode="exhaustive"):
         rep = classify(L, deep=False)

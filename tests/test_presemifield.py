@@ -238,11 +238,31 @@ def test_nuclei_closed(f81_n4):
 
 
 def test_commutativity_criterion_exhaustive():
-    for (p, n) in ((2, 3), (3, 2)):
-        ctx = build_field(p, 1, n)
+    # classify reports commutative_criterion; is_commutative is its reference
+    for (p, m, n) in ((2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)):
+        ctx = build_field(p, m, n)
         for b in itertools.product(range(ctx.order), repeat=n):
             spec = SwitchSpec(ctx, b)
             assert is_commutative(build_switch(spec)) == commutative_criterion(spec)
+
+
+def test_commutativity_criterion_sampled_n4(f81_n4):
+    # random b is almost never symmetric, so each draw is also symmetrised
+    # (b_1 = b_3^q, b_2 in F_{q^2}) and then knocked off by one coefficient
+    ctx, rng = f81_n4, random.Random(4)
+    half = ctx.subfield(2)
+    seen = set()
+    for _ in range(300):
+        b = [rng.randrange(ctx.order) for _ in range(4)]
+        sym = [b[0], ctx.frobenius(b[3], 1), rng.choice(half), b[3]]
+        off = list(sym)
+        off[rng.randrange(1, 4)] = rng.randrange(ctx.order)
+        for coeffs in (b, sym, off):
+            spec = SwitchSpec(ctx, tuple(coeffs))
+            verdict = commutative_criterion(spec)
+            assert is_commutative(build_switch(spec)) == verdict
+            seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_commutativity_criterion_cases(f27, f81_n4):

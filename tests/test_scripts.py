@@ -45,3 +45,19 @@ def test_scripts_exit_2_on_bad_input_and_3_on_a_budget():
         assert res.returncode == code, (argv, res.stderr)
         assert res.stderr.startswith(message), (argv, res.stderr)
         assert "Traceback" not in res.stderr, argv
+
+
+def test_scripts_exit_0_when_the_reader_closes_the_pipe():
+    for argv in (
+        ["showcase_instances.py", "--shallow"],
+        ["monomial_census.py", "--p", "2", "--max-n", "3"],
+        ["random_probe.py", "--p", "3", "--n", "3", "--budget", "2000", "--seed", "1"],
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, str(SCRIPTS / argv[0])] + argv[1:],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader is gone before the first line
+        assert proc.wait(timeout=120) == 0, argv
+        assert proc.stderr.read() == b"", argv
+        proc.stderr.close()

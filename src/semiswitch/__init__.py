@@ -27,7 +27,6 @@ from .presemifield import (
     find_zero_divisor,
     is_commutative,
     nuclei,
-    predicate_equivalence_check,
     unitalize,
     verify_presemifield,
 )

@@ -19,7 +19,8 @@ Each family comes with its published coefficient criterion:
 one zero-divisor walk of its canonical switch, and raises
 ``ConsistencyError`` when they disagree.  The switch is built and walked,
 with the nuclei and isotopy kernel, once per scaling orbit of passing
-polynomials, since a scaled switch is an isotope of the first one.
+polynomials, since a scaled switch is an isotope of the first one; the
+orbit keeps that switch for its later members' witnesses.
 """
 
 from __future__ import annotations
@@ -223,11 +224,12 @@ VERDICTS = ("predicate", "presemifield")
 @dataclass(frozen=True)
 class _Orbit:
     """What ``classify`` keeps of the first member met of a scaling orbit:
-    its scaling k to the rep, its spec, its isotopy kernel basis and the
-    verdicts that hold on the whole orbit."""
+    its scaling k to the rep, its spec and switch, its isotopy kernel basis
+    and the verdicts that hold on the whole orbit."""
 
     k: int
     spec: SwitchSpec
+    op: presemifield.BinaryOp
     kernel: tuple
     ganley: bool
     nuclei: tuple
@@ -237,7 +239,8 @@ class _Orbit:
         member is the first one scaled by c = gamma^(self.k - k)."""
         ctx = self.spec.ctx
         c = ctx.exp[(self.k - k) % ctx.mult_order]
-        return isotopy_witness(ctx, transport_isotopy_kernel(self.spec, self.kernel, c))[1]
+        kernel = transport_isotopy_kernel(self.spec, self.op, self.kernel, c)
+        return isotopy_witness(ctx, kernel)[1]
 
 
 def _families(L):
@@ -261,8 +264,12 @@ def classify(L, deep=True, orbits=None):
     is reported with the zero divisor of a walk of its canonical switch,
     a passing one with its spec, its commutativity (the coefficient test
     ``commutative_criterion``), the commutative-isotopy verdict and
-    witness and the nuclei sizes of its switched product.  A walk that
-    disagrees with the trace predicate raises ConsistencyError.
+    witness and the nuclei sizes of its switched product.  The two
+    verdicts come from independent computations: the walk evaluates the
+    op closure on the line F_q^* xi/x of each orbit of x
+    (``presemifield.find_zero_divisor``), the predicate reads the
+    ``linpoly.transcript`` kernel of L.  A walk that disagrees with the
+    predicate raises ConsistencyError.
 
     ``orbits`` is a dict the caller keeps for one field, fresh per call
     when None.  Scaling L by c != 0 keeps the predicate and makes the
@@ -272,7 +279,8 @@ def classify(L, deep=True, orbits=None):
     passing member met builds and walks a switch, with the check, and
     runs the unitalization, nuclei and isotopy kernel.  Later members
     copy those verdicts and read their witness off the kernel transported
-    by ``presemifield.transport_isotopy_kernel``.
+    by ``presemifield.transport_isotopy_kernel`` on the first member's
+    switch, so they build none.
     """
     predicate = switching_predicate(L)
     report = {"coeffs": list(L.coeffs), "predicate": predicate}
@@ -294,7 +302,9 @@ def classify(L, deep=True, orbits=None):
             return report
         unital = unitalize(op)
         iso, witness = commutative_isotopy_test(op)
-        orbit = orbits[rep] = _Orbit(k, spec, tuple(op.isotopy_kernel), iso, nuclei(unital).sizes)
+        sizes = nuclei(unital).sizes
+        del op.side_maps  # the orbit keeps the product, not its order-size tables
+        orbit = orbits[rep] = _Orbit(k, spec, op, tuple(op.isotopy_kernel), iso, sizes)
     else:
         witness = orbit.witness(k)
     report.update(

@@ -8,27 +8,28 @@ for a coefficient vector ``b`` over F_{q^n} and a nonzero ``xi``.  The
 result is F_q-bilinear, so every quantified axiom check over x and y
 can be restricted to an F_q-basis.
 
-Every check then reads an F_p-linear map off the images of the mn
-F_p-basis elements, through the primitives of :mod:`.gf`.  A zero
-divisor of y -> x*y, a member of a nucleus and a commutative-isotopy
-witness are kernels (``_kernel``), and the side maps y -> 1*y and
-x -> x*1 are tables (``_linear_table``), built once per op and shared
-by the unitalization and the isotopy test.  Nuclei are subfields, hence
-F_p-subspaces through 1, so each is refined inside the complement
-span(p, ..., p^(mn-1)) of 1, one associator against an F_q-basis pair
-at a time, with the pairs that hold 1 skipped: those associators vanish
-in a unital op, whose two-sided 1 ``nuclei`` checks first.  Each
-nucleus is reported as its F_p-basis, so its size is p to the basis
-length.  No check tests candidates one by one over the whole field:
-cancellation needs one kernel per F_q^* orbit of units, and the only
-kernel listed in full, by ``_span``, is the isotopy test's, whose
-witness is its member of smallest discrete log.
+Cancellation is decided by a lemma: a zero divisor of x lies on the line
+F_q^* xi/x, so one op call per F_q^* orbit of units decides it
+(``find_zero_divisor``, which sets ``op.verified``;
+``verify_presemifield`` asks only whether it found one).  The walk reads
+the switch's ``xi``, so it runs on switches alone; at z = xi/x it is the
+trace criterion Tr(M(z)/z) != -1 read through op calls, and the tests
+keep a kernel walk that reads neither xi nor the trace as the second
+route.  Bilinearity is assumed, not checked.
 
-One walk, ``find_zero_divisor``, decides cancellation, finds its
-witness and sets ``op.verified``; ``verify_presemifield`` asks only
-whether it found one.  Bilinearity is assumed, not checked.  The walk
-never reads the trace criterion, so ``predicate_equivalence_check``
-compares the two routes as independent computations.
+Every other check reads an F_p-linear map off the images of the mn
+F_p-basis elements, through the primitives of :mod:`.gf`.  A member of a
+nucleus and a commutative-isotopy witness are kernels (``_kernel``), and
+the side maps y -> 1*y and x -> x*1 are tables (``_linear_table``),
+built once per op and shared by the unitalization and the isotopy test.
+Nuclei are subfields, hence F_p-subspaces through 1, so each is refined
+inside the complement span(p, ..., p^(mn-1)) of 1, one associator
+against an F_q-basis pair at a time, with the pairs that hold 1 skipped:
+those associators vanish in a unital op, whose two-sided 1 ``nuclei``
+checks first.  Each nucleus is reported as its F_p-basis, so its size is
+p to the basis length.  No check tests candidates one by one over the
+whole field: the only kernel listed in full, by ``_span``, is the
+isotopy test's, whose witness is its member of smallest discrete log.
 
 The isotopy test records its kernel basis as ``op.isotopy_kernel``, and
 ``transport_isotopy_kernel`` carries it to the switch of a scaled b,
@@ -44,7 +45,7 @@ from functools import cached_property
 
 from .errors import ConsistencyError
 from .gf import FieldCtx, _kernel, _linear_table, _span
-from .linpoly import LinearizedPoly, transcript
+from .linpoly import LinearizedPoly
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,13 @@ class BinaryOp:
 
     Evaluation goes through a closure.  Every check in this module
     relies on F_q-bilinearity, so a caller must not wrap anything else.
+    ``xi`` is set on a switch (``build_switch``) and None on any other op.
     """
 
-    def __init__(self, ctx, fn):
+    def __init__(self, ctx, fn, xi=None):
         self.ctx = ctx
         self._fn = fn
+        self.xi = xi
         self.verified = None
         self.isotopy_kernel = None
 
@@ -97,7 +100,9 @@ class BinaryOp:
 
         Each map is F_p-linear, so its table is read off mn basis
         images.  Raises ValueError on an op that does not verify;
-        cancellation makes both maps bijective.
+        cancellation makes both maps bijective.  An op other than a
+        switch must carry its verdict in ``verified`` already, since the
+        zero-divisor walk runs on switches alone.
         """
         if self.verified is None:
             verify_presemifield(self)
@@ -130,7 +135,7 @@ def build_switch(spec):
     ctx = spec.ctx
     mul, add, tr = ctx.mul, ctx.add, ctx.tr
     B, xi = LinearizedPoly(ctx, spec.b), spec.xi
-    return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)))
+    return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)), xi)
 
 
 # ---- verification ----
@@ -140,7 +145,8 @@ def verify_presemifield(op):
     """Whether every one-sided product by a nonzero element is a bijection.
 
     Both sides fail together, at a zero divisor x*y = 0, so this is the
-    question ``find_zero_divisor`` answers (and records on the op).
+    question ``find_zero_divisor`` answers (and records on the op); like
+    the walk, it takes a switch.
     """
     return find_zero_divisor(op) is None
 
@@ -148,41 +154,45 @@ def verify_presemifield(op):
 def find_zero_divisor(op):
     """The first pair (x, y) of nonzero elements with x*y = 0 in code order, or None.
 
-    x walks the units in code order; y is the smallest nonzero code in
-    the kernel of y -> x*y, so the pair is the one a scan over x, then
-    y, would meet first.  Since (c x)*y = c (x*y) for c in F_q, that
-    kernel is the same on the whole orbit gamma^k F_q^* = exp[k::M] of
-    x, M = (q^n-1)/(q-1): only the first member met of each orbit is
-    tried, and its first zero divisor is the first of the orbit's.  The
-    verdict, whether the op is a presemifield, is set as ``op.verified``.
+    ``op`` is a switch, x*y = xy + Tr(x B(y)) xi, read through its
+    ``op.xi``; any other op raises ValueError.
+
+    Lemma.  A unit x has a zero divisor iff x*(xi/x) = 0, and then its
+    zero divisors are exactly t xi/x for t in F_q^*.
+
+    Proof.  Let x*y = 0 with y != 0.  Then xy = -Tr(x B(y)) xi lies in
+    F_q xi, and xy != 0, so y = t xi/x for some t in F_q^*.  B is
+    q-linearized and Tr maps into F_q, so y -> x*y is F_q-linear and
+    x*(t xi/x) = t (x*(xi/x)), which vanishes iff x*(xi/x) does.
+
+    F_q^* is {gamma^(jM) : j < q - 1}, M = (q^n-1)/(q-1), so the first
+    zero divisor of x in code order is the least code among
+    exp[(log(xi/x) + jM) mod N].  x walks the units in code order, so the
+    pair is the one a scan over x, then y, would meet first.  Since
+    (c x)*y = c (x*y) for c in F_q, the verdict is the same on the whole
+    orbit gamma^k F_q^* = exp[k::M] of x: only the first member met of
+    each orbit is tried, at one op call, and its first zero divisor is
+    the first of the orbit's.  The verdict, whether the op is a
+    presemifield, is set as ``op.verified``.
     """
+    xi = op.xi
+    if xi is None:
+        raise ValueError("the zero-divisor walk needs a switch, an op with xi")
     ctx = op.ctx
-    M, log = ctx.trace_step, ctx.log
+    M, N, exp, log = ctx.trace_step, ctx.mult_order, ctx.exp, ctx.log
+    log_xi = log[xi]
     seen = bytearray(M)
     for x in ctx.units():
         k = log[x] % M
         if seen[k]:
             continue
         seen[k] = 1
-        kernel = _kernel(ctx, lambda y: (op(x, y),))
-        if kernel:
+        z = (log_xi - log[x]) % N
+        if op(x, exp[z]) == 0:
             op.verified = False
-            return (x, kernel[0])
+            return (x, min(exp[(z + j * M) % N] for j in range(ctx.q - 1)))
     op.verified = True
     return None
-
-
-def predicate_equivalence_check(spec):
-    """Compare the axiom route and the trace route on one spec.
-
-    Route one verifies the switched op directly; route two asks whether
-    Tr(M(a)/a) avoids -1 on nonzero a, for M(X) = xi sum b_i X^(q^i).
-    Returns True when the two agree (they always should).
-    """
-    ctx = spec.ctx
-    direct = verify_presemifield(build_switch(spec))
-    criterion = ctx.neg(1) not in transcript(ctx, spec.m_poly().coeffs)
-    return direct == criterion
 
 
 # ---- unitalization and nuclei ----
@@ -326,8 +336,10 @@ def isotopy_witness(ctx, kernel):
     return True, min(_span(ctx, kernel)[1:], key=ctx.log.__getitem__)
 
 
-def transport_isotopy_kernel(spec, kernel, c):
+def transport_isotopy_kernel(spec, op, kernel, c):
     """The isotopy kernel of ``spec`` scaled by c != 0, from an F_p-basis of spec's.
+
+    ``op`` is the switch ``build_switch(spec)`` the caller already holds.
 
     Scaling b_i -> b_i c^(q^i - 1) (b_0 fixed) gives B'(y) = B(cy)/c, so the
     scaled product is the isotope x *' y = (x/c) * (cy).  Let A = R^(-1),
@@ -352,7 +364,6 @@ def transport_isotopy_kernel(spec, kernel, c):
     basis of K is a basis of K', at mn products.
     """
     ctx = spec.ctx
-    op = build_switch(spec)
     beta, xi, tr = LinearizedPoly(ctx, spec.b)(1), spec.xi, ctx.tr
     den = ctx.add(1, tr[ctx.mul(xi, beta)])
 
@@ -381,7 +392,6 @@ __all__ = [
     "build_switch",
     "verify_presemifield",
     "find_zero_divisor",
-    "predicate_equivalence_check",
     "unitalize",
     "NucleiReport",
     "nuclei",

@@ -13,6 +13,7 @@ from math import gcd
 from semiswitch import (
     BinaryOp,
     ConsistencyError,
+    build_switch,
     n3_construct,
     theta_set,
     transcript,
@@ -190,6 +191,43 @@ def _switch_product(spec, x, y):
     """xy + B(x, y) xi with B read term by term from ``bilinear_form``."""
     ctx = spec.ctx
     return ctx.add(ctx.mul(x, y), ctx.mul(spec.bilinear_form(x, y), spec.xi))
+
+
+def _zero_divisor_by_kernels(op):
+    """``find_zero_divisor`` by one ``_kernel`` of mn rows per F_q^* orbit.
+
+    The same x order and orbit skip, but y is the smallest nonzero code in
+    the kernel of y -> x*y, read on any F_q-bilinear op: it uses neither
+    xi nor the trace.  Sets ``op.verified`` as the library walk does.
+    """
+    ctx = op.ctx
+    M, log = ctx.trace_step, ctx.log
+    seen = bytearray(M)
+    for x in ctx.units():
+        k = log[x] % M
+        if seen[k]:
+            continue
+        seen[k] = 1
+        kernel = _kernel(ctx, lambda y: (op(x, y),))
+        if kernel:
+            op.verified = False
+            return (x, kernel[0])
+    op.verified = True
+    return None
+
+
+def predicate_equivalence_check(spec):
+    """Compare the axiom route and the trace route on one spec.
+
+    Route one walks the switched op by ``_zero_divisor_by_kernels``; route
+    two asks whether Tr(M(a)/a) avoids -1 on nonzero a, for
+    M(X) = xi sum b_i X^(q^i), through ``transcript``.  Returns True when
+    the two agree (they always should).
+    """
+    ctx = spec.ctx
+    direct = _zero_divisor_by_kernels(build_switch(spec)) is None
+    criterion = ctx.neg(1) not in transcript(ctx, spec.m_poly().coeffs)
+    return direct == criterion
 
 
 def _verify_by_right_kernels(op):
@@ -377,7 +415,9 @@ def _twisted_field(ctx, a, b):
             ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
         )
 
-    return unitalize(BinaryOp(ctx, twisted))
+    op = BinaryOp(ctx, twisted)
+    _zero_divisor_by_kernels(op)  # sets the verdict that unitalize reads
+    return unitalize(op)
 
 
 # ---- families ----

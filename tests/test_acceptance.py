@@ -44,6 +44,7 @@ from semiswitch.presemifield import SwitchSpec
 
 
 import _scoreboard
+from oracles import _zero_divisor_by_kernels
 
 
 def _report(tag, elapsed, cap, extra=""):
@@ -69,7 +70,7 @@ def test_criterion_01_switch_equivalence():
         ctx = build_field(p, m, n)
         for b in itertools.product(range(ctx.order), repeat=n):
             spec = SwitchSpec(ctx, b)
-            axiom_route = verify_presemifield(build_switch(spec))
+            axiom_route = _zero_divisor_by_kernels(build_switch(spec)) is None
             assert axiom_route == _trace_route(spec), (p, m, n, b)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60

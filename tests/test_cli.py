@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -172,6 +173,19 @@ def test_failing_row_walks_once(f81_n4, monkeypatch):
     assert rep["predicate"] is rep["presemifield"] is False
     assert rep["zero_divisor"] == list(find_zero_divisor(build_switch(switch_spec_for(L))))
     assert row_calls == len(calls)
+
+
+def test_deep_field_monomial_verifies_in_seconds(tmp_path, capsys):
+    # F_{2^17}: the walk makes one op call per unit, where a kernel of 17
+    # rows per unit took over 20 s
+    infile = tmp_path / "row.jsonl"
+    infile.write_text(json.dumps({"coeffs": [1] + [0] * 16}) + "\n")
+    t0 = time.perf_counter()
+    assert cli.main(["verify", "--p", "2", "--n", "17", str(infile)]) == 0
+    elapsed = time.perf_counter() - t0
+    (row,) = [r for r in records(capsys.readouterr().out) if r["record"] == "result"]
+    assert row["presemifield"] is True
+    assert elapsed < 10
 
 
 def test_repeated_monomial_walks_once(tmp_path, capsys, monkeypatch):

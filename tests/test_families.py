@@ -332,7 +332,7 @@ def test_classify_raises_when_the_two_routes_disagree(f9, monkeypatch):
 
 
 def test_known_orbit_member_builds_no_switch(f9, monkeypatch):
-    from semiswitch import families
+    from semiswitch import families, presemifield
 
     L = next(L for L in search(f9) if not L.is_monomial())
     c = f9.generator
@@ -341,12 +341,18 @@ def test_known_orbit_member_builds_no_switch(f9, monkeypatch):
     )
     assert scaled.coeffs != L.coeffs and switching_predicate(scaled)
     specs = []
-    build = families.build_switch
-    monkeypatch.setattr(families, "build_switch", lambda spec: specs.append(spec) or build(spec))
+    build = presemifield.build_switch
+    # classify builds through families, the isotopy transport would through presemifield
+    for module in (families, presemifield):
+        monkeypatch.setattr(module, "build_switch", lambda spec: specs.append(spec) or build(spec))
     orbits = {}
     classify(L, orbits=orbits)
     assert len(specs) == 1
     rep = classify(scaled, orbits=orbits)
+    assert len(specs) == 1
+    # the cached member's witness is transported on the orbit's own switch
+    (orbit,) = orbits.values()
+    assert rep["ganley"] and orbit.witness(orbit.k - 1) == rep["ganley_witness"]
     assert len(specs) == 1
     # without the dict the same member is a first one, walked on its own switch
     assert classify(scaled) == rep

@@ -16,12 +16,16 @@ The all-pairs nuclei oracle also runs on hand-built unital algebras
 ``orbit_rep`` runs against the scan over every scaling on every tuple
 of F_9^2 and F_16^2 and on seeded F_81^4 samples.  The per-orbit
 ``classify`` and the isotopy kernel's transport run on every hit of
-(q, n) = (3, 3), (4, 2), (7, 2) and of (3, 4) on support (0, 2).
+(q, n) = (3, 3), (4, 2), (7, 2) and of (3, 4) on support (0, 2).  The
+zero-divisor walk on the lines F_q^* xi/x runs against the kernel walk
+on every b, at xi = 1, gamma and the last code, for (q, n) = (2, 2),
+(3, 2), (4, 2), (2, 3), (5, 2) and (7, 2), and on every hit of (3, 3),
+(4, 2) and (7, 2).
 """
 
 import random
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -73,6 +77,7 @@ from oracles import (
     _twisted_field,
     _unitalize_scan,
     _verify_by_right_kernels,
+    _zero_divisor_by_kernels,
     _zero_divisor_scan,
     n2_lemma_roots,
     nuclei_members,
@@ -92,6 +97,8 @@ NUCLEI_FIELDS = FIELDS + ["f32", "f243"]
 ORBIT_FIELDS = ["f9", "f16_q4", "f81_n4"]
 # the hits of the search workload's two shapes, and of (7, 2) and (3, 4) on (0, 2)
 HIT_FIELDS = ["f27", "f16_q4", "f49", "f81_n4"]
+# the line walk against the kernel walk on every b, at three xi each
+LINE_FIELDS = ["f4", "f9", "f16_q4", "f8", "f25", "f49"]
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +119,11 @@ def f343():
 @pytest.fixture(scope="module")
 def f625_q25():
     return build_field(5, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def f25():
+    return build_field(5, 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +195,22 @@ def _dual_spread_ops(ctx):
     out = []
     while len(out) < 4:
         op = dual_spread_op(ctx, rng.randrange(1, ctx.order), rng.randrange(ctx.order))
-        if verify_presemifield(op):
+        if _zero_divisor_by_kernels(op) is None:  # no switch: the walk needs xi
             out.append((op,))
     return out
+
+
+def _every_spec(ctx):
+    """Every b, with xi = 1, gamma and the last code."""
+    return [
+        (SwitchSpec(ctx, b, xi),)
+        for xi in (1, ctx.generator, ctx.order - 1)
+        for b in product(range(ctx.order), repeat=ctx.n)
+    ]
+
+
+def _hit_specs(ctx):
+    return [(switch_spec_for(L),) for L in _hits(ctx)]
 
 
 def _unital_ops(ctx):
@@ -354,12 +379,12 @@ def _hit_lists(ctx):
 
 @cache
 def _isotopy_kernels(ctx):
-    """coeffs -> (spec, isotopy kernel basis) of every hit, each from its own op."""
+    """coeffs -> (spec, op, isotopy kernel basis) of every hit, each from its own op."""
     out = {}
     for L in _hits(ctx):
         op = build_switch(spec := switch_spec_for(L))
         commutative_isotopy_test(op)
-        out[L.coeffs] = spec, op.isotopy_kernel
+        out[L.coeffs] = spec, op, op.isotopy_kernel
     return out
 
 
@@ -447,6 +472,14 @@ def _nuclei_sets(op):
     return nuclei_members(op.ctx, nuclei(op))
 
 
+def _line_walk(spec):
+    return find_zero_divisor(build_switch(spec))
+
+
+def _kernel_walk(spec):
+    return _zero_divisor_by_kernels(build_switch(spec))
+
+
 def _classify_sharing_orbits(hits):
     orbits = {}
     return [classify(L, orbits=orbits) for L in hits]
@@ -458,13 +491,13 @@ def _classify_each(hits):
 
 def _transported_span(L, c):
     """The span of L's isotopy kernel basis transported to L scaled by c."""
-    spec, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
-    return _span(L.ctx, transport_isotopy_kernel(spec, kernel, c))
+    spec, op, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
+    return _span(L.ctx, transport_isotopy_kernel(spec, op, kernel, c))
 
 
 def _scaled_kernel_span(L, c):
     """The span of the kernel that the isotopy test finds on L scaled by c."""
-    return _span(L.ctx, _isotopy_kernels(L.ctx)[scale(L.ctx, L.coeffs, c)][1])
+    return _span(L.ctx, _isotopy_kernels(L.ctx)[scale(L.ctx, L.coeffs, c)][2])
 
 
 def pair(fast, oracle, inputs, id, fields=FIELDS):
@@ -487,6 +520,8 @@ PAIRS = [
     pair(matches_n3, _matches_n3_scan, _n3_polys, "matches_n3"),
     pair(min_max_leader, _min_max_leader_full_scan, _higher_support, "min_max_leader"),
     pair(find_zero_divisor, _zero_divisor_scan, _failing_ops, "find_zero_divisor"),
+    pair(_line_walk, _kernel_walk, _every_spec, "zero_divisor-line", LINE_FIELDS),
+    pair(_line_walk, _kernel_walk, _hit_specs, "zero_divisor-line-hits", ["f27", "f16_q4", "f49"]),
     pair(verify_presemifield, _verify_by_right_kernels, _all_ops, "verify"),
     pair(_switch_products, _switch_products_by_form, _spec_and_pairs, "build_switch"),
     pair(_right_inverse_table, _right_inverse_closed_form, _passing_specs, "right_inverse"),

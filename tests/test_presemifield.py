@@ -20,7 +20,6 @@ from semiswitch import (
     n3_construct,
     n4_commutative_op,
     nuclei,
-    predicate_equivalence_check,
     search,
     switch_spec_for,
     switching_predicate,
@@ -36,8 +35,10 @@ from oracles import (
     _matrix_algebra,
     _nuclei_scan,
     _twisted_field,
+    _zero_divisor_by_kernels,
     _zero_divisor_scan,
     nuclei_members,
+    predicate_equivalence_check,
     right_unit_inverse,
 )
 
@@ -62,7 +63,19 @@ def test_spec_entries_must_be_int_codes(f9):
 
 
 def test_field_op_is_presemifield(f9):
-    assert verify_presemifield(field_op(f9))
+    # no switch records xi on the field product, so the kernel walk verifies it
+    assert _zero_divisor_by_kernels(field_op(f9)) is None
+
+
+def test_walk_refuses_an_op_without_xi(f9):
+    # the line walk reads a switch's xi, and no other op has one
+    for op in (field_op(f9), BinaryOp(f9, build_switch(SwitchSpec(f9, (1, 0))))):
+        assert op.xi is None
+        with pytest.raises(ValueError, match="switch"):
+            find_zero_divisor(op)
+        with pytest.raises(ValueError, match="switch"):
+            verify_presemifield(op)
+    assert build_switch(SwitchSpec(f9, (1, 0), xi=5)).xi == 5
 
 
 def test_switch_from_passing_poly_cancels(f9):
@@ -146,8 +159,8 @@ def test_unitalize_gives_two_sided_identity(f9):
         star = unitalize(op)
         for x in f9.elements():
             assert star(x, 1) == x and star(1, x) == x
-        # cancellation survives
-        assert verify_presemifield(star)
+        # cancellation survives; the unital op is no switch, so the kernel walk checks it
+        assert _zero_divisor_by_kernels(star) is None
 
 
 def test_unitalize_commutative_skips_left_twist(f81_n4):
@@ -205,6 +218,7 @@ def test_side_maps_are_built_once(f81_n4, monkeypatch):
     linear_table = presemifield._linear_table
     monkeypatch.setattr(presemifield, "_linear_table", counted)
     op = BinaryOp(f81_n4, n4_commutative_op(f81_n4, 1, 2))  # no SwitchSpec behind it
+    assert _zero_divisor_by_kernels(op) is None  # the verdict the side maps read
     unitalize(op)
     commutative_isotopy_test(op)
     assert len(tables) == 2
@@ -373,7 +387,7 @@ def test_dual_spread_identity(f81_n4):
                 lhs = ctx.rel_trace(ctx.mul(x, circ(z, y)))
                 rhs = ctx.rel_trace(ctx.mul(z, star(x, y)))
                 assert lhs == rhs
-    assert verify_presemifield(circ)
+    assert _zero_divisor_by_kernels(circ) is None
 
 
 def test_dual_spread_trivial_and_domain(f81_n4, f27):

@@ -19,7 +19,14 @@ SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
 file is replaced only when the command succeeds.  Every record passes
 through one writer, the only code that knows the format: with ``--format
 csv`` a result record is the row of its coeffs and then the command's
-``_CSV_COLUMNS``, and every other record stays JSON (``codes`` has no csv).
+``_csv_columns``, and every other record stays JSON (``codes`` has no csv).
+
+Start-up: this module loads only ``errors``, ``gf`` and ``linpoly``, and
+each command imports what it runs: ``codes`` the census module,
+``hws`` the curve bounds, ``search`` ``families`` (with
+``presemifield``), and ``verify`` ``families``, ``hws`` and ``digits``
+once it reads a row.  Calls go through module attributes, so a patched
+``families.classify`` or ``cli.build_field`` is the one that runs.
 
 Exit codes: 0 fine (also when nothing was found, and when the reader
 of stdout closes the pipe early), 2 bad input, 3 budget exceeded,
@@ -36,8 +43,7 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 
-from . import codes as codes_mod
-from . import digits, families, hws, linpoly
+from . import linpoly
 from .errors import BudgetExceeded, ConsistencyError
 from .gf import build_field
 
@@ -49,9 +55,16 @@ def _dump(record):
 # the csv row of a result record: its coeffs, then these keys
 _CSV_COLUMNS = {
     "search": ("commutative", "ganley", "families"),
-    "verify": families.VERDICTS,
     "hws": ("ell", "genus", "impossible_nonzero_trace", "impossible_zero_trace"),
 }
+
+
+def _csv_columns(command):
+    if command == "verify":
+        from .families import VERDICTS  # only a csv verify run needs families here
+
+        return VERDICTS
+    return _CSV_COLUMNS[command]
 
 
 def _cell(value):
@@ -78,16 +91,23 @@ class _Writer:
 def _output(args):
     """A _Writer in ``args.format`` on stdout, or on a temp file that replaces ``args.out``.
 
-    A failed command leaves an existing ``args.out`` untouched and removes
-    the temp file, so no half-written output survives.
+    A command enters this before any work, so an ``--out`` that cannot be
+    written fails at once.  A failed command leaves an existing
+    ``args.out`` untouched and removes the temp file, so no half-written
+    output survives.
     """
-    columns = _CSV_COLUMNS[args.command] if args.format == "csv" else None
+    columns = _csv_columns(args.command) if args.format == "csv" else None
     if not args.out:
         yield _Writer(sys.stdout, columns)
         return
     target = os.path.realpath(args.out)
+    if os.path.isdir(target):
+        raise ValueError(f"--out {args.out!r} is a directory")
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x")
+    try:
+        fh = open(tmp, "x")
+    except OSError as e:
+        raise ValueError(f"cannot write --out {args.out!r}: {e.strerror}") from None
     try:
         with fh:
             yield _Writer(fh, columns)
@@ -185,12 +205,14 @@ def _read_polys(ctx, path):
 
 
 def cmd_search(args):
-    ctx = _build_ctx(args)
-    mode = _mode(args)
-    mask = _mask(args, ctx.n)
-    # search first, so a budget failure writes nothing
-    found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
+    from . import families
+
     with _output(args) as writer:
+        ctx = _build_ctx(args)
+        mode = _mode(args)
+        mask = _mask(args, ctx.n)
+        # search before the first record, so a budget failure writes nothing
+        found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
         writer.emit(
             _config_record(
                 args,
@@ -210,6 +232,8 @@ def cmd_search(args):
 
 
 def _verify_one(L, orbits=None):
+    from . import digits, families, hws
+
     report = {"record": "result", **families.classify(L, orbits=orbits)}
     if not report["predicate"]:
         return report
@@ -223,6 +247,8 @@ def _verify_one(L, orbits=None):
 
 
 def _hws_one(L):
+    from . import hws
+
     report = {"record": "result", "coeffs": list(L.coeffs)}
     if L.is_monomial():
         # a unit multiple has no curve statistic; report what exists
@@ -235,9 +261,9 @@ def _hws_one(L):
 
 def _report_rows(args, report):
     """verify and hws: the config record, then ``report(L)`` per polynomial of the infile."""
-    ctx = _build_ctx(args)
-    polys = _read_polys(ctx, args.infile)
     with _output(args) as writer:
+        ctx = _build_ctx(args)
+        polys = _read_polys(ctx, args.infile)
         writer.emit(_config_record(args, ctx, {"infile": args.infile}))
         for L in polys:
             writer.emit(report(L))
@@ -253,12 +279,14 @@ def cmd_codes(args):
         raise ValueError(
             "codes writes JSON lines only; --format csv applies to search, verify and hws"
         )
-    ctx = _build_ctx(args)
-    mode = _mode(args)
-    # the census first, so a budget failure writes nothing
-    dim = codes_mod.code_dimension(ctx.q, ctx.n)
-    census = codes_mod.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
+    from . import codes
+
     with _output(args) as writer:
+        ctx = _build_ctx(args)
+        mode = _mode(args)
+        # the census before the first record, so a budget failure writes nothing
+        dim = codes.code_dimension(ctx.q, ctx.n)
+        census = codes.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
         pinned = {"mode": mode}
         if mode == "random":
             pinned.update(seed=args.seed, budget=linpoly.search_budget(args.budget))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from . import codes
 from .errors import BudgetExceeded, read_limit, require_int
 from .gf import build_field
 
@@ -244,6 +243,8 @@ def monomial_census(p, n, budget=None, mode="exhaustive", seed=0):
     theorem: reports whether every hit is a monomial, together with the
     bound (p-1)(p^2-p+4)/2 above which that must happen.
     """
+    from . import codes  # only the census needs it; verify loads digits without it
+
     census = codes.full_weight_search(build_field(p, 1, n), mode=mode, seed=seed, budget=budget)
     non_monomial = census["full_weight_nonconstant"]
     bound = (p - 1) * (p * p - p + 4) // 2

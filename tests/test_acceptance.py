@@ -2,8 +2,8 @@
 
 Correctness is asserted first, then the wall-clock cap.  Each check
 posts a single PASS line to the scoreboard that conftest prints after
-the run, so a green session ends with a ten-line summary; a failure
-shows up as the usual pytest FAILED line instead.
+the run, so a green session ends with a summary of one line per check;
+a failure shows up as the usual pytest FAILED line instead.
 """
 
 import itertools
@@ -120,6 +120,30 @@ def test_criterion_03_n4_one_direction_exhaustive():
     elapsed = time.perf_counter() - t0
     assert elapsed < 120
     _report("criterion 3, norm-square criterion at (3,4), 270 + 2000 pairs", elapsed, 120)
+
+
+def test_criterion_03_n4_iff_by_exhaustive_search():
+    # the criterion's set is every passing non-monomial, not just a subset:
+    # all 81^4 tuples at (3,4), and every (a_0, 0, a_2, 0) at (5,4)
+    t0 = time.perf_counter()
+    ctx = build_field(3, 1, 4)
+    hits = {L.coeffs for L in search(ctx, mode="exhaustive", budget=81**4)}
+    monomials = {c for c in hits if not any(c[1:])}
+    assert (len(hits), len(monomials)) == (324, 54)
+    assert hits - monomials == {L.coeffs for L in _n4_criterion_true_polys(ctx)}
+    ctx = build_field(5, 1, 4)
+    hits = {L.coeffs for L in search(ctx, (0, 2), mode="exhaustive")}
+    want = {
+        (a0, 0, a1, 0)
+        for a1 in range(1, 625)
+        for a0 in range(625)
+        if n4_criterion(ctx, a1, a0)
+    }
+    assert len(want) == 6500
+    assert {c for c in hits if c[2]} == want
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 30
+    _report("criterion 3, norm-square criterion iff at (3,4) and (5,4) by search", elapsed, 30)
 
 
 def test_criterion_04_nuclei_signature():

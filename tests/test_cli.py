@@ -238,6 +238,35 @@ def test_passing_row_that_fails_verification_is_a_consistency_failure(
     assert sorted(tmp_path.iterdir()) == [out, infile]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "under-a-file", "a-dir"])
+@pytest.mark.parametrize("command", ["search", "verify", "codes", "hws"])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    # an --out that cannot be written fails before the field is built, not
+    # after the whole run, and the message names the path as given
+    from semiswitch import linpoly
+
+    searches = []
+    monkeypatch.setattr(linpoly, "search", lambda *a, **k: searches.append(a))
+    monkeypatch.setattr(cli, "build_field", lambda *a, **k: pytest.fail("field built"))
+    infile = tmp_path / "rows.jsonl"
+    infile.write_text('{"coeffs":[1,0]}\n')
+    (tmp_path / "file").write_text("")
+    out = {
+        "missing-dir": tmp_path / "missing" / "hits.jsonl",
+        "under-a-file": tmp_path / "file" / "hits.jsonl",
+        "a-dir": tmp_path,
+    }[where]
+    argv = [command, "--p", "3", "--n", "2", "--out", str(out)]
+    argv += [str(infile)] if command in ("verify", "hws") else []
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert str(out) in captured.err and ".tmp" not in captured.err
+    assert searches == []
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file", infile]
+
+
 def test_internal_key_error_is_not_bad_input(monkeypatch):
     # a KeyError from the library is a bug: it propagates, never exit 2
     from semiswitch import families

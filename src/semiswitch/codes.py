@@ -15,6 +15,7 @@ so "full weight and not constant" is the code-side face of the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from . import linpoly
@@ -106,28 +107,63 @@ def trace_codeword(ctx, coeffs):
     return Codeword(tuple(coeffs), values)
 
 
+def _least_nonconstant(ctx, orbits, count):
+    """The ``count`` least tuples of the non-monomial ``orbits`` in code order.
+
+    a_0 runs in code order, and the tuples with a given a_0 are that a_0
+    before the scalings of the reps of its trace class: the ``count`` least
+    of those per class suffice.
+    """
+    import heapq  # here, so that a census in random mode does not load it
+
+    tr = ctx.tr
+
+    def members(t):
+        for rep, size in orbits:
+            if tr[rep[0]] == t:
+                yield from (linpoly._scaled(ctx, rep, k)[1:] for k in range(size))
+
+    least = {t: heapq.nsmallest(count, members(t)) for t in ctx.subfield(1)}
+    words = ([a0, *rest] for a0 in range(ctx.order) for rest in least[tr[a0]])
+    return list(islice(words, count))
+
+
 def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):
     """Census of full-weight words, split into constant and not.
 
     Full weight is the predicate, constant is monomial-ness, so this
-    rides on the polynomial search and just relabels its output.
-    ``candidates`` is the words searched: all order**n of them, or in
-    random mode the draws requested (the budget, repeats included).
+    rides on the polynomial search.  Exhaustive mode counts the scaling
+    orbits of the search's strata without expanding them: a passing rep
+    of orbit size N/g stands for (N/g) q^(n-1) words, one per scaling and
+    per a_0 of its trace class, and the witnesses are the five least
+    non-constant words in code order.  Random mode relabels the search's
+    hits.  ``candidates`` is the words searched: all order**n of them, or
+    in random mode the draws requested (the budget, repeats included).
     """
-    sols = linpoly.search(ctx, range(ctx.n), mode=mode, seed=seed, budget=budget)
-    constant = [L for L in sols if L.is_monomial()]
-    nonconstant = [L for L in sols if not L.is_monomial()]
+    if mode == "exhaustive":
+        limit = linpoly.search_budget(budget)
+        orbits = linpoly._passing_orbits(ctx, tuple(range(ctx.n)), limit)
+        moving = [(rep, size) for rep, size in orbits if any(rep[1:])]
+        spread = ctx.q ** (ctx.n - 1)  # the a_0 of one trace class
+        constant = spread * (len(orbits) - len(moving))  # monomials: orbits of size 1
+        nonconstant = spread * sum(size for _, size in moving)
+        witnesses = _least_nonconstant(ctx, moving, 5)
+        candidates = ctx.order**ctx.n
+    else:
+        sols = linpoly.search(ctx, range(ctx.n), mode=mode, seed=seed, budget=budget)
+        nonmonomial = [list(L.coeffs) for L in sols if not L.is_monomial()]
+        constant, nonconstant = len(sols) - len(nonmonomial), len(nonmonomial)
+        witnesses = nonmonomial[:5]
+        candidates = linpoly.search_budget(budget)
     return {
         "q": ctx.q,
         "n": ctx.n,
         "length": ctx.mult_order,
         "mode": mode,
-        "candidates": (
-            ctx.order**ctx.n if mode == "exhaustive" else linpoly.search_budget(budget)
-        ),
-        "full_weight_constant": len(constant),
-        "full_weight_nonconstant": len(nonconstant),
-        "nonconstant_witnesses": [list(L.coeffs) for L in nonconstant[:5]],
+        "candidates": candidates,
+        "full_weight_constant": constant,
+        "full_weight_nonconstant": nonconstant,
+        "nonconstant_witnesses": witnesses,
     }
 
 

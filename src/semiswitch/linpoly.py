@@ -11,15 +11,21 @@ stays a presemifield.
 
 One kernel, :func:`transcript`, computes the trace quotient along the
 powers of gamma, and every predicate, search, code and point-count
-caller reads it.  Three facts keep it small.  L is F_q-linear, so
+caller reads it.  Four facts keep it small.  L is F_q-linear, so
 L(cx)/(cx) = L(x)/x for c in F_q^*: the transcript is constant on F_q^*
 cosets and has period M = (q^n - 1)/(q - 1), not q^n - 1.  a_0 enters
 only through Tr(a_0), so every search treats a_0 as one of q trace
 classes: exhaustive search expands each class back into its a_0 values
-at the end, random search keeps the draws whose class passes.  And the
-transcript is additive in L, so every search walks head transcripts
-against bitsets of tail tuples: the product of the candidates, or the
-distinct heads and tails of the random draws, split at a computed cut.
+at the end, random search keeps the draws whose class passes.  Scaling
+x -> cx maps L to (a_i c^(q^i - 1)) and keeps the predicate, so
+exhaustive search walks one stratum per first nonzero index j >= 1 (the
+lower indices 0, a_j one of exp[0..g-1] with g = q^gcd(j,n) - 1, the
+later coefficients free, and the a_0-only stratum) and each passing
+representative stands for the N/g tuples it gives scaled by gamma^k,
+k < N/g, disjoint from every other's.  And the transcript is additive
+in L, so every search walks head transcripts against bitsets of tail
+tuples: the product of a stratum's choices, or the distinct heads and
+tails of the random draws, split at a computed cut.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -91,9 +97,15 @@ def transcript(ctx, coeffs):
     value it needs.  Term i is the strided read
     tr[exp[(log a_i + k (q^i - 1)) mod N]]; no field multiplications.
     """
-    N, tr, exp, log, add = ctx.mult_order, ctx.tr, ctx.exp, ctx.log, ctx.add
-    t0 = tr[coeffs[0]]
+    log = ctx.log
     terms = [(log[a], e) for a, e in zip(coeffs[1:], ctx.qpow_minus1[1:]) if a]
+    return _transcript(ctx, ctx.tr[coeffs[0]], terms)
+
+
+def _transcript(ctx, t0, terms):
+    """The transcript of Tr(a_0) = t0 plus the terms (log a_i, q^i - 1) of
+    the nonzero a_i, i >= 1."""
+    N, tr, exp, add = ctx.mult_order, ctx.tr, ctx.exp, ctx.add
     for k in range(ctx.trace_step):
         v = t0
         for s, e in terms:
@@ -150,6 +162,17 @@ def _coeffs(n, support, assignment):
     return tuple(coeffs)
 
 
+class _Terms(dict):
+    """a -> (log a, e) at one position, e = q^i - 1, each entry made on first use."""
+
+    def __init__(self, log, e):
+        self.log, self.e = log, e
+
+    def __missing__(self, a):
+        self[a] = term = (self.log[a], self.e)
+        return term
+
+
 def _walk(ctx, head_support, heads, tail_support, tails):
     """Every passing head + tail, heads in the order given, then tails in order.
 
@@ -159,9 +182,13 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     the tails' transcripts when a head first reaches k.  Each head ORs in
     the tails it fails and stops once all have; with the one empty tail
     ``[()]`` this is the predicate on each head.  ``heads`` is any
-    iterable, walked once: a product of choices, or distinct tuples.
+    iterable, walked once: a product of choices, or distinct tuples.  A
+    head's a_0 enters as its trace, and each later a_i != 0 as the term
+    (log a_i, q^i - 1) of its position's table, filled once per value.
     """
-    n = ctx.n
+    n, tr = ctx.n, ctx.tr
+    has_a0 = head_support[:1] == (0,)
+    rows = [_Terms(ctx.log, ctx.qpow_minus1[i]) for i in head_support[has_a0:]]
     columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
@@ -174,8 +201,9 @@ def _walk(ctx, head_support, heads, tail_support, tails):
         return need[k]
 
     for head in heads:
-        failed = 0
-        for k, v in enumerate(transcript(ctx, _coeffs(n, head_support, head))):
+        failed, t0 = 0, tr[head[0]] if has_a0 else 0
+        terms = [row[a] for row, a in zip(rows, head[has_a0:]) if a]
+        for k, v in enumerate(_transcript(ctx, t0, terms)):
             failed |= column(k).get(v, 0)
             if failed == full:
                 break
@@ -201,16 +229,13 @@ def _cost(ctx, heads, tails):
     return tails * M + heads * min(M, ctx.q)
 
 
-def _search_exhaustive(ctx, support):
-    """Every passing assignment to ``support``, in code order.
+def _walk_product(ctx, support, choices):
+    """Every passing tuple of ``product(*choices)`` on ``support``, in product order.
 
-    Index 0 takes one a_0 per trace class.  The candidates split into head
-    tuples and a block of T tail tuples (one empty tail after a cut at the
-    end) for :func:`_walk`, at the cut of least :func:`_cost`.
+    The candidates split into head tuples and a block of T tail tuples (one
+    empty tail after a cut at the end) for :func:`_walk`, at the cut of least
+    :func:`_cost`.
     """
-    choices = [
-        list(_a0_classes(ctx).values()) if i == 0 else range(ctx.order) for i in support
-    ]
     total = prod(map(len, choices))
 
     def cost(cut):
@@ -220,10 +245,46 @@ def _search_exhaustive(ctx, support):
     # a cut at 0 (every candidate a tail) never costs less than no tail
     cut = min(range(len(support), 0, -1), key=cost)
     tails = list(product(*choices[cut:]))
-    hits = _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
+    return _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
+
+
+def _passing_orbits(ctx, support, limit):
+    """Every passing tuple on the sorted ``support`` as (rep, size) pairs:
+    the n-tuples ``_scaled(ctx, rep, k)``, k < size, each with a_0 anywhere
+    in the trace class of rep's a_0, one of :func:`_a0_classes`.
+
+    Stratum j >= 1 holds the tuples whose first nonzero index past 0 is j.
+    Scaling by gamma^k adds k (q^j - 1) to log a_j, so log a_j runs over its
+    residue class mod g = gcd(q^j - 1, N) = q^gcd(j,n) - 1, and k, k' give
+    the same a_j exactly when N/g divides k - k'.  So the stratum walks a_j
+    over exp[0..g-1], the lower indices 0 and the later ones free, and its
+    tuples are those reps scaled by k < N/g, each tuple once.  The tuples
+    with a_0 alone are their own reps, of size 1.  The ``order**len(support)``
+    tuples covered must fit ``limit``.
+    """
+    if (space := ctx.order ** len(support)) > limit:
+        raise BudgetExceeded(f"exhaustive search needs {space} candidates, budget is {limit}")
+    classes = [list(_a0_classes(ctx).values())] if support[0] == 0 else []
+    a0, rest = support[: len(classes)], support[len(classes) :]
+    strata = [(a0, classes, 1)] if a0 else []
+    for at, j in enumerate(rest):
+        g = ctx.q ** gcd(j, ctx.n) - 1
+        free = [range(ctx.order)] * (len(rest) - at - 1)
+        strata.append((a0 + rest[at:], classes + [ctx.exp[:g]] + free, ctx.mult_order // g))
+    return [
+        (_coeffs(ctx.n, sub, rep), size)
+        for sub, choices, size in strata
+        for rep in _walk_product(ctx, sub, choices)
+    ]
+
+
+def _search_orbits(ctx, support, limit):
+    """Every passing n-tuple on ``support``, in code order: each orbit rep
+    scaled, then each Tr(a_0) class expanded back into its a_0 values."""
+    orbits = _passing_orbits(ctx, support, limit)
+    hits = sorted(_scaled(ctx, rep, k) for rep, size in orbits for k in range(size))
     if support[0] != 0:
         return hits
-    # expand each Tr(a_0) class back into its a_0 values, in code order
     by_class = {}
     for hit in hits:
         by_class.setdefault(ctx.tr[hit[0]], []).append(hit[1:])
@@ -281,8 +342,9 @@ def _search_random(ctx, support, seed, limit):
 def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     """Find predicate-passing L with the given coefficient support.
 
-    mode="exhaustive" enumerates every assignment (lexicographic by
-    element code, lowest support index most significant) and needs
+    mode="exhaustive" returns every passing assignment (lexicographic by
+    element code, lowest support index most significant), walking one
+    representative per scaling orbit (:func:`_passing_orbits`), and needs
     ``order**len(support)`` to fit the budget.  mode="random" draws
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order; it stops early once every
@@ -304,18 +366,14 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
         return []
     limit = search_budget(budget)
     if mode == "exhaustive":
-        if (space := ctx.order ** len(support)) > limit:
-            raise BudgetExceeded(
-                f"exhaustive search needs {space} candidates, budget is {limit}"
-            )
-        hits = _search_exhaustive(ctx, support)
+        hits = _search_orbits(ctx, support, limit)
     elif mode == "random":
         if not 0 <= require_int(seed, "seed") < 2**64:
             raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
-        hits = _search_random(ctx, support, seed, limit)
+        hits = [_coeffs(ctx.n, support, a) for a in _search_random(ctx, support, seed, limit)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return [LinearizedPoly(ctx, _coeffs(ctx.n, support, a)) for a in hits]
+    return [LinearizedPoly(ctx, c) for c in hits]
 
 
 __all__ = [

@@ -20,6 +20,7 @@ from semiswitch import (
     unitalize,
 )
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
+from semiswitch.linpoly import _a0_classes, _coeffs, _walk_product
 
 
 # ---- gf ----
@@ -160,6 +161,36 @@ def _random_search_by_predicate(ctx, mask, seed, budget):
         if hit := _passes(ctx, mask, assignment):
             hits.append(hit)
     return hits
+
+
+def _search_exhaustive(ctx, support):
+    """Every passing n-tuple on the sorted ``support``, in code order, by
+    one walk of every tuple: no scaling orbits.
+
+    Index 0 takes one a_0 per trace class, every other index every
+    element, all in one product walk; each Tr(a_0) class is expanded back
+    into its a_0 values at the end.
+    """
+    choices = [
+        list(_a0_classes(ctx).values()) if i == 0 else range(ctx.order) for i in support
+    ]
+    hits = _walk_product(ctx, support, choices)
+    if support[0] == 0:
+        by_class = {}
+        for hit in hits:
+            by_class.setdefault(ctx.tr[hit[0]], []).append(hit[1:])
+        hits = [
+            (a0,) + rest for a0 in range(ctx.order) for rest in by_class.get(ctx.tr[a0], ())
+        ]
+    return [_coeffs(ctx.n, support, hit) for hit in hits]
+
+
+def _census_by_expansion(ctx):
+    """(constant, non-constant, first five non-constant) full-weight words,
+    from every passing tuple of the walk over every tuple."""
+    hits = _search_exhaustive(ctx, tuple(range(ctx.n)))
+    nonconstant = [list(h) for h in hits if any(h[1:])]
+    return len(hits) - len(nonconstant), len(nonconstant), nonconstant[:5]
 
 
 def scale(ctx, coeffs, c):

@@ -146,6 +146,19 @@ def test_criterion_03_n4_iff_by_exhaustive_search():
     _report("criterion 3, norm-square criterion iff at (3,4) and (5,4) by search", elapsed, 30)
 
 
+def test_criterion_03_n4_binomials_by_full_support_census():
+    # every passing non-monomial at (5,4) lies on support (0, 2): the full
+    # census counts as many as the (0, 2) search of the iff check above
+    t0 = time.perf_counter()
+    ctx = build_field(5, 1, 4)
+    rep = full_weight_search(ctx, budget=ctx.order**4)
+    assert (rep["full_weight_constant"], rep["full_weight_nonconstant"]) == (500, 6500)
+    assert all(w[1] == w[3] == 0 for w in rep["nonconstant_witnesses"])
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 10
+    _report("criterion 3, every non-monomial hit at (5,4) is a binomial", elapsed, 10)
+
+
 def test_criterion_04_nuclei_signature():
     t0 = time.perf_counter()
     ctx = build_field(3, 1, 4)
@@ -173,13 +186,13 @@ def test_criterion_05_q4_example():
 
 
 def test_criterion_06_binary_monomial_censuses():
-    caps = {3: 1.0, 4: 10.0, 5: 10.0}
+    caps = {3: 1.0, 4: 10.0, 5: 10.0, 6: 10.0}
     sizes = {}
     total = 0.0
     for n in caps:
         ctx = build_field(2, 1, n)
         t0 = time.perf_counter()
-        found = search(ctx, mode="exhaustive", budget=1 << 25)
+        found = search(ctx, mode="exhaustive", budget=ctx.order**n)
         elapsed = time.perf_counter() - t0
         expected = {
             (a0,) + (0,) * (n - 1) for a0 in range(ctx.order) if ctx.rel_trace(a0) == 1

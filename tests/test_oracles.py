@@ -10,7 +10,10 @@ order 729, where exhaustive search is out of budget), failing ones, and
 at n = 4 dual-spread companions, which come from no switching spec.
 Exhaustive search runs on every support of at most 20,000 candidates,
 and random search on draws with and without an early stop, against the
-predicate applied to each candidate.
+predicate applied to each candidate; exhaustive search also runs against
+the walk over every tuple, which knows no scaling orbits, and the
+exhaustive code census (counted by orbit size) against that walk's
+expanded hits on full support, witnesses included.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
 ``orbit_rep`` runs against the scan over every scaling on every tuple
@@ -38,6 +41,7 @@ from semiswitch import (
     commutative_isotopy_test,
     dual_spread_op,
     find_zero_divisor,
+    full_weight_search,
     is_permutation,
     min_max_leader,
     n2_criterion,
@@ -55,6 +59,7 @@ from semiswitch.linpoly import orbit_rep
 from semiswitch.presemifield import transport_isotopy_kernel
 
 from oracles import (
+    _census_by_expansion,
     _center_separating_algebra,
     _is_permutation_scan,
     _isotopy_scan,
@@ -70,6 +75,7 @@ from oracles import (
     _random_members,
     _random_search_by_predicate,
     _search_by_predicate,
+    _search_exhaustive,
     _step_by_step_tables,
     _sums_by_digits,
     _switch_product,
@@ -423,6 +429,15 @@ def _search_hits(ctx, mask):
     return [L.coeffs for L in search(ctx, mask)]
 
 
+def _census_counts(ctx):
+    rep = full_weight_search(ctx, budget=ctx.order**ctx.n)
+    return (
+        rep["full_weight_constant"],
+        rep["full_weight_nonconstant"],
+        rep["nonconstant_witnesses"],
+    )
+
+
 def _random_search_hits(ctx, mask, seed, budget):
     return [L.coeffs for L in search(ctx, mask, mode="random", seed=seed, budget=budget)]
 
@@ -513,6 +528,8 @@ PAIRS = [
     pair(_transcript, _trace_quotients, _polys, "transcript"),
     pair(orbit_rep, _orbit_rep_scan, _orbit_tuples, "orbit_rep", ORBIT_FIELDS),
     pair(_search_hits, _search_by_predicate, _masks, "search"),
+    pair(_search_hits, _search_exhaustive, _masks, "search-orbit"),
+    pair(_census_counts, _census_by_expansion, lambda ctx: [(ctx,)], "census-orbit"),
     pair(_random_search_hits, _random_search_by_predicate, _random_searches, "search-random"),
     pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),
     pair(_n2_by_criterion, _n2_by_lemma, _n2_polys, "n2_lemma"),

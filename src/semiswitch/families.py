@@ -224,11 +224,10 @@ VERDICTS = ("predicate", "presemifield")
 @dataclass(frozen=True)
 class _Orbit:
     """What ``classify`` keeps of the first member met of a scaling orbit:
-    its scaling k to the rep, its spec and switch, its isotopy kernel basis
-    and the verdicts that hold on the whole orbit."""
+    its scaling k to the rep, its switch (which carries its spec), its
+    isotopy kernel basis and the verdicts that hold on the whole orbit."""
 
     k: int
-    spec: SwitchSpec
     op: presemifield.BinaryOp
     kernel: tuple
     ganley: bool
@@ -237,9 +236,9 @@ class _Orbit:
     def witness(self, k):
         """ganley_witness of the member that gamma^k scales to the rep: that
         member is the first one scaled by c = gamma^(self.k - k)."""
-        ctx = self.spec.ctx
+        ctx = self.op.ctx
         c = ctx.exp[(self.k - k) % ctx.mult_order]
-        kernel = transport_isotopy_kernel(self.spec, self.op, self.kernel, c)
+        kernel = transport_isotopy_kernel(self.op, self.kernel, c)
         return isotopy_witness(ctx, kernel)[1]
 
 
@@ -303,8 +302,7 @@ def classify(L, deep=True, orbits=None):
         unital = unitalize(op)
         iso, witness = commutative_isotopy_test(op)
         sizes = nuclei(unital).sizes
-        del op.side_maps  # the orbit keeps the product, not its order-size tables
-        orbit = orbits[rep] = _Orbit(k, spec, op, tuple(op.isotopy_kernel), iso, sizes)
+        orbit = orbits[rep] = _Orbit(k, op, tuple(op.isotopy_kernel), iso, sizes)
     else:
         witness = orbit.witness(k)
     report.update(

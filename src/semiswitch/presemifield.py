@@ -10,25 +10,26 @@ can be restricted to an F_q-basis.
 
 Cancellation is decided by a lemma: a zero divisor of x lies on the line
 F_q^* xi/x, so one op call per F_q^* orbit of units decides it
-(``find_zero_divisor``, which sets ``op.verified``;
-``verify_presemifield`` asks only whether it found one).  The walk reads
-the switch's ``xi``, so it runs on switches alone; at z = xi/x it is the
-trace criterion Tr(M(z)/z) != -1 read through op calls, and the tests
-keep a kernel walk that reads neither xi nor the trace as the second
-route.  Bilinearity is assumed, not checked.
+(``find_zero_divisor``, which sets ``op.verified``; ``verify_presemifield``
+asks only whether it found one).  The walk reads the xi of the switch's
+``op.spec``, so it runs on switches alone; at z = xi/x it is the trace
+criterion Tr(M(z)/z) != -1 read through op calls, and the tests keep a
+kernel walk that reads neither xi nor the trace as the second route.
+Bilinearity is assumed, not checked.
 
-Every other check reads an F_p-linear map off the images of the mn
-F_p-basis elements, through the primitives of :mod:`.gf`.  A member of a
-nucleus and a commutative-isotopy witness are kernels (``_kernel``), and
-the side maps y -> 1*y and x -> x*1 are tables (``_linear_table``),
-built once per op and shared by the unitalization and the isotopy test.
-Nuclei are subfields, hence F_p-subspaces through 1, so each is refined
-inside the complement span(p, ..., p^(mn-1)) of 1, one associator
-against an F_q-basis pair at a time, with the pairs that hold 1 skipped:
-those associators vanish in a unital op, whose two-sided 1 ``nuclei``
-checks first.  Each nucleus is reported as its F_p-basis, so its size is
-p to the basis length.  No check tests candidates one by one over the
-whole field: the only kernel listed in full, by ``_span``, is the
+A switch's side maps y -> 1*y and x -> x*1 are the identity plus a rank-one
+F_q-map, so they invert in closed form off ``op.spec`` (``_unital_maps``),
+with no table: the unitalization, the isotopy test and the kernel transport
+read them, and take switches alone too.  Every other check reads an
+F_p-linear map off the images of the mn F_p-basis elements, through
+:mod:`.gf`.  A member of a nucleus and a commutative-isotopy witness are
+kernels (``_kernel``).  Nuclei are subfields, hence F_p-subspaces through 1,
+so each is refined inside the complement span(p, ..., p^(mn-1)) of 1, one
+associator against an F_q-basis pair at a time, with the pairs that hold 1
+skipped: those associators vanish in a unital op, whose two-sided 1
+``nuclei`` checks first.  Each nucleus is reported as its F_p-basis, so its
+size is p to the basis length.  No check tests candidates one by one over
+the whole field: the only kernel listed in full, by ``_span``, is the
 isotopy test's, whose witness is its member of smallest discrete log.
 
 The isotopy test records its kernel basis as ``op.isotopy_kernel``, and
@@ -41,10 +42,9 @@ isotopy kernel once per orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ConsistencyError
-from .gf import FieldCtx, _kernel, _linear_table, _span
+from .gf import FieldCtx, _kernel, _span
 from .linpoly import LinearizedPoly
 
 
@@ -81,51 +81,23 @@ class BinaryOp:
 
     Evaluation goes through a closure.  Every check in this module
     relies on F_q-bilinearity, so a caller must not wrap anything else.
-    ``xi`` is set on a switch (``build_switch``) and None on any other op.
+    ``spec`` is a switch's ``SwitchSpec`` and None on any other op.
     """
 
-    def __init__(self, ctx, fn, xi=None):
+    def __init__(self, ctx, fn, spec=None):
         self.ctx = ctx
         self._fn = fn
-        self.xi = xi
+        self.spec = spec
         self.verified = None
         self.isotopy_kernel = None
 
     def __call__(self, x, y):
         return self._fn(x, y)
 
-    @cached_property
-    def side_maps(self):
-        """Tables (B, B^(-1), R, R^(-1)) of B(y) = 1*y and R(x) = x*1.
-
-        Each map is F_p-linear, so its table is read off mn basis
-        images.  Raises ValueError on an op that does not verify;
-        cancellation makes both maps bijective.  An op other than a
-        switch must carry its verdict in ``verified`` already, since the
-        zero-divisor walk runs on switches alone.
-        """
-        if self.verified is None:
-            verify_presemifield(self)
-        if not self.verified:
-            raise ValueError("op is not a presemifield")
-        ctx = self.ctx
-        p, d, order = ctx.p, ctx.m * ctx.n, ctx.order
-        basis = [p**j for j in range(d)]
-        out = ()
-        for images in ([self(1, e) for e in basis], [self(e, 1) for e in basis]):
-            fmap = _linear_table(p, d, images)
-            inv = [None] * order
-            for x, v in enumerate(fmap):
-                if inv[v] is not None:
-                    raise ConsistencyError("cancellative op with non-bijective side map")
-                inv[v] = x
-            out += (fmap, inv)
-        return out
-
 
 def field_op(ctx):
-    """The plain field multiplication as a BinaryOp."""
-    op = BinaryOp(ctx, ctx.mul)
+    """The plain field multiplication: the switch of b = 0, a presemifield."""
+    op = BinaryOp(ctx, ctx.mul, SwitchSpec(ctx, (0,) * ctx.n))
     op.verified = True
     return op
 
@@ -135,7 +107,7 @@ def build_switch(spec):
     ctx = spec.ctx
     mul, add, tr = ctx.mul, ctx.add, ctx.tr
     B, xi = LinearizedPoly(ctx, spec.b), spec.xi
-    return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)), xi)
+    return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)), spec)
 
 
 # ---- verification ----
@@ -154,8 +126,8 @@ def verify_presemifield(op):
 def find_zero_divisor(op):
     """The first pair (x, y) of nonzero elements with x*y = 0 in code order, or None.
 
-    ``op`` is a switch, x*y = xy + Tr(x B(y)) xi, read through its
-    ``op.xi``; any other op raises ValueError.
+    ``op`` is a switch, x*y = xy + Tr(x B(y)) xi, read through the xi of
+    its ``op.spec``; any other op raises ValueError.
 
     Lemma.  A unit x has a zero divisor iff x*(xi/x) = 0, and then its
     zero divisors are exactly t xi/x for t in F_q^*.
@@ -175,12 +147,11 @@ def find_zero_divisor(op):
     the first of the orbit's.  The verdict, whether the op is a
     presemifield, is set as ``op.verified``.
     """
-    xi = op.xi
-    if xi is None:
-        raise ValueError("the zero-divisor walk needs a switch, an op with xi")
+    if op.spec is None:
+        raise ValueError("the zero-divisor walk needs a switch, an op with a SwitchSpec")
     ctx = op.ctx
     M, N, exp, log = ctx.trace_step, ctx.mult_order, ctx.exp, ctx.log
-    log_xi = log[xi]
+    log_xi = log[op.spec.xi]
     seen = bytearray(M)
     for x in ctx.units():
         k = log[x] % M
@@ -198,21 +169,61 @@ def find_zero_divisor(op):
 # ---- unitalization and nuclei ----
 
 
-def unitalize(op):
-    """Isotopic unital semifield op: x . y = B^(-1)(B1(x) * y).
+def _unital_maps(op):
+    """(B1, B^(-1), A) of a switch in closed form, each z -> z + Tr(w z) s.
 
-    B(x) = 1*x and B1 is fixed by B1(x)*1 = 1*x, both read from
-    ``op.side_maps`` (so a ValueError on an op that does not verify).
-    B^(-1) and B1 are linear and the op is bilinear, so the new
-    product is F_p-bilinear as well: x . 1 = x and 1 . x = x hold on the
-    whole field once they hold on the F_p-basis.
+    B(y) = 1*y, R(x) = x*1, A = R^(-1) and B1 = A o B, so B1(x)*1 = 1*x.
+    Tr(b_i y^(q^i)) = Tr(b_i^(q^(n-i)) y), so with beta = sum_i b_i and
+    beta* = sum_i b_i^(q^(n-i)), B(y) = y + Tr(beta* y) xi and
+    R(x) = x + Tr(beta x) xi.  Lemma: if 1 + Tr(w s) != 0, z -> z + Tr(w z) s
+    inverts to u -> u - Tr(w u) s/(1 + Tr(w s)), since Tr(w z) lies in F_q
+    and so Tr(w u) = Tr(w z)(1 + Tr(w s)).  Hence B^(-1) has w = beta*,
+    s = -xi/(1 + Tr(beta* xi)), A has w = beta, s = -xi/(1 + Tr(beta xi)),
+    and B1 = A o B, by Tr(beta B(x)) = Tr(beta x) + Tr(beta* x) Tr(beta xi),
+    has w = beta* - beta, s = xi/(1 + Tr(beta xi)).  Both denominators are
+    nonzero in a presemifield: 1*xi = xi (1 + Tr(beta* xi)) and
+    xi*1 = xi (1 + Tr(beta xi)).
+
+    Walks the op when ``op.verified`` is None.  A ValueError on an op that is
+    not a verified switch, a ConsistencyError on a zero denominator.
+    """
+    spec = op.spec
+    if spec is None:
+        raise ValueError("the side maps are read off a switch, an op with a SwitchSpec")
+    if not (verify_presemifield(op) if op.verified is None else op.verified):
+        raise ValueError("op is not a presemifield")
+    ctx, xi = op.ctx, spec.xi
+    add, mul, tr = ctx.add, ctx.mul, ctx.tr
+    beta = beta_star = 0
+    for i, bi in enumerate(spec.b):
+        beta, beta_star = add(beta, bi), add(beta_star, ctx.frobenius(bi, -i))
+    left, right = (add(1, tr[mul(w, xi)]) for w in (beta_star, beta))
+    if left == 0 or right == 0:
+        raise ConsistencyError("verified switch with 1*xi or xi*1 zero", spec.b)
+
+    def rank_one(w, s):
+        return lambda z: add(z, mul(tr[mul(w, z)], s))
+
+    return (
+        rank_one(ctx.sub(beta_star, beta), ctx.div(xi, right)),
+        rank_one(beta_star, ctx.neg(ctx.div(xi, left))),
+        rank_one(beta, ctx.neg(ctx.div(xi, right))),
+    )
+
+
+def unitalize(op):
+    """Isotopic unital semifield op of a switch: x . y = B^(-1)(B1(x) * y).
+
+    B(x) = 1*x and B1(x)*1 = 1*x, both closed forms from ``_unital_maps``
+    (a ValueError on an op that is not a switch or does not verify).  The
+    maps are linear and the op bilinear, so the new product is F_p-bilinear
+    too: x . 1 = x and 1 . x = x hold everywhere once they do on the F_p-basis.
     """
     ctx = op.ctx
-    bmap, binv, _, rinv = op.side_maps
-    b1 = [rinv[v] for v in bmap]
+    b1, binv, _ = _unital_maps(op)
 
     def star(x, y):
-        return binv[op(b1[x], y)]
+        return binv(op(b1(x), y))
 
     for e in (ctx.p**j for j in range(ctx.m * ctx.n)):
         if star(e, 1) != e or star(1, e) != e:
@@ -306,17 +317,17 @@ def commutative_isotopy_test(op):
     F_p-linear map in v; the one returned has the smallest discrete
     log, i.e. it is the first in gamma-power order, so reruns agree.
     The kernel's F_p-basis is recorded as ``op.isotopy_kernel``.
-    A is the inverse of x -> x*1 from ``op.side_maps``, so, like
-    ``unitalize``, the test raises ValueError on an op that does not
-    verify.
+    A is the inverse of x -> x*1 in closed form from ``_unital_maps``, so,
+    like ``unitalize``, the test takes a switch and raises ValueError on
+    an op that is not one or does not verify.
     """
     ctx = op.ctx
-    A = op.side_maps[3]
+    A = _unital_maps(op)[2]
     basis = ctx.exp[: ctx.n]
     pairs = [(i, j) for i in range(ctx.n) for j in range(i + 1, ctx.n)]
 
     def defect(v):
-        w = [A[op(v, e)] for e in basis]
+        w = [A(op(v, e)) for e in basis]
         return tuple(ctx.sub(op(w[i], basis[j]), op(w[j], basis[i])) for i, j in pairs)
 
     op.isotopy_kernel = _kernel(ctx, defect)
@@ -336,10 +347,9 @@ def isotopy_witness(ctx, kernel):
     return True, min(_span(ctx, kernel)[1:], key=ctx.log.__getitem__)
 
 
-def transport_isotopy_kernel(spec, op, kernel, c):
-    """The isotopy kernel of ``spec`` scaled by c != 0, from an F_p-basis of spec's.
-
-    ``op`` is the switch ``build_switch(spec)`` the caller already holds.
+def transport_isotopy_kernel(op, kernel, c):
+    """The isotopy kernel of the switch ``op`` with b scaled by c != 0, from
+    an F_p-basis of op's, on the switch the caller already holds.
 
     Scaling b_i -> b_i c^(q^i - 1) (b_0 fixed) gives B'(y) = B(cy)/c, so the
     scaled product is the isotope x *' y = (x/c) * (cy).  Let A = R^(-1),
@@ -358,19 +368,10 @@ def transport_isotopy_kernel(spec, op, kernel, c):
     scaling back by 1/c gives the reverse, and the inclusion is an
     equality.
 
-    A needs no table: z = u + Tr(u B(1)) xi inverts to
-    A(z) = z - xi Tr(z B(1)) / (1 + Tr(xi B(1))), whose denominator is
-    nonzero because xi*1 = xi (1 + Tr(xi B(1))) != 0.  So the image of a
-    basis of K is a basis of K', at mn products.
+    A is read off ``_unital_maps``: a basis of K maps to one of K', at mn products.
     """
-    ctx = spec.ctx
-    beta, xi, tr = LinearizedPoly(ctx, spec.b)(1), spec.xi, ctx.tr
-    den = ctx.add(1, tr[ctx.mul(xi, beta)])
-
-    def A(z):
-        return ctx.sub(z, ctx.mul(xi, ctx.div(tr[ctx.mul(z, beta)], den)))
-
-    return [ctx.mul(c, A(op(v, c))) for v in kernel]
+    A = _unital_maps(op)[2]
+    return [op.ctx.mul(c, A(op(v, c))) for v in kernel]
 
 
 def dual_spread_op(ctx, a1, a0t):

@@ -17,7 +17,6 @@ from semiswitch import (
     n3_construct,
     theta_set,
     transcript,
-    unitalize,
 )
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
 from semiswitch.linpoly import _a0_classes, _coeffs, _walk_product
@@ -269,28 +268,6 @@ def _verify_by_right_kernels(op):
     )
 
 
-def right_unit_inverse(spec):
-    """The map A with A(x) * 1 = x for the switched op, in closed form.
-
-    With t = sum b_i the map is A(x) = x - xi Tr(t x) / (1 + Tr(t xi)).
-    The denominator is the F_q scalar with 1*1 = 1 + Tr(t) xi; it
-    vanishes exactly when the op already fails cancellation at 1.
-    """
-    ctx = spec.ctx
-    t = 0
-    for bi in spec.b:
-        t = ctx.add(t, bi)
-    denom = ctx.add(1, ctx.rel_trace(ctx.mul(t, spec.xi)))
-    if denom == 0:
-        raise ValueError("1 + Tr(t xi) = 0; the switched op is not cancellative at 1")
-    scale = ctx.neg(ctx.div(spec.xi, denom))
-
-    def A(x):
-        return ctx.add(x, ctx.mul(scale, ctx.rel_trace(ctx.mul(t, x))))
-
-    return A
-
-
 def _zero_divisor_scan(op):
     for x in op.ctx.units():
         for y in op.ctx.units():
@@ -299,27 +276,32 @@ def _zero_divisor_scan(op):
     return None
 
 
-def _unitalize_scan(op):
-    """x . y = B^(-1)(B1(x) * y) with both side maps and the identity
-    check evaluated on every element."""
+def _unital_maps_scan(op):
+    """(B1, B^(-1), A) of ``presemifield._unital_maps`` listed on every
+    element, from whole-field scans of y -> 1*y and x -> x*1."""
     ctx = op.ctx
-    order = ctx.order
-    bmap = [op(1, x) for x in range(order)]
-    rmap = [op(x, 1) for x in range(order)]
-    binv = [0] * order
-    rinv = [0] * order
-    for x, v in enumerate(bmap):
-        binv[v] = x
-    for x, v in enumerate(rmap):
-        rinv[v] = x
-    if len(set(bmap)) != order or len(set(rmap)) != order:
+    bmap = [op(1, x) for x in ctx.elements()]
+    binv = {v: x for x, v in enumerate(bmap)}
+    rinv = {op(x, 1): x for x in ctx.elements()}
+    if len(binv) != ctx.order or len(rinv) != ctx.order:
         raise ConsistencyError("cancellative op with non-bijective side map")
-    b1 = [rinv[bmap[x]] for x in range(order)]
+    return (
+        [rinv[v] for v in bmap],
+        [binv[z] for z in ctx.elements()],
+        [rinv[z] for z in ctx.elements()],
+    )
+
+
+def _unitalize_scan(op):
+    """x . y = B^(-1)(B1(x) * y) on any op, with both side maps and the
+    identity check evaluated on every element."""
+    ctx = op.ctx
+    b1, binv, _ = _unital_maps_scan(op)
 
     def star(x, y):
         return binv[op(b1[x], y)]
 
-    for x in range(order):
+    for x in ctx.elements():
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
     return BinaryOp(ctx, star)
@@ -446,9 +428,8 @@ def _twisted_field(ctx, a, b):
             ctx.mul(x, y), ctx.mul(c, ctx.mul(ctx.frobenius(x, a), ctx.frobenius(y, b)))
         )
 
-    op = BinaryOp(ctx, twisted)
-    _zero_divisor_by_kernels(op)  # sets the verdict that unitalize reads
-    return unitalize(op)
+    # no switch, so the whole-field scan unitalizes it
+    return _unitalize_scan(BinaryOp(ctx, twisted))
 
 
 # ---- families ----

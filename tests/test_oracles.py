@@ -6,8 +6,9 @@ pair runs over the shared fields of conftest.py and over F_729 as F_9^3
 addition on every pair of the odd ones and of the prime fields F_5, F_7),
 on sampled inputs: random polynomials and switchings, predicate-passing
 ones spread over a field's search hits (degree-3 family members at
-order 729, where exhaustive search is out of budget), failing ones, and
-at n = 4 dual-spread companions, which come from no switching spec.
+order 729, where exhaustive search is out of budget), each beside its
+twin with xi = gamma and the same M = xi B, and failing ones.  The
+closed-form side maps run against whole-field scans of 1*y and x*1.
 Exhaustive search runs on every support of at most 20,000 candidates,
 and random search on draws with and without an early stop, against the
 predicate applied to each candidate; exhaustive search also runs against
@@ -39,7 +40,6 @@ from semiswitch import (
     build_switch,
     classify,
     commutative_isotopy_test,
-    dual_spread_op,
     find_zero_divisor,
     full_weight_search,
     is_permutation,
@@ -56,7 +56,7 @@ from semiswitch import (
 from semiswitch.families import matches_n3
 from semiswitch.gf import _kernel, _linear_table, _span
 from semiswitch.linpoly import orbit_rep
-from semiswitch.presemifield import transport_isotopy_kernel
+from semiswitch.presemifield import _unital_maps, transport_isotopy_kernel
 
 from oracles import (
     _census_by_expansion,
@@ -81,13 +81,13 @@ from oracles import (
     _switch_product,
     _theta_set_scan,
     _twisted_field,
+    _unital_maps_scan,
     _unitalize_scan,
     _verify_by_right_kernels,
     _zero_divisor_by_kernels,
     _zero_divisor_scan,
     n2_lemma_roots,
     nuclei_members,
-    right_unit_inverse,
     scale,
     trace_quotient,
 )
@@ -163,7 +163,8 @@ def _polys(ctx):
 @cache
 def _passing_specs(ctx):
     """Switchings of up to six predicate-passing L spread over the hits,
-    two at order 729."""
+    two at order 729, each followed by its twin (b / gamma, xi = gamma),
+    which has the same M = xi B and so passes too."""
     if ctx.order**ctx.n <= 1 << 18:
         hits = [L.coeffs for L in search(ctx)]
     elif ctx.n == 4:
@@ -171,7 +172,13 @@ def _passing_specs(ctx):
     else:
         hits = _random_members(ctx, random.Random(729), 2)
     hits = hits[:: -(-len(hits) // 6)]
-    return [(switch_spec_for(LinearizedPoly(ctx, c)),) for c in hits]
+    out = []
+    for c in hits:
+        spec = switch_spec_for(LinearizedPoly(ctx, c))
+        g = ctx.generator
+        twin = SwitchSpec(ctx, tuple(ctx.div(b, g) for b in spec.b), g)
+        out += [(spec,), (twin,)]
+    return out
 
 
 @cache
@@ -191,19 +198,6 @@ def _failing_ops(ctx):
 
 def _all_ops(ctx):
     return _passing_ops(ctx) + _failing_ops(ctx)
-
-
-def _dual_spread_ops(ctx):
-    """Companions x o y = xy + (a_1 y^(q^2) + a0t y) Tr(x) that verify (n = 4)."""
-    if ctx.n != 4:
-        return []
-    rng = random.Random(4)
-    out = []
-    while len(out) < 4:
-        op = dual_spread_op(ctx, rng.randrange(1, ctx.order), rng.randrange(ctx.order))
-        if _zero_divisor_by_kernels(op) is None:  # no switch: the walk needs xi
-            out.append((op,))
-    return out
 
 
 def _every_spec(ctx):
@@ -385,12 +379,12 @@ def _hit_lists(ctx):
 
 @cache
 def _isotopy_kernels(ctx):
-    """coeffs -> (spec, op, isotopy kernel basis) of every hit, each from its own op."""
+    """coeffs -> (op, isotopy kernel basis) of every hit, each from its own op."""
     out = {}
     for L in _hits(ctx):
-        op = build_switch(spec := switch_spec_for(L))
+        op = build_switch(switch_spec_for(L))
         commutative_isotopy_test(op)
-        out[L.coeffs] = spec, op, op.isotopy_kernel
+        out[L.coeffs] = op, op.isotopy_kernel
     return out
 
 
@@ -474,13 +468,8 @@ def _switch_products_by_form(spec, pairs):
     return [_switch_product(spec, x, y) for x, y in pairs]
 
 
-def _right_inverse_table(spec):
-    return build_switch(spec).side_maps[3]
-
-
-def _right_inverse_closed_form(spec):
-    A = right_unit_inverse(spec)
-    return [A(x) for x in spec.ctx.elements()]
+def _unital_map_lists(op):
+    return tuple([f(z) for z in op.ctx.elements()] for f in _unital_maps(op))
 
 
 def _nuclei_sets(op):
@@ -506,13 +495,13 @@ def _classify_each(hits):
 
 def _transported_span(L, c):
     """The span of L's isotopy kernel basis transported to L scaled by c."""
-    spec, op, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
-    return _span(L.ctx, transport_isotopy_kernel(spec, op, kernel, c))
+    op, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
+    return _span(L.ctx, transport_isotopy_kernel(op, kernel, c))
 
 
 def _scaled_kernel_span(L, c):
     """The span of the kernel that the isotopy test finds on L scaled by c."""
-    return _span(L.ctx, _isotopy_kernels(L.ctx)[scale(L.ctx, L.coeffs, c)][2])
+    return _span(L.ctx, _isotopy_kernels(L.ctx)[scale(L.ctx, L.coeffs, c)][1])
 
 
 def pair(fast, oracle, inputs, id, fields=FIELDS):
@@ -541,9 +530,8 @@ PAIRS = [
     pair(_line_walk, _kernel_walk, _hit_specs, "zero_divisor-line-hits", ["f27", "f16_q4", "f49"]),
     pair(verify_presemifield, _verify_by_right_kernels, _all_ops, "verify"),
     pair(_switch_products, _switch_products_by_form, _spec_and_pairs, "build_switch"),
-    pair(_right_inverse_table, _right_inverse_closed_form, _passing_specs, "right_inverse"),
+    pair(_unital_map_lists, _unital_maps_scan, _passing_ops, "unital_maps"),
     pair(commutative_isotopy_test, _isotopy_scan, _passing_ops, "isotopy"),
-    pair(commutative_isotopy_test, _isotopy_scan, _dual_spread_ops, "isotopy_dual_spread"),
     pair(_transported_span, _scaled_kernel_span, _scalings, "isotopy-transport", HIT_FIELDS),
     pair(_classify_sharing_orbits, _classify_each, _hit_lists, "classify-orbits", HIT_FIELDS),
     pair(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, "unitalize"),

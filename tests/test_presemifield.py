@@ -2,15 +2,18 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from semiswitch import (
     BinaryOp,
+    ConsistencyError,
     LinearizedPoly,
     SwitchSpec,
     build_field,
     build_switch,
+    classify,
     commutative_criterion,
     commutative_isotopy_test,
     dual_spread_op,
@@ -39,7 +42,6 @@ from oracles import (
     _zero_divisor_scan,
     nuclei_members,
     predicate_equivalence_check,
-    right_unit_inverse,
 )
 
 
@@ -63,19 +65,25 @@ def test_spec_entries_must_be_int_codes(f9):
 
 
 def test_field_op_is_presemifield(f9):
-    # no switch records xi on the field product, so the kernel walk verifies it
+    # the field product is the switch of b = 0, with its verdict preset:
+    # both walks agree with that verdict
+    op = field_op(f9)
+    assert op.verified and op.spec == SwitchSpec(f9, (0, 0))
     assert _zero_divisor_by_kernels(field_op(f9)) is None
+    op.verified = None
+    assert find_zero_divisor(op) is None and op.verified
 
 
 def test_walk_refuses_an_op_without_xi(f9):
-    # the line walk reads a switch's xi, and no other op has one
-    for op in (field_op(f9), BinaryOp(f9, build_switch(SwitchSpec(f9, (1, 0))))):
-        assert op.xi is None
+    # the line walk reads the xi of a switch's spec, and no other op has one
+    for op in (BinaryOp(f9, f9.mul), BinaryOp(f9, build_switch(SwitchSpec(f9, (1, 0))))):
+        assert op.spec is None
         with pytest.raises(ValueError, match="switch"):
             find_zero_divisor(op)
         with pytest.raises(ValueError, match="switch"):
             verify_presemifield(op)
-    assert build_switch(SwitchSpec(f9, (1, 0), xi=5)).xi == 5
+    assert build_switch(SwitchSpec(f9, (1, 0), xi=5)).spec.xi == 5
+    assert field_op(f9).spec.xi == 1
 
 
 def test_switch_from_passing_poly_cancels(f9):
@@ -177,21 +185,17 @@ def test_unitalize_commutative_skips_left_twist(f81_n4):
 
 
 def test_unitalize_reads_only_basis_images():
-    # at F_{32^3}: m n = 15 images per side map and the identity on the
-    # F_p-basis, so at most 4 m n = 60 op calls (not 4 q^n = 131,072)
+    # at F_{32^3}: the side maps are closed forms, so the switch's only
+    # calls are the identity check on the F_p-basis, at most 2 m n = 30
+    # (not 4 q^n = 131,072)
     ctx = build_field(2, 5, 3)
     u = ctx.exp[ctx.q - 2]
     op = build_switch(switch_spec_for(n3_construct(ctx, u, 1, theta_set(ctx, u, 1)[0]).poly))
-    calls = []
-
-    def counted(x, y):
-        calls.append((x, y))
-        return op(x, y)
-
-    counted_op = BinaryOp(ctx, counted)
-    counted_op.verified = True  # n3_construct checked the predicate
-    star = unitalize(counted_op)
-    assert len(calls) <= 4 * ctx.m * ctx.n
+    assert verify_presemifield(op)
+    calls, fn = [], op._fn
+    op._fn = lambda x, y: calls.append((x, y)) or fn(x, y)
+    star = unitalize(op)
+    assert len(calls) <= 2 * ctx.m * ctx.n
     for x in random.Random(32).sample(range(ctx.order), 200):
         assert star(x, 1) == x == star(1, x)
 
@@ -203,25 +207,35 @@ def test_unitalize_rejects_non_cancellative(f9):
         unitalize(op)
     with pytest.raises(ValueError):
         commutative_isotopy_test(build_switch(SwitchSpec(f9, (1, 0))))
+    # a passing verdict forced on it meets the zero denominator 1 + Tr(1) = 0
+    forced = build_switch(SwitchSpec(f9, (1, 0)))
+    forced.verified = True
+    with pytest.raises(ConsistencyError, match="verified switch"):
+        unitalize(forced)
 
 
-def test_side_maps_are_built_once(f81_n4, monkeypatch):
-    # unitalize and the isotopy test read one pair of side-map tables
-    from semiswitch import presemifield
+def test_side_maps_refuse_an_op_that_is_no_switch(f81_n4):
+    # the side maps are read off a switch's spec, so an op with none is
+    # refused even with a passing verdict set
+    op = dual_spread_op(f81_n4, 1, 2)
+    assert _zero_divisor_by_kernels(op) is None and op.verified
+    for check in (unitalize, commutative_isotopy_test):
+        with pytest.raises(ValueError, match="switch"):
+            check(op)
 
-    tables = []
 
-    def counted(p, d, images):
-        tables.append(images)
-        return linear_table(p, d, images)
-
-    linear_table = presemifield._linear_table
-    monkeypatch.setattr(presemifield, "_linear_table", counted)
-    op = BinaryOp(f81_n4, n4_commutative_op(f81_n4, 1, 2))  # no SwitchSpec behind it
-    assert _zero_divisor_by_kernels(op) is None  # the verdict the side maps read
-    unitalize(op)
-    commutative_isotopy_test(op)
-    assert len(tables) == 2
+def test_deep_classify_builds_no_field_size_table():
+    # deep classify of X at F_{3^10}: the side maps are closed forms, so no
+    # table of 3^10 entries is listed (four of them took about 9 MB)
+    ctx = build_field(3, 1, 10)
+    L = LinearizedPoly(ctx, (1,) + (0,) * 9)
+    tracemalloc.start()
+    try:
+        assert classify(L)["presemifield"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_nuclei_of_field(f9):
@@ -308,29 +322,28 @@ def test_commutativity_criterion_cases(f27, f81_n4):
 
 
 def test_right_unit_inverse(f9, f81_n4):
-    # b = 0: A is the identity
-    A = right_unit_inverse(SwitchSpec(f9, (0, 0)))
-    assert all(A(x) == x for x in f9.elements())
-    # random valid specs: A(x)*1 = x everywhere
+    # the closed-form side maps on their defining identities:
+    # A(x)*1 = x, 1*B^(-1)(x) = x and B1(x)*1 = 1*x
+    def check(op):
+        b1, binv, A = presemifield._unital_maps(op)
+        for x in op.ctx.elements():
+            assert op(A(x), 1) == x and op(1, binv(x)) == x and op(b1(x), 1) == op(1, x)
+
+    # b = 0: all three are the identity
+    maps = presemifield._unital_maps(field_op(f9))
+    assert all(f(x) == x for f in maps for x in f9.elements())
+    # random valid specs with a random xi
     rng = random.Random(11)
     found = 0
     while found < 10:
         b = tuple(rng.randrange(9) for _ in range(2))
-        spec = SwitchSpec(f9, b)
-        op = build_switch(spec)
+        op = build_switch(SwitchSpec(f9, b, xi=rng.randrange(1, 9)))
         if not verify_presemifield(op):
             continue
         found += 1
-        A = right_unit_inverse(spec)
-        for x in f9.elements():
-            assert op(A(x), 1) == x
+        check(op)
     # the n=4 commutative instance, exhaustively over F_81
-    spec = SwitchSpec(f81_n4, (2, 0, 1, 0))
-    op = build_switch(spec)
-    assert verify_presemifield(op)
-    A = right_unit_inverse(spec)
-    for x in f81_n4.elements():
-        assert op(A(x), 1) == x
+    check(n4_commutative_op(f81_n4, 1, 2))
 
 
 def test_isotopy_test_commutative_gives_one(f81_n4):

@@ -28,9 +28,12 @@ F_p-linear map is fixed by its images of the m*n basis elements p^j:
 an F_p-basis of its kernel by reducing rows of element codes, and
 :func:`_span` lists the span of a basis in full.
 Multiplication by gamma and the relative trace are such maps, so
-construction does no field arithmetic per element: ``exp`` is the orbit
-of 1 under the gamma table, and ``tr`` is read off the traces of the
-mn basis elements.
+construction does no field arithmetic per element.  ``exp`` is the orbit
+of 1 under the gamma table (built by XOR doubling for p = 2).  The trace
+takes its values in F_q, and adding c Tr(p^j) permutes F_q, so ``tr`` is
+built digit by digit from the mn basis traces: its entries on the codes
+c p^j + x (x < p^j) are those on the codes x, mapped through a dict on
+F_q.  For n = 1 the trace is the identity.
 """
 
 from __future__ import annotations
@@ -88,7 +91,15 @@ def _linear_table(p, d, images):
     Two half tables, f on the low digits and f on the high digits, are built
     by digit doubling in spread form.  A full-table entry is then one add,
     one mask and two lookups of wrap patterns in tables of 2^(d/2) entries.
+    For p = 2 the sum of codes is XOR, so the full table is built by
+    doubling directly: f on the codes below 2^(j+1) is f below 2^j followed
+    by the same list XORed with images[j].
     """
+    if p == 2:
+        table = [0]
+        for img in images:
+            table += [v ^ img for v in table]
+        return table
     w = p.bit_length() + 1
     H = 1 << (w - 1)
     lane = (1 << w) - 1
@@ -255,9 +266,15 @@ def _is_irreducible(mod, p):
 
 
 def _find_modulus(p, d):
-    """Smallest-code monic irreducible of degree d over F_p."""
+    """Smallest-code monic irreducible of degree d over F_p.
+
+    For d > 1 a candidate with constant digit 0 or digit sum 0 mod p has
+    the root 0 or 1, so it is skipped before the Rabin test.
+    """
     for code in range(p**d, 2 * p**d):
         digits = _decode(code, p, d + 1)
+        if d > 1 and (digits[0] == 0 or sum(digits) % p == 0):
+            continue
         if _is_irreducible(digits, p):
             return tuple(digits)
     raise ConsistencyError("no irreducible polynomial found, impossible")
@@ -345,7 +362,8 @@ class FieldCtx:
         for k in range(1, N):
             x = G[x]
             exp[k] = x
-        # exp's ints in value order, so that log holds no ints of its own
+        # exp's ints in value order, so that log (and for n = 1 tr, the
+        # identity) holds no ints of its own
         ints = [0] * self.order
         for x in exp:
             ints[x] = x
@@ -356,7 +374,7 @@ class FieldCtx:
             log[x] = k
         if G[exp[-1]] != 1:
             raise ConsistencyError("generator does not close its cycle")
-        del G, ints
+        del G
         self.exp = exp
         self.log = log
         self.trace_step = N // (q - 1)
@@ -365,13 +383,26 @@ class FieldCtx:
             acc = 0
             for i in range(self.n):
                 acc = self.add(acc, self.frobenius(e, i))
+            if self.frobenius(acc) != acc:
+                # every trace is an F_p-combination of these, so p^j is the
+                # smallest code whose trace leaves F_q
+                raise ConsistencyError("trace image not fixed by Frobenius", witness=e)
             traces.append(acc)
-        tr = _linear_table(p, d, traces)
+        if self.n == 1:
+            self.tr = ints
+            return
+        del ints
+        # adding c Tr(p^j) permutes F_q: the codes c p^j + x (x < p^j) take
+        # the traces of the codes x, each moved by one dict lookup
+        subfield = self.subfield()
+        tr = [0]
+        for t in traces:
+            step = {u: self.add(u, t) for u in subfield}.__getitem__
+            block = tr
+            for _ in range(p - 1):
+                block = list(map(step, block))
+                tr += block
         self.tr = tr
-        unfixed = {t for t in set(tr) if self.frobenius(t) != t}
-        if unfixed:
-            witness = next(x for x, t in enumerate(tr) if t in unfixed)
-            raise ConsistencyError("trace image not fixed by Frobenius", witness=witness)
 
     # ---- basic arithmetic ----
 

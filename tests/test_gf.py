@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiswitch import FieldCtx, build_field, field_from_spec
+from semiswitch import ConsistencyError, FieldCtx, build_field, field_from_spec, gf
 from semiswitch.gf import (
     _decode,
     _encode,
@@ -308,6 +308,11 @@ def _smallest_primitive(ctx):
         # a user-supplied modulus (the default for F_27 is X^3+2X+1)
         ((3, 1, 3), (2, 2, 0, 1)),
         ((2, 1, 12), None),
+        # n = 1: F_q is the whole field and the trace is the identity
+        ((5, 1, 1), None),
+        ((2, 3, 1), None),
+        # the trace's step maps run over F_27
+        ((3, 3, 2), None),
     ],
 )
 def test_tables_match_step_by_step_construction(shape, modulus):
@@ -324,7 +329,9 @@ def test_tables_match_step_by_step_construction(shape, modulus):
     assert [ctx.rel_norm(x) for x in ctx.elements()] == nm
 
 
-@pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (2, 7), (3, 1), (3, 4), (5, 3), (7, 2), (13, 1)])
+@pytest.mark.parametrize(
+    "p, d", [(2, 1), (2, 2), (2, 7), (2, 10), (3, 1), (3, 4), (5, 3), (7, 2), (13, 1)]
+)
 def test_linear_table_matches_digit_oracle(p, d):
     rng = random.Random(p * 100 + d)
     for _ in range(3):
@@ -338,7 +345,59 @@ def test_linear_table_matches_digit_oracle(p, d):
 def test_build_field_wall_clock_cap(shape):
     start = time.perf_counter()
     build_field(*shape)
-    assert time.perf_counter() - start < 0.5
+    assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 4), (3, 1, 3)])
+def test_short_generator_order_is_caught(monkeypatch, shape):
+    # a unit of order N/2 (N/3 for p = 2): its powers return to 1 early
+    ctx = build_field(*shape)
+    small = ctx.exp[2 if ctx.p == 3 else 3]
+    monkeypatch.setattr(FieldCtx, "_find_generator", lambda self: small)
+    with pytest.raises(ConsistencyError, match="generator order too small") as err:
+        build_field(*shape)
+    assert err.value.witness == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 4), (3, 1, 3)])
+def test_open_generator_cycle_is_caught(monkeypatch, shape):
+    # gamma^(-1) is sent to 0 in place of 1: the walk meets every unit
+    # once, and only the step back to 1 fails
+    real = gf._linear_table
+
+    def broken(p, d, images):
+        table = real(p, d, images)
+        table[table.index(1)] = 0
+        return table
+
+    monkeypatch.setattr(gf, "_linear_table", broken)
+    with pytest.raises(ConsistencyError, match="does not close its cycle") as err:
+        build_field(*shape)
+    assert err.value.witness is None
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2), (2, 2, 3)])
+def test_unfixed_trace_is_caught(monkeypatch, shape):
+    # x -> x^p in place of x -> x^q: the "traces" leave F_q, and the
+    # witness is the smallest code whose trace the check sees unfixed
+    ctx = build_field(*shape)
+    p, n = ctx.p, ctx.n
+
+    def frob(x, k=1):
+        return ctx.pow(x, p ** (k % n))
+
+    def trace(x):
+        acc = 0
+        for i in range(n):
+            acc = ctx.add(acc, frob(x, i))
+        return acc
+
+    want = next(x for x in ctx.elements() if frob(trace(x)) != trace(x))
+    assert want in [p**j for j in range(ctx.m * n)]
+    monkeypatch.setattr(FieldCtx, "frobenius", lambda self, x, k=1: frob(x, k))
+    with pytest.raises(ConsistencyError, match="trace image not fixed by Frobenius") as err:
+        build_field(*shape)
+    assert err.value.witness == want
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 6), (3, 2, 2), (5, 1, 3)])

@@ -39,6 +39,7 @@ F_q.  For n = 1 the trace is the identity.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from .errors import BudgetExceeded, ConsistencyError, read_limit, require_int
 
@@ -357,11 +358,10 @@ class FieldCtx:
         G = _linear_table(
             p, d, [_encode(_poly_mul_mod(_decode(e, p, d), gdigits, mod, p), p) for e in basis]
         )
-        exp = [1] * N
-        x = 1
-        for k in range(1, N):
-            x = G[x]
-            exp[k] = x
+        # islice reads exp one step behind the appends of extend, so the
+        # walk 1, G[1], G[G[1]], ... runs with no Python-level loop
+        exp = [1]
+        exp.extend(map(G.__getitem__, islice(exp, N - 1)))
         # exp's ints in value order, so that log (and for n = 1 tr, the
         # identity) holds no ints of its own
         ints = [0] * self.order

@@ -31,9 +31,9 @@ Multiplication by gamma and the relative trace are such maps, so
 construction does no field arithmetic per element.  ``exp`` is the orbit
 of 1 under the gamma table (built by XOR doubling for p = 2).  The trace
 takes its values in F_q, and adding c Tr(p^j) permutes F_q, so ``tr`` is
-built digit by digit from the mn basis traces: its entries on the codes
-c p^j + x (x < p^j) are those on the codes x, mapped through a dict on
-F_q.  For n = 1 the trace is the identity.
+built digit by digit from the mn basis traces: its entry on the code
+x + p^j is the one on x mapped through a dict on F_q.  For n = 1 the
+trace is the identity.
 """
 
 from __future__ import annotations
@@ -94,12 +94,13 @@ def _linear_table(p, d, images):
     one mask and two lookups of wrap patterns in tables of 2^(d/2) entries.
     For p = 2 the sum of codes is XOR, so the full table is built by
     doubling directly: f on the codes below 2^(j+1) is f below 2^j followed
-    by the same list XORed with images[j].
+    by the same list XORed with images[j], appended by one ``extend`` that
+    reads the table's first half.
     """
     if p == 2:
         table = [0]
         for img in images:
-            table += [v ^ img for v in table]
+            table.extend(map(img.__xor__, islice(table, len(table))))
         return table
     w = p.bit_length() + 1
     H = 1 << (w - 1)
@@ -392,16 +393,14 @@ class FieldCtx:
             self.tr = ints
             return
         del ints
-        # adding c Tr(p^j) permutes F_q: the codes c p^j + x (x < p^j) take
-        # the traces of the codes x, each moved by one dict lookup
+        # adding Tr(p^j) permutes F_q, and Tr(x + p^j) is Tr(x) moved by it,
+        # so one extend reading tr behind its own appends (as the exp walk
+        # does) fills the codes c p^j + x, 1 <= c < p, x < p^j
         subfield = self.subfield()
         tr = [0]
         for t in traces:
             step = {u: self.add(u, t) for u in subfield}.__getitem__
-            block = tr
-            for _ in range(p - 1):
-                block = list(map(step, block))
-                tr += block
+            tr.extend(map(step, islice(tr, (p - 1) * len(tr))))
         self.tr = tr
 
     # ---- basic arithmetic ----

@@ -22,22 +22,29 @@ Everything is exact integer arithmetic; floor(2 q^(n/2)) is isqrt(4 q^n).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 
 from .linpoly import transcript
 
 
-@lru_cache(maxsize=1)
-def _coset_leaders(p, N):
-    """(lead, leaders): lead[x] is the leader of x's p-cyclotomic coset mod
-    N (lead[0] = 0), and leaders lists the leaders coprime to N, ascending.
+def min_max_leader(L):
+    """(ell, argmin j) over j in 1..q^n-2 coprime to q^n - 1.
 
-    In ascending order each coset is first met at its leader, so one walk
-    over all cosets records every element's leader.  The table depends on
-    the field alone, so the rows of one field share it.
+    ell(j) and gcd(j, q^n - 1) are constant on the p-cyclotomic coset
+    of j (jp(q^i - 1) lies in the coset of j(q^i - 1), and p is prime to
+    q^n - 1), so only coset leaders are scanned.  In ascending order each coset is
+    first met at its leader, so one walk over all cosets records every
+    element's leader in a table, from which each ell(j) is read.
+    Needs at least one supported coefficient index i >= 1.
     """
-    lead = [0] * N  # 0 until x is walked
+    ctx = L.ctx
+    support = [i for i in range(1, ctx.n) if L.coeffs[i]]
+    if not support:
+        raise ValueError("all higher coefficients vanish; the statistic is undefined")
+    q, n, p = ctx.q, ctx.n, ctx.p
+    N = q**n - 1
+    exponents = [q**i - 1 for i in support]
+    lead = [0] * N  # lead[x]: the leader of x's coset; 0 until x is walked
     leaders = []
     for j in range(1, N):
         if lead[j]:
@@ -48,26 +55,6 @@ def _coset_leaders(p, N):
             cur = cur * p % N
         if gcd(j, N) == 1:
             leaders.append(j)
-    return lead, leaders
-
-
-def min_max_leader(L):
-    """(ell, argmin j) over j in 1..q^n-2 coprime to q^n - 1.
-
-    ell(j) and gcd(j, q^n - 1) are constant on the p-cyclotomic coset
-    of j (jp(q^i - 1) lies in the coset of j(q^i - 1), and p is prime to
-    q^n - 1), so only coset leaders are scanned, each ell(j) read off the
-    field's leader table (:func:`_coset_leaders`).
-    Needs at least one supported coefficient index i >= 1.
-    """
-    ctx = L.ctx
-    support = [i for i in range(1, ctx.n) if L.coeffs[i]]
-    if not support:
-        raise ValueError("all higher coefficients vanish; the statistic is undefined")
-    q, n = ctx.q, ctx.n
-    N = q**n - 1
-    exponents = [q**i - 1 for i in support]
-    lead, leaders = _coset_leaders(ctx.p, N)
     # ties go to the smallest j
     return min((max(lead[j * e % N] for e in exponents), j) for j in leaders)
 

@@ -16,7 +16,6 @@ from semiswitch import (
     serre_term,
     switching_predicate,
 )
-from semiswitch.hws import _coset_leaders
 
 from oracles import _min_max_leader_full_scan, coset_leader, trace_quotient
 
@@ -76,15 +75,6 @@ def test_min_max_leader_matches_full_scan(f81_n4, f64_q4):
             ]
             L = LinearizedPoly(ctx, tuple(coeffs))
             assert min_max_leader(L) == _min_max_leader_full_scan(L), coeffs
-
-
-def test_leader_table_is_built_once_per_field(f81_n4, f64_q4):
-    _coset_leaders.cache_clear()
-    for coeffs in ((1, 2, 0, 0), (0, 0, 5, 7), (3, 1, 1, 1)):
-        min_max_leader(LinearizedPoly(f81_n4, coeffs))
-    assert _coset_leaders.cache_info().misses == 1
-    min_max_leader(LinearizedPoly(f64_q4, (1, 2, 3)))
-    assert _coset_leaders.cache_info().misses == 2
 
 
 def test_serre_term():

@@ -14,12 +14,12 @@ only the modules whose names it touches.
 # module -> the public names it defines; the one list of the package's API
 _EXPORTS = {
     "errors": ("BudgetExceeded", "ConsistencyError"),
-    "gf": ("FieldCtx", "build_field", "field_from_spec"),
+    "gf": ("FieldCtx", "build_field"),
     "linpoly": ("LinearizedPoly", "is_permutation", "search", "switching_predicate", "transcript"),
     "presemifield": (
         "BinaryOp", "SwitchSpec", "build_switch", "commutative_criterion",
-        "commutative_isotopy_test", "dual_spread_op", "field_op", "find_zero_divisor",
-        "is_commutative", "nuclei", "unitalize", "verify_presemifield",
+        "commutative_isotopy_test", "find_zero_divisor", "nuclei", "unitalize",
+        "verify_presemifield",
     ),
     "families": (
         "FamilyInstance", "classify", "n2_criterion", "n3_construct", "n4_commutative_op",

@@ -14,12 +14,11 @@ Four subcommands:
 Every output starts with a config record that pins the field (modulus
 and generator are always resolved and recorded), so a rerun with the
 same arguments reproduces the bytes exactly (``verify`` and ``hws`` refuse
-a file whose config pins another field).  Budgets can also be set through
-SEMISWITCH_SEARCH_BUDGET / SEMISWITCH_FIELD_CAP.  An ``--out``
-file is replaced only when the command succeeds.  Every record passes
-through one writer, the only code that knows the format: with ``--format
-csv`` a result record is the row of its coeffs and then the command's
-``_csv_columns``, and every other record stays JSON (``codes`` has no csv).
+a file whose config pins another field).  An ``--out`` file is replaced
+only when the command succeeds.  Every record passes through one writer,
+the only code that knows the format: with ``--format csv`` a result
+record is the row of its coeffs and then the command's ``_CSV_COLUMNS``,
+and every other record stays JSON (``codes`` has no csv).
 
 Start-up: this module loads only ``errors``, ``gf`` and ``linpoly``, and
 each command imports what it runs: ``codes`` the census module,
@@ -55,16 +54,9 @@ def _dump(record):
 # the csv row of a result record: its coeffs, then these keys
 _CSV_COLUMNS = {
     "search": ("commutative", "ganley", "families"),
+    "verify": ("predicate", "presemifield"),
     "hws": ("ell", "genus", "impossible_nonzero_trace", "impossible_zero_trace"),
 }
-
-
-def _csv_columns(command):
-    if command == "verify":
-        from .families import VERDICTS  # only a csv verify run needs families here
-
-        return VERDICTS
-    return _CSV_COLUMNS[command]
 
 
 def _cell(value):
@@ -96,7 +88,7 @@ def _output(args):
     ``args.out`` untouched and removes the temp file, so no half-written
     output survives.
     """
-    columns = _csv_columns(args.command) if args.format == "csv" else None
+    columns = _CSV_COLUMNS[args.command] if args.format == "csv" else None
     if not args.out:
         yield _Writer(sys.stdout, columns)
         return

@@ -92,10 +92,6 @@ class Codeword:
     def weight(self):
         return sum(1 for v in self.values if v)
 
-    @property
-    def is_constant(self):
-        return len(set(self.values)) == 1
-
 
 def trace_codeword(ctx, coeffs):
     """The word of (a_0, ..., a_{n-1}): trace quotient along gamma powers.

@@ -217,10 +217,6 @@ def switch_spec_for(L):
     return SwitchSpec(ctx, b, 1)
 
 
-# the report keys of classify's two verdicts
-VERDICTS = ("predicate", "presemifield")
-
-
 @dataclass(frozen=True)
 class _Orbit:
     """What ``classify`` keeps of the first member met of a scaling orbit:

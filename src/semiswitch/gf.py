@@ -38,7 +38,6 @@ trace is the identity.
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 
 from .errors import BudgetExceeded, ConsistencyError, read_limit, require_int
@@ -471,9 +470,6 @@ class FieldCtx:
 
     # ---- enumeration ----
 
-    def elements(self):
-        return range(self.order)
-
     def units(self):
         """Nonzero codes in code order."""
         return range(1, self.order)
@@ -504,22 +500,8 @@ def build_field(p, m, n, modulus=None, cap=None):
     return FieldCtx(p, m, n, modulus=modulus, cap=cap)
 
 
-def field_from_spec(spec, cap=None):
-    """Rebuild a context from :meth:`FieldCtx.to_spec` output (dict or JSON)."""
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    ctx = build_field(spec["p"], spec["m"], spec["n"], modulus=spec["modulus"], cap=cap)
-    want = spec.get("generator_index")
-    if want is not None and want != ctx.generator:
-        raise ValueError(
-            f"generator mismatch: spec says {want}, deterministic choice is {ctx.generator}"
-        )
-    return ctx
-
-
 __all__ = [
     "FieldCtx",
     "build_field",
-    "field_from_spec",
     "DEFAULT_FIELD_CAP",
 ]

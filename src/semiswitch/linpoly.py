@@ -48,8 +48,8 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 
 
 def search_budget(budget=None):
-    """The candidate budget: ``budget``, else SEMISWITCH_SEARCH_BUDGET."""
-    return read_limit(budget, DEFAULT_SEARCH_BUDGET, "budget", "SEMISWITCH_SEARCH_BUDGET")
+    """The candidate budget: ``budget``, else DEFAULT_SEARCH_BUDGET."""
+    return read_limit(budget, DEFAULT_SEARCH_BUDGET, "budget")
 
 
 @dataclass(frozen=True)

@@ -70,11 +70,6 @@ class SwitchSpec:
                 acc = ctx.add(acc, ctx.mul(bi, ctx.mul(x, ctx.frobenius(y, i))))
         return ctx.rel_trace(acc)
 
-    def m_poly(self):
-        """M(X) = xi * sum_i b_i X^(q^i) as a LinearizedPoly."""
-        ctx = self.ctx
-        return LinearizedPoly(ctx, tuple(ctx.mul(self.xi, bi) for bi in self.b))
-
 
 class BinaryOp:
     """An F_q-bilinear operation on a field context.
@@ -93,13 +88,6 @@ class BinaryOp:
 
     def __call__(self, x, y):
         return self._fn(x, y)
-
-
-def field_op(ctx):
-    """The plain field multiplication: the switch of b = 0, a presemifield."""
-    op = BinaryOp(ctx, ctx.mul, SwitchSpec(ctx, (0,) * ctx.n))
-    op.verified = True
-    return op
 
 
 def build_switch(spec):
@@ -228,9 +216,7 @@ def unitalize(op):
     for e in (ctx.p**j for j in range(ctx.m * ctx.n)):
         if star(e, 1) != e or star(1, e) != e:
             raise ConsistencyError("unitalization failed to produce an identity", e)
-    out = BinaryOp(ctx, star)
-    out.verified = op.verified
-    return out
+    return BinaryOp(ctx, star)
 
 
 @dataclass(frozen=True)
@@ -284,14 +270,6 @@ def nuclei(op):
     meets.append(refine(meets[0], middle + right + commutators))
     bases = [(1, *meet) for meet in meets]
     return NucleiReport(*bases, tuple(p ** len(b) for b in bases))
-
-
-def is_commutative(op):
-    """Direct commutativity check on basis pairs: ``commutative_criterion``'s test reference."""
-    basis = op.ctx.exp[: op.ctx.n]
-    return all(
-        op(e, f) == op(f, e) for i, e in enumerate(basis) for f in basis[i + 1 :]
-    )
 
 
 def commutative_criterion(spec):
@@ -374,32 +352,17 @@ def transport_isotopy_kernel(op, kernel, c):
     return [op.ctx.mul(c, A(op(v, c))) for v in kernel]
 
 
-def dual_spread_op(ctx, a1, a0t):
-    """The companion product x o y = xy + (a1 y^(q^2) + a0t y) Tr(x) (n = 4)."""
-    if ctx.n != 4:
-        raise ValueError("dual spread companion is defined for n = 4")
-
-    def op(x, y):
-        s = ctx.add(ctx.mul(a1, ctx.frobenius(y, 2)), ctx.mul(a0t, y))
-        return ctx.add(ctx.mul(x, y), ctx.mul(s, ctx.rel_trace(x)))
-
-    return BinaryOp(ctx, op)
-
-
 __all__ = [
     "SwitchSpec",
     "BinaryOp",
-    "field_op",
     "build_switch",
     "verify_presemifield",
     "find_zero_divisor",
     "unitalize",
     "NucleiReport",
     "nuclei",
-    "is_commutative",
     "commutative_criterion",
     "commutative_isotopy_test",
     "isotopy_witness",
     "transport_isotopy_kernel",
-    "dual_spread_op",
 ]

@@ -4,6 +4,12 @@ Each function here computes by definition, one element (or one pair of
 elements) at a time, what the library computes by linear algebra or in
 closed form.  The tests compare the two; ``test_oracles.py`` holds the
 one table of (fast route, oracle) pairs.
+
+It also holds the ops and checks that only the tests use: the field
+product as the switch of b = 0 (``field_op``), the basis-pair check that
+``commutative_criterion`` is tested against (``is_commutative``), and an
+n = 4 op with no spec, which the library's switch routines refuse
+(``dual_spread_op``).
 """
 
 import random
@@ -13,6 +19,7 @@ from math import gcd
 from semiswitch import (
     BinaryOp,
     ConsistencyError,
+    SwitchSpec,
     build_switch,
     n3_construct,
     theta_set,
@@ -38,7 +45,7 @@ def add_by_digits(p, a, b):
 
 def _sums_by_digits(ctx):
     """a + b for every pair of elements, a major."""
-    return [add_by_digits(ctx.p, a, b) for a in ctx.elements() for b in ctx.elements()]
+    return [add_by_digits(ctx.p, a, b) for a in range(ctx.order) for b in range(ctx.order)]
 
 
 def _step_by_step_tables(ctx):
@@ -63,7 +70,7 @@ def _step_by_step_tables(ctx):
         frob[exp[k]] = exp[k * q % N]
         nm[exp[k]] = exp[k * M % N]
     tr = []
-    for x in ctx.elements():
+    for x in range(ctx.order):
         acc, y = x, x
         for _ in range(ctx.n - 1):
             y = frob[y]
@@ -106,7 +113,7 @@ def _kernel_by_digits(ctx, f):
 def _negatives_by_digits(ctx):
     """-a for every element, digit by digit."""
     p, d = ctx.p, ctx.m * ctx.n
-    return [_encode([-r % p for r in _decode(a, p, d)], p) for a in ctx.elements()]
+    return [_encode([-r % p for r in _decode(a, p, d)], p) for a in range(ctx.order)]
 
 
 # ---- linpoly ----
@@ -217,6 +224,33 @@ def _is_permutation_scan(L):
 # ---- presemifield ----
 
 
+def field_op(ctx):
+    """The plain field multiplication: the switch of b = 0, a presemifield."""
+    op = BinaryOp(ctx, ctx.mul, SwitchSpec(ctx, (0,) * ctx.n))
+    op.verified = True
+    return op
+
+
+def is_commutative(op):
+    """Direct commutativity check on basis pairs: ``commutative_criterion``'s test reference."""
+    basis = op.ctx.exp[: op.ctx.n]
+    return all(
+        op(e, f) == op(f, e) for i, e in enumerate(basis) for f in basis[i + 1 :]
+    )
+
+
+def dual_spread_op(ctx, a1, a0t):
+    """The companion product x o y = xy + (a1 y^(q^2) + a0t y) Tr(x) (n = 4)."""
+    if ctx.n != 4:
+        raise ValueError("dual spread companion is defined for n = 4")
+
+    def op(x, y):
+        s = ctx.add(ctx.mul(a1, ctx.frobenius(y, 2)), ctx.mul(a0t, y))
+        return ctx.add(ctx.mul(x, y), ctx.mul(s, ctx.rel_trace(x)))
+
+    return BinaryOp(ctx, op)
+
+
 def _switch_product(spec, x, y):
     """xy + B(x, y) xi with B read term by term from ``bilinear_form``."""
     ctx = spec.ctx
@@ -256,7 +290,8 @@ def predicate_equivalence_check(spec):
     """
     ctx = spec.ctx
     direct = _zero_divisor_by_kernels(build_switch(spec)) is None
-    criterion = ctx.neg(1) not in transcript(ctx, spec.m_poly().coeffs)
+    m = tuple(ctx.mul(spec.xi, bi) for bi in spec.b)
+    criterion = ctx.neg(1) not in transcript(ctx, m)
     return direct == criterion
 
 
@@ -280,15 +315,15 @@ def _unital_maps_scan(op):
     """(B1, B^(-1), A) of ``presemifield._unital_maps`` listed on every
     element, from whole-field scans of y -> 1*y and x -> x*1."""
     ctx = op.ctx
-    bmap = [op(1, x) for x in ctx.elements()]
+    bmap = [op(1, x) for x in range(ctx.order)]
     binv = {v: x for x, v in enumerate(bmap)}
-    rinv = {op(x, 1): x for x in ctx.elements()}
+    rinv = {op(x, 1): x for x in range(ctx.order)}
     if len(binv) != ctx.order or len(rinv) != ctx.order:
         raise ConsistencyError("cancellative op with non-bijective side map")
     return (
         [rinv[v] for v in bmap],
-        [binv[z] for z in ctx.elements()],
-        [rinv[z] for z in ctx.elements()],
+        [binv[z] for z in range(ctx.order)],
+        [rinv[z] for z in range(ctx.order)],
     )
 
 
@@ -301,7 +336,7 @@ def _unitalize_scan(op):
     def star(x, y):
         return binv[op(b1[x], y)]
 
-    for x in ctx.elements():
+    for x in range(ctx.order):
         if star(x, 1) != x or star(1, x) != x:
             raise ConsistencyError("unitalization failed to produce an identity", x)
     return BinaryOp(ctx, star)
@@ -319,7 +354,7 @@ def _nuclei_scan(op):
     basis = ctx.exp[: ctx.n]
     pairs = [(e, f) for e in basis for f in basis]
     left, middle, right = set(), set(), set()
-    for a in ctx.elements():
+    for a in range(ctx.order):
         if all(op(op(a, e), f) == op(a, op(e, f)) for e, f in pairs):
             left.add(a)
         if all(op(op(e, a), f) == op(e, op(a, f)) for e, f in pairs):
@@ -361,7 +396,7 @@ def _isotopy_scan(op):
     """The first v in gamma order with A(v*e) * f = A(v*f) * e on basis
     pairs, A found by scanning x -> x*1 over the whole field."""
     ctx = op.ctx
-    A = {op(x, 1): x for x in ctx.elements()}
+    A = {op(x, 1): x for x in range(ctx.order)}
     basis = ctx.exp[: ctx.n]
     for v in ctx.exp:
         w = [A[op(v, e)] for e in basis]
@@ -442,7 +477,7 @@ def n2_lemma_roots(ctx, a1, a0):
     t = ctx.rel_trace(a0)
     aq = ctx.frobenius(a1, 1)
     out = set()
-    for y in ctx.elements():
+    for y in range(ctx.order):
         v = ctx.add(ctx.add(ctx.mul(a1, ctx.mul(y, y)), ctx.mul(t, y)), aq)
         if v == 0:
             out.add(y)

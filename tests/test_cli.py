@@ -412,9 +412,7 @@ def test_exit_code_budget_exceeded(tmp_path):
         (("codes", "--random", "--budget", "-1"), {}, "budget"),
         (("search", "--random", "--seed", "-1"), {}, "seed"),
         (("codes", "--random", "--seed", "-1"), {}, "seed"),
-        (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "-5"}, "budget"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "-1"}, "field cap"),
-        (("search", "--random"), {"SEMISWITCH_SEARCH_BUDGET": "abc"}, "SEMISWITCH_SEARCH_BUDGET"),
         (("search", "--exhaustive"), {"SEMISWITCH_FIELD_CAP": "abc"}, "SEMISWITCH_FIELD_CAP"),
         (("search", "--mask="), {}, "--mask '' is not a list of integers"),
         (("search", "--mask", "0,,1"), {}, "--mask '0,,1' is not a list of integers"),
@@ -422,7 +420,7 @@ def test_exit_code_budget_exceeded(tmp_path):
     ],
     ids=[
         "search-random", "search-exhaustive", "codes", "search-seed", "codes-seed",
-        "env", "field-cap", "env-not-int", "field-cap-not-int",
+        "field-cap", "field-cap-not-int",
         "mask-empty", "mask-empty-entry", "mask-repeat",
     ],
 )
@@ -431,6 +429,16 @@ def test_exit_code_negative_budget(args, env, word):
     assert res.returncode == 2
     assert "invalid input" in res.stderr and word in res.stderr
     assert res.stdout == ""
+
+
+def test_search_budget_reads_no_environment():
+    # --budget is the one way to set the search budget
+    args = ("search", "--p", "3", "--n", "2", "--random")
+    plain = run(*args)
+    knob = run(*args, env={**os.environ, "SEMISWITCH_SEARCH_BUDGET": "5"})
+    assert plain.returncode == knob.returncode == 0
+    assert knob.stdout == plain.stdout
+    assert records(knob.stdout)[0]["budget"] == 1 << 20
 
 
 def test_zero_budget_is_valid():

@@ -184,10 +184,7 @@ def run_golden(name, cwd):
     """(exit code, stdout sha256, stderr sha256) of one GOLDEN command run in cwd."""
     for fname, text in INPUTS.items():
         (cwd / fname).write_text(text)
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("SEMISWITCH_SEARCH_BUDGET", "SEMISWITCH_FIELD_CAP")
-    }
+    env = {k: v for k, v in os.environ.items() if k != "SEMISWITCH_FIELD_CAP"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "semiswitch", *GOLDEN[name][0].split()],

@@ -27,7 +27,7 @@ from oracles import trace_quotient
 def test_eval_identity_and_zero(f9):
     L = LinearizedPoly(f9, (1, 0))
     Z = LinearizedPoly(f9, (0, 0))
-    for x in f9.elements():
+    for x in range(f9.order):
         assert L(x) == x
         assert Z(x) == 0
 
@@ -41,7 +41,7 @@ def test_eval_frobenius_anchor(f9):
 def test_eval_is_additive_and_linear(f9, f64_q4):
     for ctx in (f9, f64_q4):
         L = LinearizedPoly(ctx, tuple(ctx.pow(ctx.generator, k) for k in range(ctx.n)))
-        els = list(ctx.elements())
+        els = list(range(ctx.order))
         step = max(1, len(els) // 12)
         for x in els[::step]:
             for y in els[::step]:
@@ -64,7 +64,7 @@ def test_coeffs_must_be_int_codes(f9):
 
 def test_trace_quotient_constant_family(f9):
     # L = bX gives the constant Tr(b) on units
-    for b in f9.elements():
+    for b in range(f9.order):
         L = LinearizedPoly(f9, (b, 0))
         vals = {trace_quotient(L, x) for x in f9.units()}
         assert vals == {f9.rel_trace(b)}
@@ -90,7 +90,7 @@ def test_trace_quotient_zero_convention(f9):
 
 
 def test_predicate_monomial_cases(f9):
-    for a0 in f9.elements():
+    for a0 in range(f9.order):
         L = LinearizedPoly(f9, (a0, 0))
         assert switching_predicate(L) == (f9.rel_trace(a0) != 0)
 
@@ -353,7 +353,7 @@ def test_orbit_rep_is_one_per_orbit(request, name):
     ctx = request.getfixturevalue(name)
     rng = random.Random(7)
     if ctx.n == 2:
-        tuples = list(itertools.product(ctx.elements(), repeat=2))
+        tuples = list(itertools.product(range(ctx.order), repeat=2))
     else:  # first nonzero index j = 1, 2 and 3; a_0 and the a_i after j random
         tuples = []
         for j in (1, 2, 3):

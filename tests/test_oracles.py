@@ -356,7 +356,7 @@ def _orbit_tuples(ctx):
     nonzero index 1, 2 (gcd(2, 4) = 2: four scalings fix log a_2 mod 8)
     and 3, and with a_0 = 0 or not."""
     if ctx.n == 2:
-        return [(ctx, (a0, a1)) for a0 in ctx.elements() for a1 in ctx.elements()]
+        return [(ctx, (a0, a1)) for a0 in range(ctx.order) for a1 in range(ctx.order)]
     rng = random.Random(2024)
     out = []
     for j in range(1, ctx.n):
@@ -398,17 +398,17 @@ def _scalings(ctx):
 
 
 def _tables(ctx):
-    frob = [ctx.frobenius(x) for x in ctx.elements()]
-    nm = [ctx.rel_norm(x) for x in ctx.elements()]
+    frob = [ctx.frobenius(x) for x in range(ctx.order)]
+    nm = [ctx.rel_norm(x) for x in range(ctx.order)]
     return ctx.exp, ctx.log, frob, ctx.tr, nm
 
 
 def _sums(ctx):
-    return [ctx.add(a, b) for a in ctx.elements() for b in ctx.elements()]
+    return [ctx.add(a, b) for a in range(ctx.order) for b in range(ctx.order)]
 
 
 def _negatives(ctx):
-    return [ctx.neg(a) for a in ctx.elements()]
+    return [ctx.neg(a) for a in range(ctx.order)]
 
 
 def _linear_map_scan(p, d, images):
@@ -469,7 +469,7 @@ def _switch_products_by_form(spec, pairs):
 
 
 def _unital_map_lists(op):
-    return tuple([f(z) for z in op.ctx.elements()] for f in _unital_maps(op))
+    return tuple([f(z) for z in range(op.ctx.order)] for f in _unital_maps(op))
 
 
 def _nuclei_sets(op):

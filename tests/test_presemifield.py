@@ -16,10 +16,7 @@ from semiswitch import (
     classify,
     commutative_criterion,
     commutative_isotopy_test,
-    dual_spread_op,
-    field_op,
     find_zero_divisor,
-    is_commutative,
     n3_construct,
     n4_commutative_op,
     nuclei,
@@ -40,6 +37,9 @@ from oracles import (
     _twisted_field,
     _zero_divisor_by_kernels,
     _zero_divisor_scan,
+    dual_spread_op,
+    field_op,
+    is_commutative,
     nuclei_members,
     predicate_equivalence_check,
 )
@@ -47,8 +47,8 @@ from oracles import (
 
 def test_zero_b_is_field_multiplication(f9):
     op = build_switch(SwitchSpec(f9, (0, 0)))
-    for x in f9.elements():
-        for y in f9.elements():
+    for x in range(f9.order):
+        for y in range(f9.order):
             assert op(x, y) == f9.mul(x, y)
 
 
@@ -94,8 +94,8 @@ def test_switch_from_passing_poly_cancels(f9):
         assert verify_presemifield(op)
         # full-table cancellation double check, 81 x 81
         for a in f9.units():
-            assert len({op(x, a) for x in f9.elements()}) == f9.order
-            assert len({op(a, y) for y in f9.elements()}) == f9.order
+            assert len({op(x, a) for x in range(f9.order)}) == f9.order
+            assert len({op(a, y) for y in range(f9.order)}) == f9.order
 
 
 def test_failing_spec_has_zero_divisor(f9):
@@ -103,7 +103,7 @@ def test_failing_spec_has_zero_divisor(f9):
     bad = None
     for b in itertools.product(range(9), repeat=2):
         spec = SwitchSpec(f9, b)
-        m = spec.m_poly()
+        m = LinearizedPoly(f9, tuple(f9.mul(spec.xi, bi) for bi in b))
         fails = any(
             f9.rel_trace(f9.div(m(a), a)) == f9.neg(1) for a in f9.units()
         )
@@ -156,8 +156,8 @@ def test_xi_normalization(f9, f8):
 
 def test_unitalize_field_is_identity_map(f9):
     star = unitalize(field_op(f9))
-    for x in f9.elements():
-        for y in f9.elements():
+    for x in range(f9.order):
+        for y in range(f9.order):
             assert star(x, y) == f9.mul(x, y)
 
 
@@ -165,7 +165,7 @@ def test_unitalize_gives_two_sided_identity(f9):
     for L in search(f9, mode="exhaustive")[:6]:
         op = build_switch(switch_spec_for(L))
         star = unitalize(op)
-        for x in f9.elements():
+        for x in range(f9.order):
             assert star(x, 1) == x and star(1, x) == x
         # cancellation survives; the unital op is no switch, so the kernel walk checks it
         assert _zero_divisor_by_kernels(star) is None
@@ -177,10 +177,10 @@ def test_unitalize_commutative_skips_left_twist(f81_n4):
     op = n4_commutative_op(ctx, 1, 2)
     star = unitalize(op)
     binv = {}
-    for x in ctx.elements():
+    for x in range(ctx.order):
         binv[op(1, x)] = x
-    for x in list(ctx.elements())[::7]:
-        for y in list(ctx.elements())[::5]:
+    for x in list(range(ctx.order))[::7]:
+        for y in list(range(ctx.order))[::5]:
             assert star(x, y) == binv[op(x, y)]
 
 
@@ -326,12 +326,12 @@ def test_right_unit_inverse(f9, f81_n4):
     # A(x)*1 = x, 1*B^(-1)(x) = x and B1(x)*1 = 1*x
     def check(op):
         b1, binv, A = presemifield._unital_maps(op)
-        for x in op.ctx.elements():
+        for x in range(op.ctx.order):
             assert op(A(x), 1) == x and op(1, binv(x)) == x and op(b1(x), 1) == op(1, x)
 
     # b = 0: all three are the identity
     maps = presemifield._unital_maps(field_op(f9))
-    assert all(f(x) == x for f in maps for x in f9.elements())
+    assert all(f(x) == x for f in maps for x in range(f9.order))
     # random valid specs with a random xi
     rng = random.Random(11)
     found = 0
@@ -405,8 +405,8 @@ def test_dual_spread_identity(f81_n4):
 
 def test_dual_spread_trivial_and_domain(f81_n4, f27):
     circ = dual_spread_op(f81_n4, 0, 0)
-    for x in list(f81_n4.elements())[::5]:
-        for y in list(f81_n4.elements())[::5]:
+    for x in range(f81_n4.order)[::5]:
+        for y in range(f81_n4.order)[::5]:
             assert circ(x, y) == f81_n4.mul(x, y)
     with pytest.raises(ValueError):
         dual_spread_op(f27, 1, 1)

@@ -44,7 +44,7 @@ def probe(args):
 
     for L, rep in zip(hits[: args.show], reports):
         if not L.is_monomial():
-            rep["hws"] = curve_verdicts(L).to_dict()
+            rep["hws"] = curve_verdicts(L)._asdict()
         print(json.dumps(rep, sort_keys=True))
 
 

@@ -20,7 +20,7 @@ from semiswitch.families import classify, n3_construct, theta_set
 def show(title, L, deep=True):
     rep = classify(L, deep=deep)
     if not L.is_monomial():
-        rep["hws"] = curve_verdicts(L).to_dict()
+        rep["hws"] = curve_verdicts(L)._asdict()
     print(f"== {title}")
     print(json.dumps(rep, indent=2, sort_keys=True))
     print()

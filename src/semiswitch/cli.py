@@ -229,7 +229,7 @@ def _verify_one(L, orbits=None):
     report = {"record": "result", **families.classify(L, orbits=orbits)}
     if not report["predicate"]:
         return report
-    report["hws"] = None if L.is_monomial() else hws.curve_verdicts(L).to_dict()
+    report["hws"] = None if L.is_monomial() else hws.curve_verdicts(L)._asdict()
     report["vanishing_sums"] = None
     if L.ctx.m == 1:
         report["vanishing_sums"], witness = digits.vanishing_sums_check(L)
@@ -247,7 +247,7 @@ def _hws_one(L):
         report["skipped"] = "no higher coefficients"
         report["point_count"] = hws.rational_point_count(L)
     else:
-        report.update(hws.curve_verdicts(L).to_dict())
+        report.update(hws.curve_verdicts(L)._asdict())
     return report
 
 

@@ -14,7 +14,7 @@ so "full weight and not constant" is the code-side face of the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 from math import gcd
 
@@ -23,12 +23,7 @@ from .errors import ConsistencyError, require_int
 from .linpoly import LinearizedPoly, transcript
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
-    base: int
-    modulus: int
-    leader: int
-    members: tuple
+CyclotomicCoset = namedtuple("CyclotomicCoset", "base modulus leader members")
 
 
 def cyclotomic_coset(base, modulus, e):
@@ -83,10 +78,8 @@ def code_dimension(q, n):
     return dim
 
 
-@dataclass(frozen=True)
-class Codeword:
-    coeffs: tuple
-    values: tuple
+class Codeword(namedtuple("Codeword", "coeffs values")):
+    __slots__ = ()
 
     @property
     def weight(self):

@@ -13,7 +13,6 @@ the two must agree, which makes them useful foils for each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .errors import BudgetExceeded, read_limit, require_int
@@ -22,17 +21,32 @@ from .gf import build_field
 DEFAULT_TUPLE_BUDGET = 1 << 22
 
 
-@dataclass(frozen=True)
 class DigitVector:
-    q: int
-    digits: tuple
+    """Base-q digits, least significant first."""
 
-    def __post_init__(self):
-        require_int(self.q, "q")
-        object.__setattr__(self, "digits", tuple(self.digits))
-        for d in self.digits:
-            if not 0 <= require_int(d, "digit") < self.q:
-                raise ValueError(f"digit {d} out of range for q = {self.q}")
+    def __init__(self, q, digits):
+        require_int(q, "q")
+        digits = tuple(digits)
+        for d in digits:
+            if not 0 <= require_int(d, "digit") < q:
+                raise ValueError(f"digit {d} out of range for q = {q}")
+        vars(self).update(q=q, digits=digits)
+
+    def __eq__(self, other):
+        if type(other) is not DigitVector:
+            return NotImplemented
+        return (self.q, self.digits) == (other.q, other.digits)
+
+    def __hash__(self):
+        return hash((self.q, self.digits))
+
+    def __repr__(self):
+        return f"DigitVector(q={self.q!r}, digits={self.digits!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: DigitVector is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def value(self):

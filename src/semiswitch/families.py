@@ -19,13 +19,15 @@ Each family comes with its published coefficient criterion:
 one zero-divisor walk of its canonical switch, and raises
 ``ConsistencyError`` when they disagree.  The switch is built and walked,
 with the nuclei and isotopy kernel, once per scaling orbit of passing
-polynomials, since a scaled switch is an isotope of the first one; the
-orbit keeps that switch for its later members' witnesses.
+non-monomials, since a scaled switch is an isotope of the first one; the
+orbit keeps that switch for its later members' witnesses.  A passing
+monomial's switch is an isotope of the field, so its report is closed form
+and its walk is one op call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import presemifield
 from .errors import ConsistencyError
@@ -44,11 +46,7 @@ from .presemifield import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
-    kind: str
-    params: dict
-    poly: LinearizedPoly
+FamilyInstance = namedtuple("FamilyInstance", "kind params poly")
 
 
 # ---- degree 2 ----
@@ -217,17 +215,12 @@ def switch_spec_for(L):
     return SwitchSpec(ctx, b, 1)
 
 
-@dataclass(frozen=True)
-class _Orbit:
+class _Orbit(namedtuple("_Orbit", "k op kernel ganley nuclei")):
     """What ``classify`` keeps of the first member met of a scaling orbit:
     its scaling k to the rep, its switch (which carries its spec), its
     isotopy kernel basis and the verdicts that hold on the whole orbit."""
 
-    k: int
-    op: presemifield.BinaryOp
-    kernel: tuple
-    ganley: bool
-    nuclei: tuple
+    __slots__ = ()
 
     def witness(self, k):
         """ganley_witness of the member that gamma^k scales to the rep: that
@@ -266,15 +259,20 @@ def classify(L, deep=True, orbits=None):
     ``linpoly.transcript`` kernel of L.  A walk that disagrees with the
     predicate raises ConsistencyError.
 
+    A passing monomial's switch x*y = T(xy), T(z) = z + Tr(b_0 z) xi
+    bijective, is an isotope of the field: nuclei [q^n]*4, ``ganley`` true
+    and witness 1 (the isotopy kernel is the whole field).  Its walk is one
+    op call, as x*(xi/x) = xi (1 + Tr(b_0 xi)) for every unit x.
+
     ``orbits`` is a dict the caller keeps for one field, fresh per call
     when None.  Scaling L by c != 0 keeps the predicate and makes the
     switched product the isotope (x/c) * (cy), so the presemifield verdict,
     the nuclei sizes and ``ganley`` hold on the scaling orbit
-    (``linpoly.orbit_rep``; a monomial is its own orbit).  Only its first
-    passing member met builds and walks a switch, with the check, and
-    runs the unitalization, nuclei and isotopy kernel.  Later members
-    copy those verdicts and read their witness off the kernel transported
-    by ``presemifield.transport_isotopy_kernel`` on the first member's
+    (``linpoly.orbit_rep``).  Only its first passing non-monomial member
+    met builds and walks a switch, with the check, and runs the
+    unitalization, nuclei and isotopy kernel.  Later members copy those
+    verdicts and read their witness off the kernel transported by
+    ``presemifield.transport_isotopy_kernel`` on the first member's
     switch, so they build none.
     """
     predicate = switching_predicate(L)
@@ -284,30 +282,37 @@ def classify(L, deep=True, orbits=None):
     if not deep:
         return report
     spec = switch_spec_for(L)
-    rep, k = orbit_rep(L.ctx, L.coeffs) if predicate else (None, 0)
-    orbits = {} if orbits is None else orbits
-    orbit = orbits.get(rep)  # a failing L's key, None, is never stored
-    if orbit is None:
-        op = build_switch(spec)
-        zero_divisor = presemifield.find_zero_divisor(op)
-        if (walk := zero_divisor is None) != predicate:
-            raise ConsistencyError(f"predicate {predicate}, zero-divisor walk {walk}", L.coeffs)
-        if not predicate:
-            report.update(presemifield=False, zero_divisor=list(zero_divisor))
-            return report
-        unital = unitalize(op)
-        iso, witness = commutative_isotopy_test(op)
-        sizes = nuclei(unital).sizes
-        orbit = orbits[rep] = _Orbit(k, op, tuple(op.isotopy_kernel), iso, sizes)
+    if predicate and L.is_monomial():
+        if build_switch(spec)(1, spec.xi) == 0:
+            raise ConsistencyError("predicate True, zero-divisor walk False", L.coeffs)
+        ganley, witness, sizes = True, 1, (L.ctx.order,) * 4
     else:
-        witness = orbit.witness(k)
+        rep, k = orbit_rep(L.ctx, L.coeffs) if predicate else (None, 0)
+        orbits = {} if orbits is None else orbits
+        orbit = orbits.get(rep)  # a failing L's key, None, is never stored
+        if orbit is None:
+            op = build_switch(spec)
+            zero_divisor = presemifield.find_zero_divisor(op)
+            if (walk := zero_divisor is None) != predicate:
+                msg = f"predicate {predicate}, zero-divisor walk {walk}"
+                raise ConsistencyError(msg, L.coeffs)
+            if not predicate:
+                report.update(presemifield=False, zero_divisor=list(zero_divisor))
+                return report
+            unital = unitalize(op)
+            iso, witness = commutative_isotopy_test(op)
+            sizes = nuclei(unital).sizes
+            orbit = orbits[rep] = _Orbit(k, op, tuple(op.isotopy_kernel), iso, sizes)
+        else:
+            witness = orbit.witness(k)
+        ganley, sizes = orbit.ganley, orbit.nuclei
     report.update(
         spec={"b": list(spec.b), "xi": spec.xi},
         presemifield=True,
         commutative=commutative_criterion(spec),
-        ganley=orbit.ganley,
+        ganley=ganley,
         ganley_witness=witness,
-        nuclei=list(orbit.nuclei),
+        nuclei=list(sizes),
     )
     return report
 

@@ -21,7 +21,7 @@ Everything is exact integer arithmetic; floor(2 q^(n/2)) is isqrt(4 q^n).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
 from .linpoly import transcript
@@ -90,22 +90,11 @@ def rational_point_count(L):
     return 1 + ctx.q * ((ctx.q - 1) * zeros + trace_zero)
 
 
-@dataclass(frozen=True)
-class CurveBoundReport:
-    ell: int
-    argmin_j: int
-    genus: int
-    serre_term: int
-    trace_zero: bool
-    point_count: int
-    impossible_nonzero_trace: bool
-    impossible_zero_trace: bool
-    threshold_nonzero_trace: int
-    threshold_zero_trace: int
-    meets_threshold: bool
-
-    def to_dict(self):
-        return asdict(self)
+CurveBoundReport = namedtuple(
+    "CurveBoundReport",
+    "ell argmin_j genus serre_term trace_zero point_count impossible_nonzero_trace "
+    "impossible_zero_trace threshold_nonzero_trace threshold_zero_trace meets_threshold",
+)
 
 
 def curve_verdicts(L):

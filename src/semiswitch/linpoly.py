@@ -36,13 +36,12 @@ coefficient index most significant.  Random mode draws from a seeded
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product, repeat
 from math import gcd, prod
 
 from .errors import BudgetExceeded, read_limit, require_int
-from .gf import FieldCtx, _kernel
+from .gf import _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
 
@@ -52,21 +51,34 @@ def search_budget(budget=None):
     return read_limit(budget, DEFAULT_SEARCH_BUDGET, "budget")
 
 
-@dataclass(frozen=True)
 class LinearizedPoly:
     """sum_i a_i X^(q^i); the one check of a coefficient tuple, which coerces nothing."""
 
-    ctx: FieldCtx
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.ctx.n:
-            raise ValueError(f"need {self.ctx.n} coefficients, got {len(self.coeffs)}")
-        for c in self.coeffs:
+    def __init__(self, ctx, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != ctx.n:
+            raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
+        for c in coeffs:
             # type() rather than isinstance(): bools are ints too
-            if type(c) is not int or not 0 <= c < self.ctx.order:
-                raise ValueError(f"coefficient {c!r} is not an int in 0..{self.ctx.order - 1}")
+            if type(c) is not int or not 0 <= c < ctx.order:
+                raise ValueError(f"coefficient {c!r} is not an int in 0..{ctx.order - 1}")
+        vars(self).update(ctx=ctx, coeffs=coeffs)
+
+    def __eq__(self, other):
+        if type(other) is not LinearizedPoly:
+            return NotImplemented
+        return (self.ctx, self.coeffs) == (other.ctx, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.ctx, self.coeffs))
+
+    def __repr__(self):
+        return f"LinearizedPoly(ctx={self.ctx!r}, coeffs={self.coeffs!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: LinearizedPoly is immutable")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def _terms(self):
@@ -114,7 +126,12 @@ def _transcript(ctx, t0, terms):
 
 
 def switching_predicate(L):
-    """True when Tr(L(x)/x) != 0 for every nonzero x."""
+    """True when Tr(L(x)/x) != 0 for every nonzero x.
+
+    A monomial's transcript is the constant Tr(a_0), so it is not walked.
+    """
+    if L.is_monomial():
+        return L.ctx.tr[L.coeffs[0]] != 0
     return all(transcript(L.ctx, L.coeffs))
 
 

@@ -41,25 +41,37 @@ isotopy kernel once per orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ConsistencyError
-from .gf import FieldCtx, _kernel, _span
+from .gf import _kernel, _span
 from .linpoly import LinearizedPoly
 
 
-@dataclass(frozen=True)
 class SwitchSpec:
     """Switching parameters: b checked as LinearizedPoly coefficients, xi a nonzero int."""
 
-    ctx: FieldCtx
-    b: tuple
-    xi: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", LinearizedPoly(self.ctx, self.b).coeffs)
-        if type(self.xi) is not int or not 0 < self.xi < self.ctx.order:
+    def __init__(self, ctx, b, xi=1):
+        b = LinearizedPoly(ctx, b).coeffs
+        if type(xi) is not int or not 0 < xi < ctx.order:
             raise ValueError("xi must be a nonzero element code")
+        vars(self).update(ctx=ctx, b=b, xi=xi)
+
+    def __eq__(self, other):
+        if type(other) is not SwitchSpec:
+            return NotImplemented
+        return (self.ctx, self.b, self.xi) == (other.ctx, other.b, other.xi)
+
+    def __hash__(self):
+        return hash((self.ctx, self.b, self.xi))
+
+    def __repr__(self):
+        return f"SwitchSpec(ctx={self.ctx!r}, b={self.b!r}, xi={self.xi!r})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: SwitchSpec is immutable")
+
+    __delattr__ = __setattr__
 
     def bilinear_form(self, x, y):
         """B(x, y) = Tr(sum_i b_i x y^(q^i)), an element of F_q."""
@@ -219,15 +231,8 @@ def unitalize(op):
     return BinaryOp(ctx, star)
 
 
-@dataclass(frozen=True)
-class NucleiReport:
-    """F_p-bases of the left, middle and right nuclei and the center, 1 first."""
-
-    left: tuple
-    middle: tuple
-    right: tuple
-    center: tuple
-    sizes: tuple
+# F_p-bases of the left, middle and right nuclei and the center, 1 first, and their sizes
+NucleiReport = namedtuple("NucleiReport", "left middle right center sizes")
 
 
 def nuclei(op):

@@ -7,9 +7,10 @@ one table of (fast route, oracle) pairs.
 
 It also holds the ops and checks that only the tests use: the field
 product as the switch of b = 0 (``field_op``), the basis-pair check that
-``commutative_criterion`` is tested against (``is_commutative``), and an
+``commutative_criterion`` is tested against (``is_commutative``), an
 n = 4 op with no spec, which the library's switch routines refuse
-(``dual_spread_op``).
+(``dual_spread_op``), and ``classify``'s deep route on one switch, which
+its closed form for monomials is tested against (``deep_classify``).
 """
 
 import random
@@ -21,10 +22,16 @@ from semiswitch import (
     ConsistencyError,
     SwitchSpec,
     build_switch,
+    commutative_isotopy_test,
+    find_zero_divisor,
     n3_construct,
+    nuclei,
+    switch_spec_for,
     theta_set,
     transcript,
+    unitalize,
 )
+from semiswitch.families import _families
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
 from semiswitch.linpoly import _a0_classes, _coeffs, _walk_product
 
@@ -293,6 +300,35 @@ def predicate_equivalence_check(spec):
     m = tuple(ctx.mul(spec.xi, bi) for bi in spec.b)
     criterion = ctx.neg(1) not in transcript(ctx, m)
     return direct == criterion
+
+
+def deep_classify(L):
+    """``classify``'s report by the deep route on L's own switch, with no
+    closed form and no orbit cache: the transcript walked in full, the
+    zero-divisor walk, then for a passing L the isotopy test, the nuclei of
+    the unitalization and commutativity checked on basis pairs."""
+    predicate = all(transcript(L.ctx, L.coeffs))
+    report = {"coeffs": list(L.coeffs), "predicate": predicate}
+    if predicate:
+        report["families"] = _families(L)
+    spec = switch_spec_for(L)
+    op = build_switch(spec)
+    zero_divisor = find_zero_divisor(op)
+    if (zero_divisor is None) != predicate:
+        raise ConsistencyError("the walk disagrees with the transcript", L.coeffs)
+    if not predicate:
+        report.update(presemifield=False, zero_divisor=list(zero_divisor))
+        return report
+    ganley, witness = commutative_isotopy_test(op)
+    report.update(
+        spec={"b": list(spec.b), "xi": spec.xi},
+        presemifield=True,
+        commutative=is_commutative(op),
+        ganley=ganley,
+        ganley_witness=witness,
+        nuclei=list(nuclei(unitalize(op)).sizes),
+    )
+    return report
 
 
 def _verify_by_right_kernels(op):

@@ -176,32 +176,63 @@ def test_failing_row_walks_once(f81_n4, monkeypatch):
 
 
 def test_deep_field_monomial_verifies_in_seconds(tmp_path, capsys):
-    # F_{2^17}: the walk makes one op call per unit, where a kernel of 17
-    # rows per unit took over 20 s
+    # F_{2^17}: verify answers the monomial in closed form, and the walk of
+    # its switch makes one op call per unit, where a kernel of 17 rows per
+    # unit took over 20 s
+    from semiswitch import (
+        LinearizedPoly, build_field, build_switch, find_zero_divisor, switch_spec_for,
+    )
+
     infile = tmp_path / "row.jsonl"
     infile.write_text(json.dumps({"coeffs": [1] + [0] * 16}) + "\n")
     t0 = time.perf_counter()
     assert cli.main(["verify", "--p", "2", "--n", "17", str(infile)]) == 0
-    elapsed = time.perf_counter() - t0
     (row,) = [r for r in records(capsys.readouterr().out) if r["record"] == "result"]
     assert row["presemifield"] is True
-    assert elapsed < 10
+    L = LinearizedPoly(build_field(2, 1, 17), (1,) + (0,) * 16)
+    assert find_zero_divisor(build_switch(switch_spec_for(L))) is None
+    assert time.perf_counter() - t0 < 10
 
 
-def test_repeated_monomial_walks_once(tmp_path, capsys, monkeypatch):
-    # a monomial is its own scaling orbit, so its second row reuses the first walk
-    from semiswitch import build_field, presemifield, search
+def test_repeated_monomial_does_no_deep_work(tmp_path, capsys, monkeypatch):
+    # a passing monomial's report is closed form: no walk, unitalization or nuclei
+    from semiswitch import build_field, families, presemifield, search
 
     monomial = next(L for L in search(build_field(3, 1, 2)) if L.is_monomial())
     infile = tmp_path / "rows.jsonl"
     infile.write_text((json.dumps({"coeffs": list(monomial.coeffs)}) + "\n") * 2)
-    walks = []
-    walk = presemifield.find_zero_divisor
-    monkeypatch.setattr(presemifield, "find_zero_divisor", lambda op: walks.append(op) or walk(op))
+    calls = []
+    for module, name in (
+        (presemifield, "find_zero_divisor"),
+        (families, "unitalize"),
+        (families, "nuclei"),
+    ):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     assert cli.main(["verify", "--p", "3", "--n", "2", str(infile)]) == 0
     first, second = [r for r in records(capsys.readouterr().out) if r["record"] == "result"]
     assert first == second and first["presemifield"]
-    assert len(walks) == 1
+    assert calls == []
+
+
+def test_passing_monomial_whose_switch_breaks_is_a_consistency_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # the closed form still makes the walk's one op call, x*(xi/x) at x = 1
+    from semiswitch import BinaryOp, families
+
+    build = families.build_switch
+
+    def broken(spec):
+        op = build(spec)
+        return BinaryOp(spec.ctx, lambda x, y: 0 if (x, y) == (1, spec.xi) else op(x, y), spec)
+
+    infile = tmp_path / "row.jsonl"
+    infile.write_text('{"coeffs":[1,0]}\n')
+    monkeypatch.setattr(families, "build_switch", broken)
+    assert cli.main(["verify", "--p", "3", "--n", "2", str(infile)]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "consistency"
+    assert err["witness"] == [1, 0]
 
 
 def test_failing_row_that_verifies_is_a_consistency_failure(tmp_path, capsys, monkeypatch):

@@ -292,9 +292,13 @@ def test_n4_commutative_rejects_bad_trace(f81_n4):
 
 def test_classify_monomial(f9):
     L = LinearizedPoly(f9, (1, 0))
-    rep = classify(L)
+    orbits = {}
+    rep = classify(L, orbits=orbits)
     assert "monomial" in rep["families"]
     assert rep["predicate"] and rep["presemifield"]
+    # an isotope of the field, answered in closed form outside the orbit cache
+    assert (rep["ganley"], rep["ganley_witness"], rep["nuclei"]) == (True, 1, [9] * 4)
+    assert orbits == {}
 
 
 def test_classify_failing_row_is_both_verdicts_and_a_zero_divisor(f9, monkeypatch):

@@ -170,7 +170,7 @@ def test_verdicts_never_trigger_on_passing_polys(f9):
 
 def test_verdict_report_roundtrip(f9):
     rep = curve_verdicts(LinearizedPoly(f9, (1, 4)))
-    d = rep.to_dict()
+    d = rep._asdict()
     assert d["ell"] == rep.ell
     assert d["genus"] == rep.genus
     assert set(d) == {

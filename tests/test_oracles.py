@@ -24,7 +24,10 @@ of F_9^2 and F_16^2 and on seeded F_81^4 samples.  The per-orbit
 zero-divisor walk on the lines F_q^* xi/x runs against the kernel walk
 on every b, at xi = 1, gamma and the last code, for (q, n) = (2, 2),
 (3, 2), (4, 2), (2, 3), (5, 2) and (7, 2), and on every hit of (3, 3),
-(4, 2) and (7, 2).
+(4, 2) and (7, 2).  ``classify``, with and without an orbits dict, runs
+against the deep route on each switch (``deep_classify``) on every
+monomial of (q, n) = (3, 2), (4, 2), (3, 3), (5, 3), (8, 2) and (3, 4),
+where the passing ones are answered in closed form.
 """
 
 import random
@@ -86,6 +89,7 @@ from oracles import (
     _verify_by_right_kernels,
     _zero_divisor_by_kernels,
     _zero_divisor_scan,
+    deep_classify,
     n2_lemma_roots,
     nuclei_members,
     scale,
@@ -105,6 +109,8 @@ ORBIT_FIELDS = ["f9", "f16_q4", "f81_n4"]
 HIT_FIELDS = ["f27", "f16_q4", "f49", "f81_n4"]
 # the line walk against the kernel walk on every b, at three xi each
 LINE_FIELDS = ["f4", "f9", "f16_q4", "f8", "f25", "f49"]
+# every monomial, classified in closed form against the deep route
+MONOMIAL_FIELDS = ["f9", "f16_q4", "f27", "f125", "f64_q8", "f81_n4"]
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +141,11 @@ def f25():
 @pytest.fixture(scope="module")
 def f49():
     return build_field(7, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def f64_q8():
+    return build_field(2, 3, 2)
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +504,14 @@ def _classify_each(hits):
     return [classify(L) for L in hits]
 
 
+def _deep_classify_each(hits):
+    return [deep_classify(L) for L in hits]
+
+
+def _monomials(ctx):
+    return [([LinearizedPoly(ctx, (a0,) + (0,) * (ctx.n - 1)) for a0 in range(ctx.order)],)]
+
+
 def _transported_span(L, c):
     """The span of L's isotopy kernel basis transported to L scaled by c."""
     op, kernel = _isotopy_kernels(L.ctx)[L.coeffs]
@@ -534,6 +553,14 @@ PAIRS = [
     pair(commutative_isotopy_test, _isotopy_scan, _passing_ops, "isotopy"),
     pair(_transported_span, _scaled_kernel_span, _scalings, "isotopy-transport", HIT_FIELDS),
     pair(_classify_sharing_orbits, _classify_each, _hit_lists, "classify-orbits", HIT_FIELDS),
+    pair(_classify_each, _deep_classify_each, _monomials, "classify-monomial", MONOMIAL_FIELDS),
+    pair(
+        _classify_sharing_orbits,
+        _deep_classify_each,
+        _monomials,
+        "classify-monomial-orbits",
+        MONOMIAL_FIELDS,
+    ),
     pair(_products(unitalize), _products(_unitalize_scan), _op_and_pairs, "unitalize"),
     pair(_nuclei_sets, _nuclei_scan, _unital_ops, "nuclei"),
     pair(_nuclei_sets, _nuclei_all_pairs, _nuclei_ops, "nuclei_all_pairs", NUCLEI_FIELDS),

@@ -5,13 +5,16 @@ what an eager ``__init__`` gave for free: every name is there, is the
 object its module defines, and shows in ``dir`` and ``import *``.  A
 public name is used by the program, or states a result of the paper.  Each
 command loads only the modules it runs; a fresh interpreter per case
-reads the ``semiswitch`` modules in ``sys.modules`` after one run.
+reads the ``semiswitch`` modules in ``sys.modules`` after one run, and
+whether ``dataclasses`` (which loads ``inspect`` and ``ast``) is among
+them when a bare interpreter does not have it.
 """
 
 import ast
 import json
 import subprocess
 import sys
+from functools import cache
 from importlib import import_module
 from pathlib import Path
 
@@ -122,6 +125,18 @@ def test_star_import_binds_every_public_name():
 
 
 BASE = ["cli", "errors", "gf", "linpoly"]  # what every command loads
+LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in {'semiswitch', 'dataclasses'}))"
+)
+
+
+@cache
+def _bare_interpreter_loads_dataclasses():
+    script = f"import sys\n{LOADED}\n"
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    return "dataclasses" in res.stdout
 
 
 @pytest.mark.parametrize(
@@ -163,10 +178,14 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, rows, loaded):
         "    from semiswitch import cli\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'semiswitch'))\n"
+        f"{LOADED}\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == repr(sorted(["semiswitch"] + [f"semiswitch.{m}" for m in loaded]))
+    # no command loads dataclasses: its imports (inspect, ast, dis) are start-up no command needs
+    expected = ["semiswitch"] + [f"semiswitch.{m}" for m in loaded]
+    if _bare_interpreter_loads_dataclasses():
+        expected.append("dataclasses")
+    assert res.stdout.strip() == repr(sorted(expected))

@@ -37,6 +37,7 @@ from oracles import (
     _twisted_field,
     _zero_divisor_by_kernels,
     _zero_divisor_scan,
+    deep_classify,
     dual_spread_op,
     field_op,
     is_commutative,
@@ -225,17 +226,20 @@ def test_side_maps_refuse_an_op_that_is_no_switch(f81_n4):
 
 
 def test_deep_classify_builds_no_field_size_table():
-    # deep classify of X at F_{3^10}: the side maps are closed forms, so no
-    # table of 3^10 entries is listed (four of them took about 9 MB)
+    # the deep route on X's switch at F_{3^10} (walk, unitalization, isotopy
+    # kernel, nuclei): the side maps are closed forms, so no table of 3^10
+    # entries is listed (four of them took about 9 MB).  classify answers X
+    # in closed form, and no non-monomial passes at this field
     ctx = build_field(3, 1, 10)
     L = LinearizedPoly(ctx, (1,) + (0,) * 9)
     tracemalloc.start()
     try:
-        assert classify(L)["presemifield"]
+        report = deep_classify(L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+    assert report["presemifield"] and report == classify(L)
 
 
 def test_nuclei_of_field(f9):

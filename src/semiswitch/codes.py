@@ -78,12 +78,7 @@ def code_dimension(q, n):
     return dim
 
 
-class Codeword(namedtuple("Codeword", "coeffs values")):
-    __slots__ = ()
-
-    @property
-    def weight(self):
-        return sum(1 for v in self.values if v)
+Codeword = namedtuple("Codeword", "coeffs values")
 
 
 def trace_codeword(ctx, coeffs):

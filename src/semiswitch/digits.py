@@ -4,67 +4,22 @@ Write M = (q^n - 1)/(q - 1).  The reduced exponents of the expansion
 of ``Tr(L(x)/x)^(q-1)`` are the multiples of q-1 in 0..q^n-1, and those
 correspond to the interval 0..M once q^n-1 (the top multiple) is kept
 distinct from 0.  ``wrap_add_many`` is addition on that interval with
-the same 0-versus-top bookkeeping; ``ones_run`` produces the digit
-vectors with a cyclic run of ones, whose wrapped sums index the terms
-of the expansion.  ``power_coefficient`` computes one coefficient through that
-combinatorial indexing, ``power_expansion`` through plain convolution;
-the two must agree, which makes them useful foils for each other.
+the same 0-versus-top bookkeeping; ``ones_run`` gives the value of a
+digit vector with a cyclic run of ones, and the wrapped sums of those
+values index the terms of the expansion.  ``power_coefficient``
+computes one coefficient through that combinatorial indexing,
+``power_expansion`` through plain convolution; the two must agree,
+which makes them useful foils for each other.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .errors import BudgetExceeded, read_limit, require_int
+from .errors import BudgetExceeded, read_limit
 from .gf import build_field
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
-
-
-class DigitVector:
-    """Base-q digits, least significant first."""
-
-    def __init__(self, q, digits):
-        require_int(q, "q")
-        digits = tuple(digits)
-        for d in digits:
-            if not 0 <= require_int(d, "digit") < q:
-                raise ValueError(f"digit {d} out of range for q = {q}")
-        vars(self).update(q=q, digits=digits)
-
-    def __eq__(self, other):
-        if type(other) is not DigitVector:
-            return NotImplemented
-        return (self.q, self.digits) == (other.q, other.digits)
-
-    def __hash__(self):
-        return hash((self.q, self.digits))
-
-    def __repr__(self):
-        return f"DigitVector(q={self.q!r}, digits={self.digits!r})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot set or delete {name!r}: DigitVector is immutable")
-
-    __delattr__ = __setattr__
-
-    @property
-    def value(self):
-        v = 0
-        for d in reversed(self.digits):
-            v = v * self.q + d
-        return v
-
-
-def psi(q, n, value):
-    """Digit vector of value in 0..q^n - 1."""
-    if not 0 <= value < q**n:
-        raise ValueError(f"value {value} out of range")
-    digits = []
-    for _ in range(n):
-        value, r = divmod(value, q)
-        digits.append(r)
-    return DigitVector(q, tuple(digits))
 
 
 def wrap_add_many(q, n, terms):
@@ -86,19 +41,17 @@ def wrap_add_many(q, n, terms):
 
 
 def ones_run(q, n, start, length):
-    """Digit vector with ``length`` ones cyclically from position ``start``.
+    """The value of the run of ``length`` ones cyclically from digit ``start``.
 
-    Its value is congruent to q^start (q^length - 1)/(q - 1) mod q^n - 1
-    and always lies in 0..M.
+    That is the int whose n base-q digits are 1 at positions start, ...,
+    start + length - 1 (mod n) and 0 elsewhere.  It is congruent to
+    q^start (q^length - 1)/(q - 1) mod q^n - 1 and always lies in 0..M.
     """
     if not 0 <= start < n:
         raise ValueError(f"start {start} out of range")
     if not 0 <= length < n:
         raise ValueError(f"length {length} must lie in 0..n-1")
-    digits = [0] * n
-    for k in range(length):
-        digits[(start + k) % n] = 1
-    return DigitVector(q, tuple(digits))
+    return sum(q ** ((start + k) % n) for k in range(length))
 
 
 def ascent_descent(digits):
@@ -109,8 +62,6 @@ def ascent_descent(digits):
     when d_i < d_{i-1}.  Returns (ascents, descents, total) with the
     multisets as sorted tuples; the two always have equal size.
     """
-    if isinstance(digits, DigitVector):
-        digits = digits.digits
     n = len(digits)
     asc, des = [], []
     for i in range(n):
@@ -197,7 +148,7 @@ def power_coefficient(L, alpha, budget=None):
     limit = read_limit(budget, DEFAULT_TUPLE_BUDGET, "budget")
     if (n * n) ** (q - 1) > limit:
         raise BudgetExceeded(f"(n^2)^(q-1) tuples exceed budget {limit}")
-    run_value = [[ones_run(q, n, j, i).value for i in range(n)] for j in range(n)]
+    run_value = [[ones_run(q, n, j, i) for i in range(n)] for j in range(n)]
     pairs = [(j, i) for j in range(n) for i in range(n)]
     total = 0
     for combo in product(pairs, repeat=q - 1):
@@ -275,8 +226,6 @@ def monomial_census(p, n, budget=None, mode="exhaustive", seed=0):
 
 
 __all__ = [
-    "DigitVector",
-    "psi",
     "wrap_add_many",
     "ones_run",
     "ascent_descent",

@@ -156,7 +156,11 @@ def matches_n3(L):
 
 
 def is_square_in_base(ctx, x):
-    """Whether x is a nonzero square of the base field F_q (q odd)."""
+    """Whether x is a nonzero square of the base field F_q.
+
+    For q odd these are the even powers of F_q's generator; at p = 2
+    squaring permutes F_q, so every nonzero x of F_q is one (True).
+    """
     if x == 0 or not ctx.in_subfield(x, 1):
         return False
     if ctx.p == 2:

@@ -51,8 +51,34 @@ def search_budget(budget=None):
     return read_limit(budget, DEFAULT_SEARCH_BUDGET, "budget")
 
 
-class LinearizedPoly:
+class _Value:
+    """A checked immutable value: equality, hash and repr over the class's ``_fields``."""
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class LinearizedPoly(_Value):
     """sum_i a_i X^(q^i); the one check of a coefficient tuple, which coerces nothing."""
+
+    _fields = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
         coeffs = tuple(coeffs)
@@ -63,22 +89,6 @@ class LinearizedPoly:
             if type(c) is not int or not 0 <= c < ctx.order:
                 raise ValueError(f"coefficient {c!r} is not an int in 0..{ctx.order - 1}")
         vars(self).update(ctx=ctx, coeffs=coeffs)
-
-    def __eq__(self, other):
-        if type(other) is not LinearizedPoly:
-            return NotImplemented
-        return (self.ctx, self.coeffs) == (other.ctx, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.ctx, self.coeffs))
-
-    def __repr__(self):
-        return f"LinearizedPoly(ctx={self.ctx!r}, coeffs={self.coeffs!r})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot set or delete {name!r}: LinearizedPoly is immutable")
-
-    __delattr__ = __setattr__
 
     @cached_property
     def _terms(self):
@@ -179,17 +189,6 @@ def _coeffs(n, support, assignment):
     return tuple(coeffs)
 
 
-class _Terms(dict):
-    """a -> (log a, e) at one position, e = q^i - 1, each entry made on first use."""
-
-    def __init__(self, log, e):
-        self.log, self.e = log, e
-
-    def __missing__(self, a):
-        self[a] = term = (self.log[a], self.e)
-        return term
-
-
 def _walk(ctx, head_support, heads, tail_support, tails):
     """Every passing head + tail, heads in the order given, then tails in order.
 
@@ -201,11 +200,11 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     ``[()]`` this is the predicate on each head.  ``heads`` is any
     iterable, walked once: a product of choices, or distinct tuples.  A
     head's a_0 enters as its trace, and each later a_i != 0 as the term
-    (log a_i, q^i - 1) of its position's table, filled once per value.
+    (log a_i, q^i - 1).
     """
-    n, tr = ctx.n, ctx.tr
+    n, tr, log = ctx.n, ctx.tr, ctx.log
     has_a0 = head_support[:1] == (0,)
-    rows = [_Terms(ctx.log, ctx.qpow_minus1[i]) for i in head_support[has_a0:]]
+    es = [ctx.qpow_minus1[i] for i in head_support[has_a0:]]
     columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
@@ -219,7 +218,7 @@ def _walk(ctx, head_support, heads, tail_support, tails):
 
     for head in heads:
         failed, t0 = 0, tr[head[0]] if has_a0 else 0
-        terms = [row[a] for row, a in zip(rows, head[has_a0:]) if a]
+        terms = [(log[a], e) for e, a in zip(es, head[has_a0:]) if a]
         for k, v in enumerate(_transcript(ctx, t0, terms)):
             failed |= column(k).get(v, 0)
             if failed == full:

@@ -45,33 +45,19 @@ from collections import namedtuple
 
 from .errors import ConsistencyError
 from .gf import _kernel, _span
-from .linpoly import LinearizedPoly
+from .linpoly import LinearizedPoly, _Value
 
 
-class SwitchSpec:
+class SwitchSpec(_Value):
     """Switching parameters: b checked as LinearizedPoly coefficients, xi a nonzero int."""
+
+    _fields = ("ctx", "b", "xi")
 
     def __init__(self, ctx, b, xi=1):
         b = LinearizedPoly(ctx, b).coeffs
         if type(xi) is not int or not 0 < xi < ctx.order:
             raise ValueError("xi must be a nonzero element code")
         vars(self).update(ctx=ctx, b=b, xi=xi)
-
-    def __eq__(self, other):
-        if type(other) is not SwitchSpec:
-            return NotImplemented
-        return (self.ctx, self.b, self.xi) == (other.ctx, other.b, other.xi)
-
-    def __hash__(self):
-        return hash((self.ctx, self.b, self.xi))
-
-    def __repr__(self):
-        return f"SwitchSpec(ctx={self.ctx!r}, b={self.b!r}, xi={self.xi!r})"
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot set or delete {name!r}: SwitchSpec is immutable")
-
-    __delattr__ = __setattr__
 
     def bilinear_form(self, x, y):
         """B(x, y) = Tr(sum_i b_i x y^(q^i)), an element of F_q."""

@@ -39,6 +39,7 @@ from semiswitch.families import (
     n3_construct,
     n4_criterion,
 )
+from semiswitch.gf import _decode
 from semiswitch.hws import rational_point_count
 from semiswitch.presemifield import SwitchSpec
 
@@ -216,8 +217,8 @@ def test_criterion_07_digit_machinery():
     assert asc == (0, 0, 2, 4, 4)
     assert des == (1, 1, 5, 5, 5)
     assert count == 5
-    assert ones_run(3, 4, 1, 3).digits == (0, 1, 1, 1)
-    assert ones_run(3, 4, 3, 2).digits == (1, 0, 0, 1)
+    assert _decode(ones_run(3, 4, 1, 3), 3, 4) == [0, 1, 1, 1]
+    assert _decode(ones_run(3, 4, 3, 2), 3, 4) == [1, 0, 0, 1]
     rng = random.Random(707)
     for p, n in ((2, 4), (3, 3)):
         ctx = build_field(p, 1, n)

@@ -15,7 +15,7 @@ from semiswitch import (
     switching_predicate,
     trace_codeword,
 )
-from semiswitch.digits import psi
+from semiswitch.gf import _decode
 
 from oracles import trace_quotient
 
@@ -54,7 +54,7 @@ def test_coset_closed_under_base():
 
 
 def test_defining_cosets_are_shift_patterns():
-    # psi-image of the coset of q^i - 1: cyclic shifts of a run of (q-1)s
+    # digit vectors of the coset of q^i - 1: cyclic shifts of a run of (q-1)s
     for q, n in ((3, 2), (3, 3), (2, 4)):
         N = q**n - 1
         for i in range(1, n):
@@ -62,7 +62,7 @@ def test_defining_cosets_are_shift_patterns():
             shifts = {
                 tuple(base_digits[(k - j) % n] for k in range(n)) for j in range(n)
             }
-            got = {psi(q, n, e).digits for e in cyclotomic_coset(q, N, q**i - 1).members}
+            got = {tuple(_decode(e, q, n)) for e in cyclotomic_coset(q, N, q**i - 1).members}
             assert got <= shifts
 
 
@@ -99,7 +99,8 @@ def test_union_of_cosets_2_3():
 def test_codeword_monomial_constant(f9):
     w = trace_codeword(f9, (4, 0))
     assert set(w.values) == {f9.rel_trace(4)}
-    assert w.weight == (8 if f9.rel_trace(4) != 0 else 0)
+    weight = sum(1 for v in w.values if v)
+    assert weight == (8 if f9.rel_trace(4) != 0 else 0)
 
 
 def test_codeword_matches_trace_quotient(f9, f27, f16_q4, f81_q9):
@@ -137,7 +138,8 @@ def test_full_weight_iff_predicate(f9):
         coeffs = tuple(rng.randrange(9) for _ in range(2))
         w = trace_codeword(ctx, coeffs)
         L = LinearizedPoly(ctx, coeffs)
-        assert (w.weight == ctx.mult_order) == switching_predicate(L)
+        weight = sum(1 for v in w.values if v)
+        assert (weight == ctx.mult_order) == switching_predicate(L)
 
 
 def test_full_weight_search_censuses(f9, f8):

@@ -20,7 +20,7 @@ from math import gcd
 
 from . import linpoly
 from .errors import ConsistencyError, require_int
-from .linpoly import LinearizedPoly, transcript
+from .linpoly import transcript
 
 
 CyclotomicCoset = namedtuple("CyclotomicCoset", "base modulus leader members")
@@ -50,12 +50,14 @@ def cyclotomic_coset(base, modulus, e):
 
 
 def is_basic_zero_set(q, modulus, exponents):
-    """Exponents pairwise in distinct q-cyclotomic cosets, no repeats."""
-    exps = [e % modulus for e in exponents]
-    if len(set(exps)) != len(exps):
-        return False
-    leaders = {cyclotomic_coset(q, modulus, e).leader for e in exps}
-    return len(leaders) == len(exps)
+    """Exponents pairwise in distinct q-cyclotomic cosets, no repeats.
+
+    Each exponent, with q and modulus, gets the checks of
+    :func:`cyclotomic_coset` before it is reduced.
+    """
+    cyclotomic_coset(q, modulus, 0)  # checks q and modulus when there is no exponent
+    leaders = [cyclotomic_coset(q, modulus, e).leader for e in exponents]
+    return len(set(leaders)) == len(leaders)
 
 
 def code_dimension(q, n):
@@ -86,30 +88,8 @@ def trace_codeword(ctx, coeffs):
 
     The word is the period-M transcript repeated q - 1 times.
     """
-    L = LinearizedPoly(ctx, tuple(coeffs))
-    values = tuple(transcript(ctx, L.coeffs)) * (ctx.q - 1)
-    return Codeword(tuple(coeffs), values)
-
-
-def _least_nonconstant(ctx, orbits, count):
-    """The ``count`` least tuples of the non-monomial ``orbits`` in code order.
-
-    a_0 runs in code order, and the tuples with a given a_0 are that a_0
-    before the scalings of the reps of its trace class: the ``count`` least
-    of those per class suffice.
-    """
-    import heapq  # here, so that a census in random mode does not load it
-
-    tr = ctx.tr
-
-    def members(t):
-        for rep, size in orbits:
-            if tr[rep[0]] == t:
-                yield from (linpoly._scaled(ctx, rep, k)[1:] for k in range(size))
-
-    least = {t: heapq.nsmallest(count, members(t)) for t in ctx.subfield(1)}
-    words = ([a0, *rest] for a0 in range(ctx.order) for rest in least[tr[a0]])
-    return list(islice(words, count))
+    coeffs = tuple(coeffs)
+    return Codeword(coeffs, tuple(transcript(ctx, coeffs)) * (ctx.q - 1))
 
 
 def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):
@@ -119,19 +99,21 @@ def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):
     rides on the polynomial search.  Exhaustive mode counts the scaling
     orbits of the search's strata without expanding them: a passing rep
     of orbit size N/g stands for (N/g) q^(n-1) words, one per scaling and
-    per a_0 of its trace class, and the witnesses are the five least
-    non-constant words in code order.  Random mode relabels the search's
+    per a_0 of its trace class.  The witnesses are the first five
+    non-constant words of the search's own code order, which expands only
+    the trace classes they reach.  Random mode relabels the search's
     hits.  ``candidates`` is the words searched: all order**n of them, or
     in random mode the draws requested (the budget, repeats included).
     """
     if mode == "exhaustive":
         limit = linpoly.search_budget(budget)
-        orbits = linpoly._passing_orbits(ctx, tuple(range(ctx.n)), limit)
+        support = tuple(range(ctx.n))
+        orbits = linpoly._passing_orbits(ctx, support, limit)
         moving = [(rep, size) for rep, size in orbits if any(rep[1:])]
         spread = ctx.q ** (ctx.n - 1)  # the a_0 of one trace class
         constant = spread * (len(orbits) - len(moving))  # monomials: orbits of size 1
         nonconstant = spread * sum(size for _, size in moving)
-        witnesses = _least_nonconstant(ctx, moving, 5)
+        witnesses = [list(w) for w in islice(linpoly._code_order(ctx, support, moving), 5)]
         candidates = ctx.order**ctx.n
     else:
         sols = linpoly.search(ctx, range(ctx.n), mode=mode, seed=seed, budget=budget)

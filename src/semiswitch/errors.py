@@ -4,8 +4,9 @@ ValueError is used for plain bad input everywhere; the two classes here
 mark conditions a caller may want to treat specially: blowing a size
 budget, and finding a counterexample to something the library asserts
 can never happen (which means a bug, not bad input).  :func:`read_limit`
-is the one reader of every size budget, and :func:`require_int` the one
-type check of a number that the library would otherwise coerce.
+is the one reader of every size budget, :func:`require_int` the one
+type check of a number that the library would otherwise coerce, and
+:func:`require_code` the one check of a field element code.
 """
 
 import os
@@ -32,6 +33,14 @@ def require_int(value, name):
     """``value`` if it is an int; ValueError, naming ``name``, for a bool or any other type."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def require_code(value, order, name):
+    """``value`` if it is an element code, an int in 0..order-1; ValueError, naming ``name``."""
+    # type() rather than isinstance(): bools are ints too
+    if type(value) is not int or not 0 <= value < order:
+        raise ValueError(f"{name} {value!r} is not an int in 0..{order - 1}")
     return value
 
 

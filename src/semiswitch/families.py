@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import presemifield
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_code
 from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, orbit_rep, switching_predicate
 from .presemifield import (
@@ -49,6 +49,12 @@ from .presemifield import (
 FamilyInstance = namedtuple("FamilyInstance", "kind params poly")
 
 
+def _require_codes(ctx, **codes):
+    """Each value an element code of ctx, named by its keyword."""
+    for name, value in codes.items():
+        require_code(value, ctx.order, name)
+
+
 # ---- degree 2 ----
 
 
@@ -56,6 +62,7 @@ def n2_criterion(ctx, a1, a0):
     """Two distinct roots of X^2 + Tr(a_0) X + a_1^(q+1) in F_q."""
     if ctx.n != 2:
         raise ValueError("criterion is for n = 2")
+    _require_codes(ctx, a1=a1, a0=a0)
     t = ctx.rel_trace(a0)
     c = ctx.pow(a1, ctx.q + 1) if a1 else 0
     roots = 0
@@ -80,6 +87,7 @@ def theta_set(ctx, u, v):
     """
     if ctx.n != 3:
         raise ValueError("theta set is for n = 3")
+    _require_codes(ctx, u=u, v=v)
     if u == 0 or v == 0:
         raise ValueError("u and v must be nonzero")
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
@@ -99,6 +107,7 @@ def n3_construct(ctx, u, v, theta, a=1):
     """Build the degree-3 family member for (u, v, theta, a)."""
     if ctx.n != 3:
         raise ValueError("construction is for n = 3")
+    _require_codes(ctx, u=u, v=v, theta=theta, a=a)
     if u == 0 or v == 0 or a == 0:
         raise ValueError("u, v, a must be nonzero")
     ratio = ctx.neg(ctx.div(v, u))
@@ -161,6 +170,7 @@ def is_square_in_base(ctx, x):
     For q odd these are the even powers of F_q's generator; at p = 2
     squaring permutes F_q, so every nonzero x of F_q is one (True).
     """
+    _require_codes(ctx, x=x)
     if x == 0 or not ctx.in_subfield(x, 1):
         return False
     if ctx.p == 2:
@@ -175,6 +185,7 @@ def n4_criterion(ctx, a1, a0):
         raise ValueError("criterion is for n = 4")
     if ctx.p == 2:
         raise ValueError("criterion needs odd characteristic")
+    _require_codes(ctx, a1=a1, a0=a0)
     if a1 == 0:
         raise ValueError("a_1 = 0 is the monomial case, not covered here")
     s = ctx.pow(a1, ctx.q**2 + 1)
@@ -191,6 +202,7 @@ def n4_commutative_op(ctx, a1, a0t):
         raise ValueError("construction is for n = 4")
     if ctx.p == 2:
         raise ValueError("construction needs odd characteristic")
+    _require_codes(ctx, a1=a1, a0t=a0t)
     if a1 == 0 or not is_square_in_base(ctx, ctx.pow(a1, ctx.q**2 + 1)):
         raise ValueError("a_1^(q^2+1) must be a nonzero square of F_q")
     if ctx.rel_trace(a0t) != ctx.neg(1):
@@ -219,20 +231,10 @@ def switch_spec_for(L):
     return SwitchSpec(ctx, b, 1)
 
 
-class _Orbit(namedtuple("_Orbit", "k op kernel ganley nuclei")):
-    """What ``classify`` keeps of the first member met of a scaling orbit:
-    its scaling k to the rep, its switch (which carries its spec), its
-    isotopy kernel basis and the verdicts that hold on the whole orbit."""
-
-    __slots__ = ()
-
-    def witness(self, k):
-        """ganley_witness of the member that gamma^k scales to the rep: that
-        member is the first one scaled by c = gamma^(self.k - k)."""
-        ctx = self.op.ctx
-        c = ctx.exp[(self.k - k) % ctx.mult_order]
-        kernel = transport_isotopy_kernel(self.op, self.kernel, c)
-        return isotopy_witness(ctx, kernel)[1]
+# what ``classify`` keeps of the first member met of a scaling orbit: its
+# scaling k to the rep, its switch (which carries its spec), its isotopy
+# kernel basis and the verdicts that hold on the whole orbit
+_Orbit = namedtuple("_Orbit", "k op kernel ganley nuclei")
 
 
 def _families(L):
@@ -308,7 +310,10 @@ def classify(L, deep=True, orbits=None):
             sizes = nuclei(unital).sizes
             orbit = orbits[rep] = _Orbit(k, op, tuple(op.isotopy_kernel), iso, sizes)
         else:
-            witness = orbit.witness(k)
+            # L is the first member scaled by c = gamma^(orbit.k - k)
+            c = L.ctx.exp[(orbit.k - k) % L.ctx.mult_order]
+            kernel = transport_isotopy_kernel(orbit.op, orbit.kernel, c)
+            witness = isotopy_witness(L.ctx, kernel)[1]
         ganley, sizes = orbit.ganley, orbit.nuclei
     report.update(
         spec={"b": list(spec.b), "xi": spec.xi},

@@ -40,7 +40,7 @@ from functools import cached_property
 from itertools import islice, product, repeat
 from math import gcd, prod
 
-from .errors import BudgetExceeded, read_limit, require_int
+from .errors import BudgetExceeded, read_limit, require_code, require_int
 from .gf import _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
@@ -85,9 +85,7 @@ class LinearizedPoly(_Value):
         if len(coeffs) != ctx.n:
             raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
         for c in coeffs:
-            # type() rather than isinstance(): bools are ints too
-            if type(c) is not int or not 0 <= c < ctx.order:
-                raise ValueError(f"coefficient {c!r} is not an int in 0..{ctx.order - 1}")
+            require_code(c, ctx.order, "coefficient")
         vars(self).update(ctx=ctx, coeffs=coeffs)
 
     @cached_property
@@ -118,8 +116,9 @@ def transcript(ctx, coeffs):
     Yields F_q element codes lazily, so a caller can stop at the first
     value it needs.  Term i is the strided read
     tr[exp[(log a_i + k (q^i - 1)) mod N]]; no field multiplications.
+    ``coeffs`` gets the check of :class:`LinearizedPoly`.
     """
-    log = ctx.log
+    coeffs, log = LinearizedPoly(ctx, coeffs).coeffs, ctx.log
     terms = [(log[a], e) for a, e in zip(coeffs[1:], ctx.qpow_minus1[1:]) if a]
     return _transcript(ctx, ctx.tr[coeffs[0]], terms)
 
@@ -199,13 +198,19 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     the tails it fails and stops once all have; with the one empty tail
     ``[()]`` this is the predicate on each head.  ``heads`` is any
     iterable, walked once: a product of choices, or distinct tuples.  A
-    head's a_0 enters as its trace, and each later a_i != 0 as the term
-    (log a_i, q^i - 1).
+    head's a_0 enters as its trace, and each a_i != 0, i >= 1, of a head or
+    a tail as the term (log a_i, q^i - 1); the cut lies past index 0, so a
+    tail holds no a_0.
     """
-    n, tr, log = ctx.n, ctx.tr, ctx.log
+    tr, log, qpow_minus1 = ctx.tr, ctx.log, ctx.qpow_minus1
     has_a0 = head_support[:1] == (0,)
-    es = [ctx.qpow_minus1[i] for i in head_support[has_a0:]]
-    columns = zip(*(transcript(ctx, _coeffs(n, tail_support, t)) for t in tails))
+    head_es = [qpow_minus1[i] for i in head_support[has_a0:]]
+    tail_es = [qpow_minus1[i] for i in tail_support]
+
+    def terms(es, coeffs):
+        return [(log[a], e) for e, a in zip(es, coeffs) if a]
+
+    columns = zip(*(_transcript(ctx, 0, terms(tail_es, t)) for t in tails))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
 
@@ -218,8 +223,7 @@ def _walk(ctx, head_support, heads, tail_support, tails):
 
     for head in heads:
         failed, t0 = 0, tr[head[0]] if has_a0 else 0
-        terms = [(log[a], e) for e, a in zip(es, head[has_a0:]) if a]
-        for k, v in enumerate(_transcript(ctx, t0, terms)):
+        for k, v in enumerate(_transcript(ctx, t0, terms(head_es, head[has_a0:]))):
             failed |= column(k).get(v, 0)
             if failed == full:
                 break
@@ -294,19 +298,22 @@ def _passing_orbits(ctx, support, limit):
     ]
 
 
-def _search_orbits(ctx, support, limit):
-    """Every passing n-tuple on ``support``, in code order: each orbit rep
-    scaled, then each Tr(a_0) class expanded back into its a_0 values."""
-    orbits = _passing_orbits(ctx, support, limit)
-    hits = sorted(_scaled(ctx, rep, k) for rep, size in orbits for k in range(size))
-    if support[0] != 0:
-        return hits
-    by_class = {}
-    for hit in hits:
-        by_class.setdefault(ctx.tr[hit[0]], []).append(hit[1:])
-    return [
-        (a0,) + rest for a0 in range(ctx.order) for rest in by_class.get(ctx.tr[a0], ())
-    ]
+def _code_order(ctx, support, orbits):
+    """The n-tuples of the (rep, size) ``orbits`` of :func:`_passing_orbits` on
+    ``support``, in code order: each rep scaled by gamma^k, k < size, and
+    with a_0 in the support each Tr(a_0) class expanded back into its a_0
+    values.  A class is scaled and sorted when its first a_0 is reached, so
+    a caller that stops early expands only the classes it reached; without
+    a_0 in the support every rep has a_0 = 0 and there is one class.
+    """
+    tr, classes, expanded = ctx.tr, {}, {}
+    for rep, size in orbits:
+        classes.setdefault(tr[rep[0]], []).append((rep, size))
+    for a0 in range(ctx.order if support[0] == 0 else 1):
+        if (t := tr[a0]) not in expanded:
+            reps = classes.get(t, ())
+            expanded[t] = sorted(_scaled(ctx, r, k)[1:] for r, size in reps for k in range(size))
+        yield from map((a0,).__add__, expanded[t])
 
 
 def _search_random(ctx, support, seed, limit):
@@ -360,13 +367,15 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
 
     mode="exhaustive" returns every passing assignment (lexicographic by
     element code, lowest support index most significant), walking one
-    representative per scaling orbit (:func:`_passing_orbits`), and needs
+    representative per scaling orbit (:func:`_passing_orbits`) and
+    expanding the passing ones in :func:`_code_order`, and needs
     ``order**len(support)`` to fit the budget.  mode="random" draws
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order; it stops early once every
     assignment has been drawn, as every later draw would be a repeat.
     The seed lies in 0..2^64-1: Random folds -s onto s.  ``support`` holds
-    distinct int indices in 0..n-1, in any order.  Both modes test
+    distinct int indices in 0..n-1, in any order; an empty one finds
+    nothing, once mode, budget and seed pass their checks.  Both modes test
     candidates in :func:`_walk`, heads against tails split at the cut of
     least :func:`_cost`; random mode walks each distinct head and tail of
     its draws once, or at a cut at the end the draws themselves, and
@@ -377,18 +386,17 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
         raise ValueError(f"support indices must lie in 0..{ctx.n - 1}")
     if len(set(support)) < len(support):
         raise ValueError(f"support indices must be distinct, got {list(support)}")
-    support = tuple(sorted(support))
+    support, limit = tuple(sorted(support)), search_budget(budget)
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "random" and not 0 <= require_int(seed, "seed") < 2**64:
+        raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
     if not support:
         return []
-    limit = search_budget(budget)
     if mode == "exhaustive":
-        hits = _search_orbits(ctx, support, limit)
-    elif mode == "random":
-        if not 0 <= require_int(seed, "seed") < 2**64:
-            raise ValueError(f"seed must lie in 0..2^64-1, got {seed}")
-        hits = [_coeffs(ctx.n, support, a) for a in _search_random(ctx, support, seed, limit)]
+        hits = list(_code_order(ctx, support, _passing_orbits(ctx, support, limit)))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        hits = [_coeffs(ctx.n, support, a) for a in _search_random(ctx, support, seed, limit)]
     return [LinearizedPoly(ctx, c) for c in hits]
 
 

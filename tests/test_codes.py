@@ -15,6 +15,7 @@ from semiswitch import (
     switching_predicate,
     trace_codeword,
 )
+from semiswitch import linpoly
 from semiswitch.gf import _decode
 
 from oracles import trace_quotient
@@ -73,6 +74,17 @@ def test_basic_zero_set():
     assert is_basic_zero_set(q, N, exps)
     assert not is_basic_zero_set(2, 15, [1, 2])
     assert not is_basic_zero_set(2, 15, [0, 0])
+
+
+def test_basic_zero_set_checks_its_arguments_as_a_coset_does():
+    # modulus 0 must not reach the reduction, nor a repeat hide a q that is no unit
+    for args, message in (
+        ((2, 0, [1]), "at least 1"),
+        ((2, 0, []), "at least 1"),
+        ((3, 15, [1, 1]), "base must be invertible"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            is_basic_zero_set(*args)
 
 
 def test_code_dimension_formula():
@@ -156,6 +168,17 @@ def test_full_weight_search_q4_n3(f64_q4):
     rep = full_weight_search(f64_q4)
     assert rep["full_weight_constant"] == 48
     assert rep["full_weight_nonconstant"] == 2016
+
+
+def test_census_expands_only_the_trace_classes_its_witnesses_reach(monkeypatch):
+    # at q = 64, n = 2 the five witnesses share a_0 = 2, so one trace class
+    # is scaled: 2,015 members rather than all 126,945 non-constant ones
+    scaled, calls = linpoly._scaled, []
+    monkeypatch.setattr(linpoly, "_scaled", lambda *args: calls.append(1) or scaled(*args))
+    rep = full_weight_search(build_field(2, 6, 2), budget=1 << 24)
+    assert len(calls) <= 2100
+    assert (rep["full_weight_constant"], rep["full_weight_nonconstant"]) == (4032, 8124480)
+    assert rep["nonconstant_witnesses"] == [[2, 1], [2, 4], [2, 5], [2, 8], [2, 9]]
 
 
 def test_nonconstant_full_weight_matches_search(f9):

@@ -74,6 +74,13 @@ def test_n2_criterion_wrong_degree(f27):
         n2_criterion(f27, 1, 1)
 
 
+def test_n2_criterion_takes_only_element_codes(f9):
+    # read unchecked, a_1 = -1 passes and a_1 = 81 runs off the tables
+    for a1, a0, name in ((-1, 0, "a1 -1"), (81, 0, "a1 81"), (0, 1.0, "a0 1.0")):
+        with pytest.raises(ValueError, match=f"{name} is not an int in 0..8"):
+            n2_criterion(f9, a1, a0)
+
+
 def test_n2_lemma_roots_degenerate(f9):
     # a_1 = 0: the equation collapses to Tr(a_0) y = 0
     assert n2_lemma_roots(f9, 0, 1) == {0}
@@ -120,6 +127,20 @@ def test_n3_construct_all_theta_q3(f27):
         inst = n3_construct(ctx, u, v, theta)
         assert switching_predicate(inst.poly)
         assert inst.kind == "n3"
+
+
+def test_theta_set_takes_only_element_codes(f27):
+    # read unchecked, u = -1 gives 9 thetas
+    for u, v, name in ((-1, 2, "u -1"), (1, 27, "v 27")):
+        with pytest.raises(ValueError, match=f"{name} is not an int in 0..26"):
+            theta_set(f27, u, v)
+
+
+def test_n3_construct_takes_only_element_codes(f27):
+    # read unchecked, each of these builds a member
+    for args, name in (((True, 9, 3), "u True"), ((1, 9, -24), "theta -24"), ((1, 9, 3, -1), "a -1")):
+        with pytest.raises(ValueError, match=f"{name} is not an int in 0..26"):
+            n3_construct(f27, *args)
 
 
 def test_n3_construct_rejects_bad_norm(f27):
@@ -225,6 +246,12 @@ def test_square_in_base(f9, f81_n4):
     assert not is_square_in_base(f81_n4, f81_n4.generator)
 
 
+def test_square_in_base_takes_only_element_codes(f9):
+    for x in (2.0, -1, 9):
+        with pytest.raises(ValueError, match=f"x {x!r} is not an int in 0..8"):
+            is_square_in_base(f9, x)
+
+
 def test_n4_criterion_anchors(f81_n4):
     ctx = f81_n4
     assert n4_criterion(ctx, 1, 0)
@@ -248,6 +275,13 @@ def test_n4_criterion_rejects_bad_domain(f27, f81_n4):
         n4_criterion(ctx, 1, 0)
     with pytest.raises(ValueError):
         n4_criterion(f81_n4, 0, 1)
+
+
+def test_n4_criterion_takes_only_element_codes(f81_n4):
+    # read unchecked, a_0 = -3 passes
+    for a1, a0, name in ((1, -3, "a0 -3"), (81, 0, "a1 81")):
+        with pytest.raises(ValueError, match=f"{name} is not an int in 0..80"):
+            n4_criterion(f81_n4, a1, a0)
 
 
 def test_n4_iff(f81_n4):
@@ -285,6 +319,12 @@ def test_n4_commutative_rejects_bad_trace(f81_n4):
     bad = next(x for x in range(ctx.order) if ctx.rel_trace(x) != ctx.neg(1))
     with pytest.raises(ValueError):
         n4_commutative_op(ctx, 1, bad)
+
+
+def test_n4_commutative_takes_only_element_codes(f81_n4):
+    for a1, a0t, name in ((1, 2.0, "a0t 2.0"), (-80, 2, "a1 -80")):
+        with pytest.raises(ValueError, match=f"{name} is not an int in 0..80"):
+            n4_commutative_op(f81_n4, a1, a0t)
 
 
 # ---------------------------------------------------------------- classify
@@ -355,8 +395,10 @@ def test_known_orbit_member_builds_no_switch(f9, monkeypatch):
     rep = classify(scaled, orbits=orbits)
     assert len(specs) == 1
     # the cached member's witness is transported on the orbit's own switch
+    # scaled is the first member met, L, scaled by c
     (orbit,) = orbits.values()
-    assert rep["ganley"] and orbit.witness(orbit.k - 1) == rep["ganley_witness"]
+    kernel = presemifield.transport_isotopy_kernel(orbit.op, orbit.kernel, c)
+    assert rep["ganley"] and presemifield.isotopy_witness(f9, kernel)[1] == rep["ganley_witness"]
     assert len(specs) == 1
     # without the dict the same member is a first one, walked on its own switch
     assert classify(scaled) == rep

@@ -151,6 +151,22 @@ def test_search_f9_census(f9):
 
 def test_search_empty_support(f9):
     assert search(f9, support=(), mode="exhaustive") == []
+    # the arguments are checked even where there is nothing to search
+    for kwargs, message in (
+        ({"mode": "bogus"}, "unknown mode"),
+        ({"budget": -1}, "budget must be >= 0"),
+        ({"mode": "random", "seed": -5}, "seed must lie"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            search(f9, [], **kwargs)
+
+
+def test_transcript_checks_its_tuple(f9):
+    # read unchecked, -1 is the last table entry, (1,) a monomial and
+    # (1, 2, 3) loses its third coefficient
+    for coeffs, message in (((-1, 0), "coefficient -1 is not"), ((1,), "got 1"), ((1, 2, 3), "got 3")):
+        with pytest.raises(ValueError, match=message):
+            linpoly.transcript(f9, coeffs)
 
 
 def test_search_restricted_support(f9):

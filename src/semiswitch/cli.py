@@ -11,14 +11,18 @@ Four subcommands:
 * ``codes``  - code dimension and the full-weight word census.
 * ``hws``    - curve-bound verdict table for polynomials from a file.
 
-Every output starts with a config record that pins the field (modulus
-and generator are always resolved and recorded), so a rerun with the
-same arguments reproduces the bytes exactly (``verify`` and ``hws`` refuse
-a file whose config pins another field).  An ``--out`` file is replaced
-only when the command succeeds.  Every record passes through one writer,
-the only code that knows the format: with ``--format csv`` a result
-record is the row of its coeffs and then the command's ``_CSV_COLUMNS``,
-and every other record stays JSON (``codes`` has no csv).
+One runner, ``_run``, opens the output, builds the field and calls the
+command as ``cmd_<name>(args, ctx) -> (config, records)``; the command does
+its budgeted work before it returns, so a budget failure writes nothing.
+``_run`` then writes the config record, which pins the field (modulus and
+generator always resolved), so a rerun with the same arguments reproduces
+the bytes exactly (``verify`` and ``hws`` refuse a file whose config pins
+another field), and then the command's records.  A regular ``--out`` file
+is replaced only when the command succeeds; a FIFO or device is written
+directly, as stdout is.  Every record passes through one writer, the only
+code that knows the format: with ``--format csv`` a result record is the
+row of its coeffs and then the command's ``_CSV_COLUMNS``, and every other
+record stays JSON (``codes`` has no csv).
 
 Start-up: this module loads only ``errors``, ``gf`` and ``linpoly``, and
 each command imports what it runs: ``codes`` the census module,
@@ -40,7 +44,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from functools import partial
+from itertools import chain
 
 from . import linpoly
 from .errors import BudgetExceeded, ConsistencyError
@@ -81,31 +85,43 @@ class _Writer:
 
 @contextmanager
 def _output(args):
-    """A _Writer in ``args.format`` on stdout, or on a temp file that replaces ``args.out``.
+    """A _Writer in ``args.format`` on stdout, or on the ``args.out`` it names.
 
     A command enters this before any work, so an ``--out`` that cannot be
-    written fails at once.  A failed command leaves an existing
-    ``args.out`` untouched and removes the temp file, so no half-written
-    output survives.
+    written fails at once.  A regular file or a new path is written to a
+    temp file beside it that replaces it only on success, so a failed
+    command leaves an existing file untouched and no half-written output
+    survives; any other existing path (a FIFO, ``/dev/stdout``) is opened
+    and written directly, as stdout is, and never replaced.
     """
-    columns = _CSV_COLUMNS[args.command] if args.format == "csv" else None
+    columns = _CSV_COLUMNS.get(args.command) if args.format == "csv" else None
+    if args.format == "csv" and columns is None:
+        raise ValueError(
+            f"{args.command} writes JSON lines only; --format csv applies to search, verify and hws"
+        )
     if not args.out:
         yield _Writer(sys.stdout, columns)
         return
-    target = os.path.realpath(args.out)
-    if os.path.isdir(target):
+    if os.path.isdir(args.out):
         raise ValueError(f"--out {args.out!r} is a directory")
-    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    # a FIFO or a device (``/dev/stdout`` too) is written in place, never replaced
+    direct = os.path.exists(args.out) and not os.path.isfile(args.out)
+    target = os.path.realpath(args.out)
+    path = args.out if direct else f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        fh = open(tmp, "x")
+        fh = open(path, "w" if direct else "x")
     except OSError as e:
         raise ValueError(f"cannot write --out {args.out!r}: {e.strerror}") from None
+    if direct:
+        with fh:
+            yield _Writer(fh, columns)
+        return
     try:
         with fh:
             yield _Writer(fh, columns)
-        os.replace(tmp, target)
+        os.replace(path, target)
     except BaseException:
-        os.remove(tmp)
+        os.remove(path)
         raise
 
 
@@ -154,18 +170,6 @@ def _mask(args, n):
     return tuple(range(n) if args.mask is None else sorted(_ints("mask", args.mask)))
 
 
-def _config_record(args, ctx, extra=None):
-    rec = {
-        "record": "config",
-        "command": args.command,
-        "field": ctx.to_spec(),
-        "format": args.format,
-    }
-    if extra:
-        rec.update(extra)
-    return rec
-
-
 def _read_polys(ctx, path):
     """Polynomials from a JSON-lines file; a malformed record raises ValueError naming its line."""
     out = []
@@ -196,31 +200,17 @@ def _read_polys(ctx, path):
     return out
 
 
-def cmd_search(args):
+def cmd_search(args, ctx):
     from . import families
 
-    with _output(args) as writer:
-        ctx = _build_ctx(args)
-        mode = _mode(args)
-        mask = _mask(args, ctx.n)
-        # search before the first record, so a budget failure writes nothing
-        found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
-        writer.emit(
-            _config_record(
-                args,
-                ctx,
-                {
-                    "mask": list(mask),
-                    "mode": mode,
-                    "seed": args.seed if mode == "random" else None,
-                    "budget": linpoly.search_budget(args.budget),
-                },
-            )
-        )
-        orbits = {}  # one field per run
-        for L in found:
-            writer.emit({"record": "result", **families.classify(L, orbits=orbits)})
-        writer.emit({"record": "summary", "found": len(found)})
+    mode = _mode(args)
+    mask = _mask(args, ctx.n)
+    found = linpoly.search(ctx, mask, mode=mode, seed=args.seed, budget=args.budget)
+    config = {"mask": list(mask), "mode": mode, "budget": linpoly.search_budget(args.budget)}
+    config["seed"] = args.seed if mode == "random" else None
+    orbits = {}  # one field per run
+    results = ({"record": "result", **families.classify(L, orbits=orbits)} for L in found)
+    return config, chain(results, [{"record": "summary", "found": len(found)}])
 
 
 def _verify_one(L, orbits=None):
@@ -238,6 +228,12 @@ def _verify_one(L, orbits=None):
     return report
 
 
+def cmd_verify(args, ctx):
+    polys = _read_polys(ctx, args.infile)
+    orbits = {}  # one field per run
+    return {"infile": args.infile}, (_verify_one(L, orbits) for L in polys)
+
+
 def _hws_one(L):
     from . import hws
 
@@ -251,39 +247,31 @@ def _hws_one(L):
     return report
 
 
-def _report_rows(args, report):
-    """verify and hws: the config record, then ``report(L)`` per polynomial of the infile."""
-    with _output(args) as writer:
-        ctx = _build_ctx(args)
-        polys = _read_polys(ctx, args.infile)
-        writer.emit(_config_record(args, ctx, {"infile": args.infile}))
-        for L in polys:
-            writer.emit(report(L))
+def cmd_hws(args, ctx):
+    return {"infile": args.infile}, map(_hws_one, _read_polys(ctx, args.infile))
 
 
-def cmd_verify(args):
-    orbits = {}  # one field per run
-    _report_rows(args, lambda L: _verify_one(L, orbits))
-
-
-def cmd_codes(args):
-    if args.format == "csv":
-        raise ValueError(
-            "codes writes JSON lines only; --format csv applies to search, verify and hws"
-        )
+def cmd_codes(args, ctx):
     from . import codes
 
+    mode = _mode(args)
+    dim = codes.code_dimension(ctx.q, ctx.n)
+    census = codes.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
+    config = {"mode": mode}
+    if mode == "random":
+        config.update(seed=args.seed, budget=linpoly.search_budget(args.budget))
+    return config, [{"record": "result", "dimension": dim, **census}]
+
+
+def _run(args):
+    """Every command's record protocol: the config record, then the command's records."""
     with _output(args) as writer:
         ctx = _build_ctx(args)
-        mode = _mode(args)
-        # the census before the first record, so a budget failure writes nothing
-        dim = codes.code_dimension(ctx.q, ctx.n)
-        census = codes.full_weight_search(ctx, mode=mode, seed=args.seed, budget=args.budget)
-        pinned = {"mode": mode}
-        if mode == "random":
-            pinned.update(seed=args.seed, budget=linpoly.search_budget(args.budget))
-        writer.emit(_config_record(args, ctx, pinned))
-        writer.emit({"record": "result", "dimension": dim, **census})
+        config, records = args.fn(args, ctx)
+        pinned = {"command": args.command, "field": ctx.to_spec(), "format": args.format}
+        writer.emit({"record": "config", **pinned, **config})
+        for record in records:
+            writer.emit(record)
 
 
 def make_parser():
@@ -314,7 +302,7 @@ def make_parser():
     p_hws = sub.add_parser("hws", help="curve-bound verdicts for polynomials")
     _add_field_args(p_hws)
     p_hws.add_argument("infile", help="JSON lines with a coeffs entry per line")
-    p_hws.set_defaults(fn=partial(_report_rows, report=_hws_one))
+    p_hws.set_defaults(fn=cmd_hws)
     return parser
 
 
@@ -343,7 +331,7 @@ def exit_status(fn, *args):
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    return exit_status(args.fn, args)
+    return exit_status(_run, args)
 
 
 if __name__ == "__main__":

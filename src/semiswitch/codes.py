@@ -19,7 +19,7 @@ from itertools import islice
 from math import gcd
 
 from . import linpoly
-from .errors import ConsistencyError, require_int
+from .errors import ConsistencyError, require_int, require_qn
 from .linpoly import transcript
 
 
@@ -67,6 +67,7 @@ def code_dimension(q, n):
     their q-cyclotomic cosets mod q^n - 1 has exactly n^2 - n + 1
     elements, which is the dimension.
     """
+    require_qn(q, n)
     N = q**n - 1
     union = set()
     for i in range(n):

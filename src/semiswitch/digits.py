@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .errors import BudgetExceeded, read_limit
+from .errors import BudgetExceeded, read_limit, require_int, require_qn
 from .gf import build_field
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
@@ -28,10 +28,11 @@ def wrap_add_many(q, n, terms):
     0 comes out only when every term is 0; a nonzero total congruent to
     0 mod M comes out as M.
     """
+    require_qn(q, n)
     M = (q**n - 1) // (q - 1)
     total = 0
     for v in terms:
-        if not 0 <= v <= M:
+        if not 0 <= require_int(v, "operand") <= M:
             raise ValueError(f"operand {v} outside 0..{M}")
         total += v
     if total == 0:
@@ -47,9 +48,10 @@ def ones_run(q, n, start, length):
     start + length - 1 (mod n) and 0 elsewhere.  It is congruent to
     q^start (q^length - 1)/(q - 1) mod q^n - 1 and always lies in 0..M.
     """
-    if not 0 <= start < n:
+    require_qn(q, n)
+    if not 0 <= require_int(start, "start") < n:
         raise ValueError(f"start {start} out of range")
-    if not 0 <= length < n:
+    if not 0 <= require_int(length, "length") < n:
         raise ValueError(f"length {length} must lie in 0..n-1")
     return sum(q ** ((start + k) % n) for k in range(length))
 
@@ -75,7 +77,8 @@ def ascent_descent(digits):
 
 def reduce_exponent(q, n, e):
     """Exponent reduction mod X^(q^n) - X: 0 stays 0, else 1 + (e-1) mod (q^n-1)."""
-    if e < 0:
+    require_qn(q, n)
+    if require_int(e, "exponent") < 0:
         raise ValueError("exponent must be nonnegative")
     if e == 0:
         return 0
@@ -143,7 +146,7 @@ def power_coefficient(L, alpha, budget=None):
     ctx = L.ctx
     q, n = ctx.q, ctx.n
     M = (q**n - 1) // (q - 1)
-    if not 0 <= alpha <= M:
+    if not 0 <= require_int(alpha, "alpha") <= M:
         raise ValueError(f"alpha must lie in 0..{M}")
     limit = read_limit(budget, DEFAULT_TUPLE_BUDGET, "budget")
     if (n * n) ** (q - 1) > limit:

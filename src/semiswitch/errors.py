@@ -5,7 +5,8 @@ mark conditions a caller may want to treat specially: blowing a size
 budget, and finding a counterexample to something the library asserts
 can never happen (which means a bug, not bad input).  :func:`read_limit`
 is the one reader of every size budget, :func:`require_int` the one
-type check of a number that the library would otherwise coerce, and
+type check of a number that the library would otherwise coerce,
+:func:`require_qn` the one check of a bare (q, n) pair, and
 :func:`require_code` the one check of a field element code.
 """
 
@@ -34,6 +35,12 @@ def require_int(value, name):
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     return value
+
+
+def require_qn(q, n):
+    """ValueError unless q and n are ints with q >= 2 and n >= 1."""
+    if require_int(q, "q") < 2 or require_int(n, "n") < 1:
+        raise ValueError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
 
 
 def require_code(value, order, name):

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
+from .errors import require_qn
 from .linpoly import transcript
 
 
@@ -61,6 +62,7 @@ def min_max_leader(L):
 
 def serre_term(q, n):
     """floor(2 q^(n/2)) computed exactly as isqrt(4 q^n)."""
+    require_qn(q, n)
     return isqrt(4 * q**n)
 
 

@@ -160,11 +160,13 @@ def orbit_rep(ctx, coeffs):
     q^gcd(j,n) - 1: the rep takes it down to its residue mod g.  The g/(q-1)
     scalings k < M that do so are k0 + t N/g; the rep is the least tuple
     among them, and k the least k giving it.  A tuple with no nonzero a_i,
-    i >= 1, is its own rep, with k = 0.
+    i >= 1, is its own rep, with k = 0.  ``coeffs`` gets the check of
+    :class:`LinearizedPoly`.
     """
+    coeffs = LinearizedPoly(ctx, coeffs).coeffs
     j = next((i for i in range(1, ctx.n) if coeffs[i]), None)
     if j is None:
-        return tuple(coeffs), 0
+        return coeffs, 0
     N, e, s = ctx.mult_order, ctx.qpow_minus1[j], ctx.log[coeffs[j]]
     step = N // gcd(e, N)
     g = N // step

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -329,6 +330,34 @@ def test_out_file_and_rerun_identical(tmp_path):
     assert run(*args, "--out", str(out2)).returncode == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert len(out1.read_text().splitlines()) == 20  # config + 18 + summary
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_out_fifo_is_written_in_place(tmp_path, capsys):
+    # a path that is not a regular file is written as stdout is: replacing
+    # it left a regular file, and the FIFO's reader got nothing
+    argv = ["search", "--p", "3", "--n", "2"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    fifo = tmp_path / "hits"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+    try:
+        assert cli.main([*argv, "--out", str(fifo)]) == 0
+        got = os.read(reader, 1 << 20).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == plain
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_dev_stdout_is_stdout():
+    # resolved, /dev/stdout names a pipe entry under /proc that no temp file can sit beside
+    plain = run("search", "--p", "3", "--n", "2")
+    res = run("search", "--p", "3", "--n", "2", "--out", "/dev/stdout")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == plain.stdout
 
 
 def test_csv_format():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semiswitch import codes, hws
 from semiswitch import (
     BudgetExceeded,
     LinearizedPoly,
@@ -111,6 +112,32 @@ def test_reduce_exponent():
     assert reduce_exponent(3, 2, N) == N
     assert reduce_exponent(3, 2, N + 1) == 1
     assert reduce_exponent(3, 2, 2 * N) == N
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # each was coerced: a float result, or an answer for a bad float
+        pytest.param(lambda: ones_run(3, 2, 0.5, 1), id="ones_run-start"),
+        pytest.param(lambda: ones_run(3, 2.0, 0, 1), id="ones_run-n"),
+        pytest.param(lambda: wrap_add_many(3, 2, [1.5]), id="wrap_add_many-operand"),
+        pytest.param(lambda: reduce_exponent(3, 2, 2.5), id="reduce_exponent-e"),
+        pytest.param(
+            lambda: power_coefficient(LinearizedPoly(build_field(3, 1, 2), (1, 1)), 1.5),
+            id="power_coefficient-alpha",
+        ),
+        # each raised ZeroDivisionError or TypeError
+        pytest.param(lambda: wrap_add_many(1, 2, [0]), id="wrap_add_many-q"),
+        pytest.param(lambda: reduce_exponent(1, 2, 5), id="reduce_exponent-q"),
+        pytest.param(lambda: hws.leader_thresholds(1, 2), id="leader_thresholds-q"),
+        pytest.param(lambda: hws.serre_term(2.0, 2), id="serre_term-q"),
+        # this one raised ConsistencyError, which claims an internal bug
+        pytest.param(lambda: codes.code_dimension(2, 0), id="code_dimension-n"),
+    ],
+)
+def test_bare_integer_helpers_take_only_int_shapes(call):
+    with pytest.raises(ValueError, match="must be an int|need q >= 2 and n >= 1"):
+        call()
 
 
 # ------------------------------------------------- expansion and congruence

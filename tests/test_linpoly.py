@@ -162,11 +162,14 @@ def test_search_empty_support(f9):
 
 
 def test_transcript_checks_its_tuple(f9):
-    # read unchecked, -1 is the last table entry, (1,) a monomial and
-    # (1, 2, 3) loses its third coefficient
-    for coeffs, message in (((-1, 0), "coefficient -1 is not"), ((1,), "got 1"), ((1, 2, 3), "got 3")):
-        with pytest.raises(ValueError, match=message):
-            linpoly.transcript(f9, coeffs)
+    # read unchecked, -1 is the last table entry, (1,) a monomial (an
+    # IndexError in orbit_rep) and (1, 2, 3) loses its third coefficient
+    for fn in (linpoly.transcript, linpoly.orbit_rep):
+        for coeffs, message in (
+            ((-1, 0), "coefficient -1 is not"), ((1,), "got 1"), ((1, 2, 3), "got 3")
+        ):
+            with pytest.raises(ValueError, match=message):
+                fn(f9, coeffs)
 
 
 def test_search_restricted_support(f9):

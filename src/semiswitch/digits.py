@@ -62,8 +62,12 @@ def ascent_descent(digits):
     Position i is counted with multiplicity |d_i - d_{i-1}| (indices mod
     n) on the ascent side when d_i > d_{i-1} and on the descent side
     when d_i < d_{i-1}.  Returns (ascents, descents, total) with the
-    multisets as sorted tuples; the two always have equal size.
+    multisets as sorted tuples; the two always have equal size.  Each digit
+    must be a nonnegative int.
     """
+    for d in digits:
+        if require_int(d, "digit") < 0:
+            raise ValueError(f"digit must be nonnegative, got {d}")
     n = len(digits)
     asc, des = [], []
     for i in range(n):

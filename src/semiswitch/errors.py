@@ -1,4 +1,12 @@
-"""Shared exception types.
+"""Shared exception types and the input checks.
+
+The input boundary, the rule each public name is held to: a name in a
+module's ``__all__`` checks its arguments and raises ValueError on bad
+input of any shape, not a TypeError, AttributeError or IndexError from
+deeper down, and it coerces nothing.  The arithmetic methods of
+``gf.FieldCtx`` are hot-path primitives that take valid element codes
+only: the search walk would pay for a check on every step, so their
+callers check codes once at the edge.
 
 ValueError is used for plain bad input everywhere; the two classes here
 mark conditions a caller may want to treat specially: blowing a size
@@ -6,8 +14,10 @@ budget, and finding a counterexample to something the library asserts
 can never happen (which means a bug, not bad input).  :func:`read_limit`
 is the one reader of every size budget, :func:`require_int` the one
 type check of a number that the library would otherwise coerce,
-:func:`require_qn` the one check of a bare (q, n) pair, and
-:func:`require_code` the one check of a field element code.
+:func:`require_qn` the one check of a bare (q, n) pair,
+:func:`require_code` the one check of a field element code, and
+:func:`require_instance` the one check that an argument is the library
+object it names (a bare tuple is not a ``LinearizedPoly``).
 """
 
 import os
@@ -48,6 +58,13 @@ def require_code(value, order, name):
     # type() rather than isinstance(): bools are ints too
     if type(value) is not int or not 0 <= value < order:
         raise ValueError(f"{name} {value!r} is not an int in 0..{order - 1}")
+    return value
+
+
+def require_instance(value, cls, name):
+    """``value`` if it is a ``cls``; ValueError, naming ``name`` and the class, otherwise."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value
 
 

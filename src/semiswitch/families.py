@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import presemifield
-from .errors import ConsistencyError, require_code
+from .errors import ConsistencyError, require_code, require_instance
 from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, orbit_rep, switching_predicate
 from .presemifield import (
@@ -281,7 +281,7 @@ def classify(L, deep=True, orbits=None):
     ``presemifield.transport_isotopy_kernel`` on the first member's
     switch, so they build none.
     """
-    predicate = switching_predicate(L)
+    predicate = switching_predicate(require_instance(L, LinearizedPoly, "L"))
     report = {"coeffs": list(L.coeffs), "predicate": predicate}
     if predicate:
         report["families"] = _families(L)

@@ -286,7 +286,10 @@ class FieldCtx:
 
     All tables are built once at construction; instances are safe to
     share (nothing mutates after ``__init__``).  Elements are ints; the
-    context never wraps them.
+    context never wraps them.  The arithmetic methods take valid element
+    codes only and check none: they are the search walk's hot path, and
+    the public names that call them check their input once (see
+    ``errors``).
     """
 
     def __init__(self, p, m, n, modulus=None, cap=None):

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import require_qn
-from .linpoly import transcript
+from .errors import require_instance, require_qn
+from .linpoly import LinearizedPoly, transcript
 
 
 def min_max_leader(L):
@@ -106,7 +106,7 @@ def curve_verdicts(L):
     passes the predicate with Tr(a_0) != 0.  Same for the zero-trace
     case with its weaker requirement N = q + 1.
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     q, n = ctx.q, ctx.n
     ell, argmin_j = min_max_leader(L)
     genus = (q - 1) * (ell - 1) // 2

@@ -17,15 +17,21 @@ cosets and has period M = (q^n - 1)/(q - 1), not q^n - 1.  a_0 enters
 only through Tr(a_0), so every search treats a_0 as one of q trace
 classes: exhaustive search expands each class back into its a_0 values
 at the end, random search keeps the draws whose class passes.  Scaling
-x -> cx maps L to (a_i c^(q^i - 1)) and keeps the predicate, so
-exhaustive search walks one stratum per first nonzero index j >= 1 (the
-lower indices 0, a_j one of exp[0..g-1] with g = q^gcd(j,n) - 1, the
-later coefficients free, and the a_0-only stratum) and each passing
-representative stands for the N/g tuples it gives scaled by gamma^k,
-k < N/g, disjoint from every other's.  And the transcript is additive
-in L, so every search walks head transcripts against bitsets of tail
-tuples: the product of a stratum's choices, or the distinct heads and
-tails of the random draws, split at a computed cut.
+x -> cx maps L to (a_i c^(q^i - 1)) and keeps the predicate, so search
+walks one stratum per first nonzero index j >= 1 (the lower indices 0,
+a_j one of exp[0..g-1] with g = q^gcd(j,n) - 1, the later coefficients
+free, and the a_0-only stratum) and each passing representative stands
+for the N/g tuples it gives scaled by gamma^k, k < N/g, disjoint from
+every other's.  And the transcript is additive in L, so a stratum's
+walk reads head transcripts against bitsets of tail tuples, the product
+of its choices split at the cut of least cost.
+
+Random search prices two plans with that cost before it draws.  The
+orbit plan walks the strata, expands the passing reps into their class
+tuples, and keeps each draw whose class tuple is among them, filtering
+the draws in C and stopping once every passing assignment has come up.
+The draw plan walks the distinct draws themselves, which is cheaper
+when the draws are few against the strata.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -37,13 +43,14 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import compress, islice, product, repeat, tee
 from math import gcd, prod
 
 from .errors import BudgetExceeded, read_limit, require_code, require_int
 from .gf import _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
+_CHUNK = 1 << 12  # draws the orbit plan filters between two checks of its stop
 
 
 def search_budget(budget=None):
@@ -251,13 +258,10 @@ def _cost(ctx, heads, tails):
     return tails * M + heads * min(M, ctx.q)
 
 
-def _walk_product(ctx, support, choices):
-    """Every passing tuple of ``product(*choices)`` on ``support``, in product order.
-
-    The candidates split into head tuples and a block of T tail tuples (one
-    empty tail after a cut at the end) for :func:`_walk`, at the cut of least
-    :func:`_cost`.
-    """
+def _cheapest_cut(ctx, choices):
+    """(cost, cut): the split of ``product(*choices)`` into head tuples and a
+    block of T tail tuples (one empty tail after a cut at the end) of least
+    :func:`_cost`."""
     total = prod(map(len, choices))
 
     def cost(cut):
@@ -265,12 +269,44 @@ def _walk_product(ctx, support, choices):
         return _cost(ctx, total // T, T)
 
     # a cut at 0 (every candidate a tail) never costs less than no tail
-    cut = min(range(len(support), 0, -1), key=cost)
+    cut = min(range(len(choices), 0, -1), key=cost)
+    return cost(cut), cut
+
+
+def _walk_product(ctx, support, choices):
+    """Every passing tuple of ``product(*choices)`` on ``support``, in product
+    order, walked by :func:`_walk` at :func:`_cheapest_cut`."""
+    cut = _cheapest_cut(ctx, choices)[1]
     tails = list(product(*choices[cut:]))
     return _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
 
 
-def _passing_orbits(ctx, support, limit):
+def _strata(ctx, support):
+    """The (sub-support, choices, orbit size) strata of :func:`_passing_orbits`
+    on the sorted ``support``."""
+    classes = [list(_a0_classes(ctx).values())] if support[0] == 0 else []
+    a0, rest = support[: len(classes)], support[len(classes) :]
+    strata = [(a0, classes, 1)] if a0 else []
+    for at, j in enumerate(rest):
+        g = ctx.q ** gcd(j, ctx.n) - 1
+        free = [range(ctx.order)] * (len(rest) - at - 1)
+        strata.append((a0 + rest[at:], classes + [ctx.exp[:g]] + free, ctx.mult_order // g))
+    return strata
+
+
+def _strata_cost(ctx, support):
+    """The walk of every stratum of :func:`_passing_orbits` at its cheapest cut."""
+    return sum(_cheapest_cut(ctx, choices)[0] for _, choices, _ in _strata(ctx, support))
+
+
+def _require_space(ctx, support, limit):
+    """BudgetExceeded unless the ``order**len(support)`` tuples of an
+    exhaustive search on ``support`` fit ``limit``."""
+    if (space := ctx.order ** len(support)) > limit:
+        raise BudgetExceeded(f"exhaustive search needs {space} candidates, budget is {limit}")
+
+
+def _passing_orbits(ctx, support):
     """Every passing tuple on the sorted ``support`` as (rep, size) pairs:
     the n-tuples ``_scaled(ctx, rep, k)``, k < size, each with a_0 anywhere
     in the trace class of rep's a_0, one of :func:`_a0_classes`.
@@ -281,21 +317,12 @@ def _passing_orbits(ctx, support, limit):
     the same a_j exactly when N/g divides k - k'.  So the stratum walks a_j
     over exp[0..g-1], the lower indices 0 and the later ones free, and its
     tuples are those reps scaled by k < N/g, each tuple once.  The tuples
-    with a_0 alone are their own reps, of size 1.  The ``order**len(support)``
-    tuples covered must fit ``limit``.
+    with a_0 alone are their own reps, of size 1.  The caller checks its
+    budget first.
     """
-    if (space := ctx.order ** len(support)) > limit:
-        raise BudgetExceeded(f"exhaustive search needs {space} candidates, budget is {limit}")
-    classes = [list(_a0_classes(ctx).values())] if support[0] == 0 else []
-    a0, rest = support[: len(classes)], support[len(classes) :]
-    strata = [(a0, classes, 1)] if a0 else []
-    for at, j in enumerate(rest):
-        g = ctx.q ** gcd(j, ctx.n) - 1
-        free = [range(ctx.order)] * (len(rest) - at - 1)
-        strata.append((a0 + rest[at:], classes + [ctx.exp[:g]] + free, ctx.mult_order // g))
     return [
         (_coeffs(ctx.n, sub, rep), size)
-        for sub, choices, size in strata
+        for sub, choices, size in _strata(ctx, support)
         for rep in _walk_product(ctx, sub, choices)
     ]
 
@@ -323,45 +350,39 @@ def _search_random(ctx, support, seed, limit):
     discovery order.
 
     Each coefficient is ``randrange(order)`` as CPython draws it: getrandbits
-    of order's bit length, redrawn until below order.  The draws stop early
-    once every assignment has come up.  At the cut of least cost the draws,
-    a_0 taken to its trace class, split into distinct heads and distinct
-    tails, and the draws whose class tuple passes the walk are kept; a cut
-    at the end walks the draws themselves.  The cost bounds each distinct
-    count by the exact integer min(draws made, head or tail tuples), and
-    adds a step per draw split and per head stored.
+    of order's bit length, redrawn until below order.  Two plans are priced
+    by :func:`_cost` before any draw, and the cheaper runs (the orbit plan
+    on a tie).  The draw plan walks the distinct draws themselves, at most
+    min(limit, space) heads.  The orbit plan costs its strata's walks
+    (:func:`_strata_cost`).  It expands the passing reps into their class
+    tuples, one per (rep, k < size) with a_0 its class's
+    :func:`_a0_classes` value, and reads the coefficient stream twice, as
+    drawn and with a_0 taken to its class, keeping a chunk of draws at a
+    time by ``compress`` in C.  It stops at the budget, or after the chunk
+    in which every passing assignment has come up (the sum of the sizes,
+    times the order/q a_0 of a class when 0 is in the support), so it
+    draws nothing when nothing passes.
     """
-    rng = random.Random(seed)
-    space, order = ctx.order ** len(support), ctx.order
+    rng, order, width = random.Random(seed), ctx.order, len(support)
     coeffs = filter(order.__gt__, map(rng.getrandbits, repeat(order.bit_length())))
-    draws, drawn = {}, 0  # distinct draws in discovery order
-    for drawn, draw in enumerate(islice(zip(*[coeffs] * len(support)), limit), 1):
-        draws[draw] = None
-        if len(draws) == space:
-            break
-    sizes = [ctx.q if i == 0 else order for i in support]
-
-    def cost(cut):
-        if cut == len(support):
-            return _cost(ctx, len(draws), 1)
-        H, T = min(drawn, prod(sizes[:cut])), min(drawn, prod(sizes[cut:]))
-        return _cost(ctx, H, T) + len(draws) + H
-
-    # a cut at 0 (every draw a tail) never costs less than no tail
-    cut = min(range(len(support), 0, -1), key=cost)
-    if cut == len(support):
-        return _walk(ctx, support, draws, (), [()])
-
-    classes, tr, has_a0 = _a0_classes(ctx), ctx.tr, support[0] == 0
-
-    def canonical(draw):  # a_0 taken to its trace class
-        return (classes[tr[draw[0]]],) + draw[1:] if has_a0 else draw
-
-    heads, tails = {}, {}
-    for draw in map(canonical, draws):
-        heads[draw[:cut]] = tails[draw[cut:]] = None
-    hits = set(_walk(ctx, support[:cut], heads, support[cut:], list(tails)))
-    return [draw for draw in draws if canonical(draw) in hits]
+    if _strata_cost(ctx, support) > _cost(ctx, min(limit, order**width), 1):
+        return _walk(ctx, support, dict.fromkeys(islice(zip(*[coeffs] * width), limit)), (), [()])
+    orbits, has_a0 = _passing_orbits(ctx, support), support[0] == 0
+    scaled = (_scaled(ctx, rep, k) for rep, size in orbits for k in range(size))
+    hits = {tuple(map(t.__getitem__, support)) for t in scaled}
+    passing = len(hits) * (order // ctx.q if has_a0 else 1)  # a class holds order/q a_0
+    c1, c2 = tee(coeffs)
+    real = zip(*[c1] * width)
+    # zip reads left to right, so a draw's a_0 comes first, taken to its class
+    a0 = map(_a0_classes(ctx).__getitem__, map(ctx.tr.__getitem__, c2)) if has_a0 else c2
+    canon = zip(a0, *[c2] * (width - 1))
+    found, drawn = {}, 0
+    while drawn < limit and len(found) < passing:
+        c = min(_CHUNK, limit - drawn)
+        kept = compress(islice(real, c), map(hits.__contains__, islice(canon, c)))
+        found.update(dict.fromkeys(kept))
+        drawn += c
+    return list(found)
 
 
 def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
@@ -371,17 +392,16 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     element code, lowest support index most significant), walking one
     representative per scaling orbit (:func:`_passing_orbits`) and
     expanding the passing ones in :func:`_code_order`, and needs
-    ``order**len(support)`` to fit the budget.  mode="random" draws
+    ``order**len(support)`` to fit the budget.  mode="random" draws up to
     ``budget`` assignments from ``random.Random(seed)`` and returns the
-    distinct passing ones in discovery order; it stops early once every
-    assignment has been drawn, as every later draw would be a repeat.
+    distinct passing ones in discovery order.  It takes the cheaper of two
+    plans (:func:`_search_random`): the orbit plan walks the strata of
+    :func:`_passing_orbits`, keeps the draws whose a_0-class tuple passes,
+    and stops once every passing assignment has been drawn, as every
+    later draw would add nothing; the draw plan walks the distinct draws.
     The seed lies in 0..2^64-1: Random folds -s onto s.  ``support`` holds
     distinct int indices in 0..n-1, in any order; an empty one finds
-    nothing, once mode, budget and seed pass their checks.  Both modes test
-    candidates in :func:`_walk`, heads against tails split at the cut of
-    least :func:`_cost`; random mode walks each distinct head and tail of
-    its draws once, or at a cut at the end the draws themselves, and
-    counts at most min(draws made, head or tail tuples) of each.
+    nothing, once mode, budget and seed pass their checks.
     """
     support = tuple(range(ctx.n) if support is None else support)
     if not all(type(i) is int and 0 <= i < ctx.n for i in support):
@@ -396,7 +416,8 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     if not support:
         return []
     if mode == "exhaustive":
-        hits = list(_code_order(ctx, support, _passing_orbits(ctx, support, limit)))
+        _require_space(ctx, support, limit)
+        hits = list(_code_order(ctx, support, _passing_orbits(ctx, support)))
     else:
         hits = [_coeffs(ctx.n, support, a) for a in _search_random(ctx, support, seed, limit)]
     return [LinearizedPoly(ctx, c) for c in hits]

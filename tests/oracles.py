@@ -11,6 +11,9 @@ product as the switch of b = 0 (``field_op``), the basis-pair check that
 n = 4 op with no spec, which the library's switch routines refuse
 (``dual_spread_op``), and ``classify``'s deep route on one switch, which
 its closed form for monomials is tested against (``deep_classify``).
+Random search's former route, the walk of the draws' distinct heads
+against their distinct tails, stays as an oracle of both of its plans
+(``_random_search_split``).
 """
 
 import random
@@ -33,7 +36,7 @@ from semiswitch import (
 )
 from semiswitch.families import _families
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
-from semiswitch.linpoly import _a0_classes, _coeffs, _walk_product
+from semiswitch.linpoly import _a0_classes, _coeffs, _walk, _walk_product
 
 
 # ---- gf ----
@@ -174,6 +177,33 @@ def _random_search_by_predicate(ctx, mask, seed, budget):
         if hit := _passes(ctx, mask, assignment):
             hits.append(hit)
     return hits
+
+
+def _random_search_split(ctx, mask, seed, budget, cut):
+    """Random search as a walk of the draws' distinct heads against their
+    distinct tails, split after ``cut`` indices of the sorted ``mask`` (a
+    cut at the end walks the distinct draws themselves); the draws stop at
+    the budget, or once every assignment has come up.
+
+    A draw's a_0 is taken to its trace class before the split, and the
+    draws whose class tuple passes the walk are kept, in discovery order.
+    """
+    rng, space = random.Random(seed), ctx.order ** len(mask)
+    draws = {}
+    for _ in range(budget):
+        if len(draws) == space:
+            break
+        draws[tuple(rng.randrange(ctx.order) for _ in mask)] = None
+    classes, has_a0 = _a0_classes(ctx), mask[0] == 0
+
+    def canonical(draw):
+        return (classes[ctx.tr[draw[0]]],) + draw[1:] if has_a0 else draw
+
+    heads, tails = {}, {}
+    for draw in map(canonical, draws):
+        heads[draw[:cut]] = tails[draw[cut:]] = None
+    hits = set(_walk(ctx, mask[:cut], heads, mask[cut:], list(tails)))
+    return [_coeffs(ctx.n, mask, draw) for draw in draws if canonical(draw) in hits]
 
 
 def _search_exhaustive(ctx, support):

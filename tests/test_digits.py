@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,19 @@ def test_ascent_descent_trivial():
     assert ascent_descent((1, 1, 1)) == ((), (), 0)
     asc, des, count = ascent_descent((1, 0, 0, 0))
     assert asc == (0,) and des == (1,) and count == 1
+
+
+@pytest.mark.parametrize(
+    "digits, message",
+    [
+        ((1.5, 0), "digit must be an int, got 1.5"),  # was a TypeError from [i] * diff
+        ((True, 0), "digit must be an int, got True"),  # was read as (1, 0)
+        ((-1, 2), "digit must be nonnegative, got -1"),  # was counted as a base-q digit
+    ],
+)
+def test_ascent_descent_refuses_digits_that_are_not_nonnegative_ints(digits, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ascent_descent(digits)
 
 
 @settings(deadline=None, max_examples=200)

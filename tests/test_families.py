@@ -425,3 +425,10 @@ def test_classify_reports_nuclei_and_ganley(f81_n4):
     assert rep["presemifield"]
     assert rep["ganley"]
     assert tuple(rep["nuclei"]) == (3, 9, 3, 3)
+
+
+def test_classify_refuses_a_bare_tuple():
+    # a tuple has no ctx, so it was an AttributeError
+    for deep in (False, True):
+        with pytest.raises(ValueError, match=r"L must be a LinearizedPoly, got \(1, 0\)"):
+            classify((1, 0), deep=deep)

@@ -68,11 +68,20 @@ GOLDEN = {
         "31b59a3ebe7e6f2c0b7d5caed19b0099cd5240673a6ba66e0acf2ac9a2a72754",
         EMPTY,
     ),
-    # random draws split into heads and tails, a_0 taken to its trace class
+    # the orbit plan on a support with a gap: the draws' a_0 is taken to its
+    # trace class, and the a_1 stratum walks a_3 as a block of tail tuples
+    # (the name is from the head and tail split of the draws it replaced)
     "search-random-split": (
         "search --p 3 --n 4 --mask 0,1,3 --random --seed 2 --budget 30000",
         0,
         "37486ce86855b39363cc2412bca11d36e2c90a4af9a627e16e718b378f5142e8",
+        EMPTY,
+    ),
+    # the draw plan with hits: 2,000 draws cost less to walk than the strata
+    "search-random-draws": (
+        "search --p 7 --n 3 --random --seed 1 --budget 2000",
+        0,
+        "0e529825545b4a00de87c2de514f76add37f75fabe20b600cbc114d78ddc64ff",
         EMPTY,
     ),
     "search-random-small-space": (

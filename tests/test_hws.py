@@ -156,6 +156,12 @@ def test_curve_verdicts_ell_one_triggers(f8):
     assert not rep.meets_threshold
 
 
+def test_curve_verdicts_refuses_a_bare_tuple():
+    # a tuple has no ctx, so it was an AttributeError
+    with pytest.raises(ValueError, match=r"L must be a LinearizedPoly, got \(1, 0\)"):
+        curve_verdicts((1, 0))
+
+
 def test_verdicts_never_trigger_on_passing_polys(f9):
     for L in search(f9, mode="exhaustive"):
         if not any(L.coeffs[1:]):

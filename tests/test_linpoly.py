@@ -235,7 +235,7 @@ def test_search_beyond_order_4096_is_the_monomials():
                 misses += 1
 
 
-def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):
+def test_random_search_stops_once_every_passing_candidate_is_drawn(f8, f9, monkeypatch):
     calls = []
 
     class Counting(random.Random):
@@ -244,15 +244,29 @@ def test_random_search_stops_once_every_candidate_is_drawn(f9, monkeypatch):
             return super().getrandbits(k)
 
     monkeypatch.setattr(linpoly, "random", SimpleNamespace(Random=Counting))
-    found = search(f9, mode="random", seed=4, budget=100_000)
-    searched, calls[:] = calls[:], []
-    # replay the same randrange stream until the 81 assignments have all come up
-    rng, seen, needed = Counting(4), set(), 0
-    while len(seen) < f9.order**2:
-        seen.add((rng.randrange(f9.order), rng.randrange(f9.order)))
-        needed += 1
-    assert searched == calls and needed < 100_000
-    assert sorted(L.coeffs for L in found) == [L.coeffs for L in search(f9)]
+    # chunks of one draw put the stop on the last new passing assignment itself
+    for chunk, mask in itertools.product((1, linpoly._CHUNK), ((0, 1), (1,))):
+        monkeypatch.setattr(linpoly, "_CHUNK", chunk)
+        exhaustive = [L.coeffs for L in search(f9, mask)]
+        calls.clear()
+        found = search(f9, mask, mode="random", seed=4, budget=100_000)
+        searched, calls[:] = calls[:], []
+        # replay the randrange stream up to the last new passing assignment,
+        # then to the end of its chunk of draws
+        rng, passing, needed = Counting(4), set(exhaustive), 0
+        while passing:
+            draw = [0] * f9.n
+            for i in mask:
+                draw[i] = rng.randrange(f9.order)
+            passing.discard(tuple(draw))
+            needed += 1
+        for _ in range(-needed % chunk * len(mask)):
+            rng.randrange(f9.order)
+        assert searched == calls and needed + chunk < 100_000, (chunk, mask)
+        assert sorted(L.coeffs for L in found) == exhaustive
+    # at q = 2 only a_0 X passes, so support (1, 2) has nothing to find and draws nothing
+    calls.clear()
+    assert search(f8, (1, 2), mode="random", seed=4, budget=100_000) == [] and calls == []
 
 
 def _walk_shapes(monkeypatch, ctx, budget, seed=0, support=None):
@@ -269,31 +283,54 @@ def _walk_shapes(monkeypatch, ctx, budget, seed=0, support=None):
     return shapes
 
 
-def test_random_search_splits_draws_into_heads_and_tails(monkeypatch):
-    # full support, the draws' a_0 taken to its q trace classes: the cut
-    # and the distinct head and tail counts of each split
-    for shape, draws, seed, walk in (
-        ((5, 1, 3), 50_000, 0, (2, 625, 125)),
-        ((3, 1, 4), 50_000, 1, (3, 18_124, 81)),
-        ((7, 1, 3), 100_000, 2, (2, 2_401, 343)),
+def test_random_search_walks_the_passing_strata_where_they_cost_less(monkeypatch):
+    # the orbit plan walks the strata of _passing_orbits, each at its
+    # cheapest cut: the a_0 classes alone, then the first nonzero index j
+    # past 0 with a_j over exp[0..g-1] and the later indices free
+    for shape, draws, seed, support, walks in (
+        ((5, 1, 3), 50_000, 0, None, [(1, 5, 1), (2, 20, 125), (2, 20, 1)]),
+        ((3, 1, 4), 50_000, 1, None, [(1, 3, 1), (3, 486, 81), (2, 24, 81), (2, 6, 1)]),
+        ((7, 1, 3), 100_000, 2, None, [(1, 7, 1), (2, 42, 343), (2, 42, 1)]),
+        # 3 a_0 classes, then a_9 over g = 2 values: 9 tuples for 59,049^2 draws
+        ((3, 1, 10), 200_000, 3, (0, 9), [(1, 3, 1), (2, 6, 1)]),
     ):
-        assert _walk_shapes(monkeypatch, build_field(*shape), draws, seed) == [walk], shape
+        ctx = build_field(*shape)
+        assert _walk_shapes(monkeypatch, ctx, draws, seed, support) == walks, shape
 
 
-def test_random_search_keeps_the_tail_less_walk_where_a_split_costs_more(monkeypatch):
-    # at (3,1,10) a column costs M = 29,524 steps per tail, more than the
-    # 3,000 draws' own walks; the head count is the integer min(draws,
-    # 3^81 class tuples), exact at any size
+def test_random_search_walks_the_draws_where_the_strata_cost_more(monkeypatch):
+    # at (3,1,10) a column costs M = 29,524 steps per tail, and the strata
+    # hold far more tuples than the 3,000 draws, so the draw plan walks the
+    # draws themselves
     ctx = build_field(3, 1, 10)
     assert _walk_shapes(monkeypatch, ctx, 3000, seed=5) == [(10, 3000, 1)]
-    # on support (0, 9) a split would walk at most 3 heads but 59,049 tails
-    assert _walk_shapes(monkeypatch, ctx, 200_000, seed=3, support=(0, 9)) == [
-        (2, 199_997, 1)
-    ]
-    # at (3,1,5) nearly every draw would be a distinct head, so a split
-    # would only add a head dict beside the draws
+    # at (3,1,5) the strata hold 6 * 243^3 tuples and more, against 200,000 draws
     [(cut, heads, tails)] = _walk_shapes(monkeypatch, build_field(3, 1, 5), 200_000)
     assert (cut, tails) == (5, 1) and heads > 199_000
+
+
+class _OrbitPlan(Exception):
+    pass
+
+
+def test_random_search_takes_the_orbit_plan_once_the_budget_covers_the_space(
+    request, monkeypatch
+):
+    # the strata hold fewer tuples than the space, so once the budget
+    # covers it the draw plan never prices lower: every support of at most
+    # 20,000 tuples on the small fields
+    def orbit_plan(ctx, support):
+        raise _OrbitPlan
+
+    monkeypatch.setattr(linpoly, "_passing_orbits", orbit_plan)
+    for name in ("f4", "f5", "f7", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9"):
+        ctx = request.getfixturevalue(name)
+        for r in range(1, ctx.n + 1):
+            for support in itertools.combinations(range(ctx.n), r):
+                if (space := ctx.order**r) <= 20_000:
+                    for budget in (space, 3 * space):
+                        with pytest.raises(_OrbitPlan):
+                            search(ctx, support, mode="random", budget=budget)
 
 
 def test_exhaustive_and_random_search_share_the_cost(f27, monkeypatch):

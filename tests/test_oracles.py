@@ -10,11 +10,13 @@ order 729, where exhaustive search is out of budget), each beside its
 twin with xi = gamma and the same M = xi B, and failing ones.  The
 closed-form side maps run against whole-field scans of 1*y and x*1.
 Exhaustive search runs on every support of at most 20,000 candidates,
-and random search on draws with and without an early stop, against the
-predicate applied to each candidate; exhaustive search also runs against
-the walk over every tuple, which knows no scaling orbits, and the
-exhaustive code census (counted by orbit size) against that walk's
-expanded hits on full support, witnesses included.
+and random search on both of its plans, with and without an early stop,
+against the predicate applied to each candidate; each plan, forced by
+its price, also runs against the walk of the draws' distinct heads and
+tails at every cut on the fields of order at most 27.  Exhaustive
+search also runs against the walk over every tuple, which knows no
+scaling orbits, and the exhaustive code census (counted by orbit size)
+against that walk's expanded hits on full support, witnesses included.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
 ``orbit_rep`` runs against the scan over every scaling on every tuple
@@ -30,6 +32,7 @@ monomial of (q, n) = (3, 2), (4, 2), (3, 3), (5, 3), (8, 2) and (3, 4),
 where the passing ones are answered in closed form.
 """
 
+import math
 import random
 from functools import cache
 from itertools import combinations, product
@@ -56,6 +59,7 @@ from semiswitch import (
     unitalize,
     verify_presemifield,
 )
+from semiswitch import linpoly
 from semiswitch.families import matches_n3
 from semiswitch.gf import _kernel, _linear_table, _span
 from semiswitch.linpoly import orbit_rep
@@ -77,6 +81,7 @@ from oracles import (
     _orbit_rep_scan,
     _random_members,
     _random_search_by_predicate,
+    _random_search_split,
     _search_by_predicate,
     _search_exhaustive,
     _step_by_step_tables,
@@ -316,17 +321,19 @@ def _masks(ctx):
 
 
 def _random_searches(ctx):
-    """Supports with and without index 0 at seeds 0, 1 and 2^64 - 1, on a
-    budget below the space and, where the space is small, one that draws
-    every assignment and stops early.  At n = 3, support (1, 2) and full
-    support also take splits into head and tail tuples, without and with
+    """Supports with and without index 0 at seeds 0, 1 and 2^64 - 1, on 10
+    draws, on a budget below the space and, where the space is small, on
+    one that draws every passing assignment and stops early.  Both plans
+    of random search come up: the draw plan on few draws, and at (9, 3) on
+    full support, the orbit plan on the rest.  At n = 3, support (1, 2)
+    and full support also walk strata of three indices, without and with
     a_0's trace classes (at n = 2, (0, 1) is full support)."""
     out = []
     masks = [(0,), (ctx.n - 1,), (0, ctx.n - 1)] + ([(1, 2), (0, 1, 2)] if ctx.n == 3 else [])
     for mask in masks:
         space = ctx.order ** len(mask)
-        budgets = [min(space // 2, 5000)] + ([20 * space] if space <= 1000 else [])
-        out += [(ctx, mask, s, b) for s in (0, 1, 2**64 - 1) for b in budgets]
+        budgets = {10, min(space // 2, 5000)} | ({20 * space} if space <= 1000 else set())
+        out += [(ctx, mask, s, b) for s in (0, 1, 2**64 - 1) for b in sorted(budgets)]
     return out
 
 
@@ -565,6 +572,41 @@ PAIRS = [
     pair(_nuclei_sets, _nuclei_scan, _unital_ops, "nuclei"),
     pair(_nuclei_sets, _nuclei_all_pairs, _nuclei_ops, "nuclei_all_pairs", NUCLEI_FIELDS),
 ]
+
+
+def test_random_searches_reach_both_plans(request, monkeypatch):
+    # the search-random line checks each plan of random search on draws with hits
+    passing_orbits, plans, reached = linpoly._passing_orbits, [], set()
+
+    def orbit_plan(ctx, support):
+        plans.append("orbit")
+        return passing_orbits(ctx, support)
+
+    monkeypatch.setattr(linpoly, "_passing_orbits", orbit_plan)
+    for name in FIELDS:
+        for args in _random_searches(request.getfixturevalue(name)):
+            plans.clear()
+            if _random_search_hits(*args):
+                reached.add(plans[0] if plans else "draw")
+    assert reached == {"orbit", "draw"}
+
+
+def test_random_search_plans_match_the_split_walk(request, monkeypatch):
+    # each plan forced through its price, and the walk of the draws' distinct
+    # heads against their distinct tails at every cut, on budgets from 1 to
+    # 20 times the space
+    for name in ["f4", "f8", "f9", "f16_q4", "f25", "f27"]:
+        ctx = request.getfixturevalue(name)
+        for mask in sorted({mask for _, mask, _, _ in _random_searches(ctx)}):
+            space = ctx.order ** len(mask)
+            for budget in sorted({1, 2, 10, space // 2, space, 20 * space} - {0}):
+                lists = []
+                for price in (0, math.inf):  # the orbit plan, then the draw plan
+                    monkeypatch.setattr(linpoly, "_strata_cost", lambda ctx, s, price=price: price)
+                    lists.append(_random_search_hits(ctx, mask, 1, budget))
+                for cut in range(1, len(mask) + 1):
+                    lists.append(_random_search_split(ctx, mask, 1, budget, cut))
+                assert lists == [lists[0]] * len(lists), (name, mask, budget)
 
 
 @pytest.mark.parametrize("fast, oracle, inputs, fields", PAIRS)

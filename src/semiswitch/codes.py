@@ -109,8 +109,7 @@ def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):
     if mode == "exhaustive":
         limit = linpoly.search_budget(budget)
         support = tuple(range(ctx.n))
-        linpoly._require_space(ctx, support, limit)
-        orbits = linpoly._passing_orbits(ctx, support)
+        orbits = linpoly._exhaustive_orbits(ctx, support, limit)
         moving = [(rep, size) for rep, size in orbits if any(rep[1:])]
         spread = ctx.q ** (ctx.n - 1)  # the a_0 of one trace class
         constant = spread * (len(orbits) - len(moving))  # monomials: orbits of size 1

@@ -30,8 +30,9 @@ Random search prices two plans with that cost before it draws.  The
 orbit plan walks the strata, expands the passing reps into their class
 tuples, and keeps each draw whose class tuple is among them, filtering
 the draws in C and stopping once every passing assignment has come up.
-The draw plan walks the distinct draws themselves, which is cheaper
-when the draws are few against the strata.
+The draw plan walks the distinct draws themselves.  It runs when the
+draws are few against the strata, or against the passing class tuples
+that the orbit plan would hold.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
@@ -299,13 +300,6 @@ def _strata_cost(ctx, support):
     return sum(_cheapest_cut(ctx, choices)[0] for _, choices, _ in _strata(ctx, support))
 
 
-def _require_space(ctx, support, limit):
-    """BudgetExceeded unless the ``order**len(support)`` tuples of an
-    exhaustive search on ``support`` fit ``limit``."""
-    if (space := ctx.order ** len(support)) > limit:
-        raise BudgetExceeded(f"exhaustive search needs {space} candidates, budget is {limit}")
-
-
 def _passing_orbits(ctx, support):
     """Every passing tuple on the sorted ``support`` as (rep, size) pairs:
     the n-tuples ``_scaled(ctx, rep, k)``, k < size, each with a_0 anywhere
@@ -317,14 +311,24 @@ def _passing_orbits(ctx, support):
     the same a_j exactly when N/g divides k - k'.  So the stratum walks a_j
     over exp[0..g-1], the lower indices 0 and the later ones free, and its
     tuples are those reps scaled by k < N/g, each tuple once.  The tuples
-    with a_0 alone are their own reps, of size 1.  The caller checks its
-    budget first.
+    with a_0 alone are their own reps, of size 1.  Its callers price the
+    walk first: exhaustive search through :func:`_exhaustive_orbits`,
+    random search through :func:`_orbit_plan`.
     """
     return [
         (_coeffs(ctx.n, sub, rep), size)
         for sub, choices, size in _strata(ctx, support)
         for rep in _walk_product(ctx, sub, choices)
     ]
+
+
+def _exhaustive_orbits(ctx, support, limit):
+    """:func:`_passing_orbits` of ``support`` for an exhaustive search, which
+    raises BudgetExceeded unless its ``order**len(support)`` tuples fit
+    ``limit``."""
+    if (space := ctx.order ** len(support)) > limit:
+        raise BudgetExceeded(f"exhaustive search needs {space} candidates, budget is {limit}")
+    return _passing_orbits(ctx, support)
 
 
 def _code_order(ctx, support, orbits):
@@ -345,17 +349,35 @@ def _code_order(ctx, support, orbits):
         yield from map((a0,).__add__, expanded[t])
 
 
+def _orbit_plan(ctx, support, limit):
+    """The passing (rep, size) orbits of :func:`_passing_orbits` when random
+    search on ``support`` with ``limit`` draws takes the orbit plan, else
+    None for the draw plan.
+
+    The draw plan walks at most heads = min(limit, space) distinct draws,
+    priced by :func:`_cost`.  The orbit plan first walks its strata
+    (:func:`_strata_cost`), and runs only if that costs no more.  It then
+    expands the passing reps into their sum-of-sizes class tuples, so it
+    also needs that sum to be at most heads: it never holds more tuples
+    than the draw plan would walk.  At n = 2 about half of all class
+    tuples pass, and the sum outgrows small budgets on large fields.
+    """
+    heads = min(limit, ctx.order ** len(support))
+    if _strata_cost(ctx, support) > _cost(ctx, heads, 1):
+        return None
+    orbits = _passing_orbits(ctx, support)
+    return orbits if sum(size for _, size in orbits) <= heads else None
+
+
 def _search_random(ctx, support, seed, limit):
     """The distinct passing draws among ``limit`` from ``Random(seed)``, in
     discovery order.
 
     Each coefficient is ``randrange(order)`` as CPython draws it: getrandbits
-    of order's bit length, redrawn until below order.  Two plans are priced
-    by :func:`_cost` before any draw, and the cheaper runs (the orbit plan
-    on a tie).  The draw plan walks the distinct draws themselves, at most
-    min(limit, space) heads.  The orbit plan costs its strata's walks
-    (:func:`_strata_cost`).  It expands the passing reps into their class
-    tuples, one per (rep, k < size) with a_0 its class's
+    of order's bit length, redrawn until below order.  :func:`_orbit_plan`
+    picks the plan before any draw.  The draw plan walks the distinct
+    draws themselves.  The orbit plan expands the passing reps into their
+    class tuples, one per (rep, k < size) with a_0 its class's
     :func:`_a0_classes` value, and reads the coefficient stream twice, as
     drawn and with a_0 taken to its class, keeping a chunk of draws at a
     time by ``compress`` in C.  It stops at the budget, or after the chunk
@@ -365,9 +387,9 @@ def _search_random(ctx, support, seed, limit):
     """
     rng, order, width = random.Random(seed), ctx.order, len(support)
     coeffs = filter(order.__gt__, map(rng.getrandbits, repeat(order.bit_length())))
-    if _strata_cost(ctx, support) > _cost(ctx, min(limit, order**width), 1):
+    if (orbits := _orbit_plan(ctx, support, limit)) is None:
         return _walk(ctx, support, dict.fromkeys(islice(zip(*[coeffs] * width), limit)), (), [()])
-    orbits, has_a0 = _passing_orbits(ctx, support), support[0] == 0
+    has_a0 = support[0] == 0
     scaled = (_scaled(ctx, rep, k) for rep, size in orbits for k in range(size))
     hits = {tuple(map(t.__getitem__, support)) for t in scaled}
     passing = len(hits) * (order // ctx.q if has_a0 else 1)  # a class holds order/q a_0
@@ -395,7 +417,7 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     ``order**len(support)`` to fit the budget.  mode="random" draws up to
     ``budget`` assignments from ``random.Random(seed)`` and returns the
     distinct passing ones in discovery order.  It takes the cheaper of two
-    plans (:func:`_search_random`): the orbit plan walks the strata of
+    plans (:func:`_orbit_plan`): the orbit plan walks the strata of
     :func:`_passing_orbits`, keeps the draws whose a_0-class tuple passes,
     and stops once every passing assignment has been drawn, as every
     later draw would add nothing; the draw plan walks the distinct draws.
@@ -416,8 +438,7 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     if not support:
         return []
     if mode == "exhaustive":
-        _require_space(ctx, support, limit)
-        hits = list(_code_order(ctx, support, _passing_orbits(ctx, support)))
+        hits = list(_code_order(ctx, support, _exhaustive_orbits(ctx, support, limit)))
     else:
         hits = [_coeffs(ctx.n, support, a) for a in _search_random(ctx, support, seed, limit)]
     return [LinearizedPoly(ctx, c) for c in hits]

@@ -68,9 +68,9 @@ GOLDEN = {
         "31b59a3ebe7e6f2c0b7d5caed19b0099cd5240673a6ba66e0acf2ac9a2a72754",
         EMPTY,
     ),
-    # the orbit plan on a support with a gap: the draws' a_0 is taken to its
-    # trace class, and the a_1 stratum walks a_3 as a block of tail tuples
-    # (the name is from the head and tail split of the draws it replaced)
+    # the orbit plan on a support with a gap, its a_1 stratum split into
+    # heads and a block of a_3 tail tuples; the draws' a_0 is taken to its
+    # trace class
     "search-random-split": (
         "search --p 3 --n 4 --mask 0,1,3 --random --seed 2 --budget 30000",
         0,

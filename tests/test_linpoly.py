@@ -309,28 +309,34 @@ def test_random_search_walks_the_draws_where_the_strata_cost_more(monkeypatch):
     assert (cut, tails) == (5, 1) and heads > 199_000
 
 
-class _OrbitPlan(Exception):
-    pass
-
-
-def test_random_search_takes_the_orbit_plan_once_the_budget_covers_the_space(
-    request, monkeypatch
-):
-    # the strata hold fewer tuples than the space, so once the budget
-    # covers it the draw plan never prices lower: every support of at most
-    # 20,000 tuples on the small fields
-    def orbit_plan(ctx, support):
-        raise _OrbitPlan
-
-    monkeypatch.setattr(linpoly, "_passing_orbits", orbit_plan)
+def test_random_search_takes_the_orbit_plan_once_the_budget_covers_the_space(request):
+    # the strata hold fewer tuples than the space, and the passing class
+    # tuples no more than it, so once the budget covers it the draw plan
+    # never prices lower: every support of at most 20,000 tuples on the
+    # small fields
     for name in ("f4", "f5", "f7", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9"):
         ctx = request.getfixturevalue(name)
         for r in range(1, ctx.n + 1):
             for support in itertools.combinations(range(ctx.n), r):
                 if (space := ctx.order**r) <= 20_000:
                     for budget in (space, 3 * space):
-                        with pytest.raises(_OrbitPlan):
-                            search(ctx, support, mode="random", budget=budget)
+                        assert linpoly._orbit_plan(ctx, support, budget) is not None
+
+
+def test_random_search_takes_the_draw_plan_where_the_passing_tuples_outnumber_the_draws():
+    # at (256, 2) the strata walk prices below 1,000 draws, but about half
+    # of the 2^24 class tuples pass, so the orbit plan would hold millions
+    ctx = build_field(2, 8, 2)
+    assert linpoly._strata_cost(ctx, (0, 1)) <= linpoly._cost(ctx, 1000, 1)
+    assert linpoly._orbit_plan(ctx, (0, 1), 1000) is None
+    start = time.perf_counter()
+    hits = search(ctx, mode="random", seed=3, budget=1000)
+    assert time.perf_counter() - start < 10
+    rng, draws = random.Random(3), {}
+    for _ in range(1000):
+        draws[(rng.randrange(ctx.order), rng.randrange(ctx.order))] = None
+    passing = [d for d in draws if switching_predicate(LinearizedPoly(ctx, d))]
+    assert [L.coeffs for L in hits] == passing and 0 < len(passing) < len(draws)
 
 
 def test_exhaustive_and_random_search_share_the_cost(f27, monkeypatch):

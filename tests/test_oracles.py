@@ -32,7 +32,6 @@ monomial of (q, n) = (3, 2), (4, 2), (3, 3), (5, 3), (8, 2) and (3, 4),
 where the passing ones are answered in closed form.
 """
 
-import math
 import random
 from functools import cache
 from itertools import combinations, product
@@ -576,33 +575,35 @@ PAIRS = [
 
 def test_random_searches_reach_both_plans(request, monkeypatch):
     # the search-random line checks each plan of random search on draws with hits
-    passing_orbits, plans, reached = linpoly._passing_orbits, [], set()
+    orbit_plan, plans, reached = linpoly._orbit_plan, [], set()
 
-    def orbit_plan(ctx, support):
-        plans.append("orbit")
-        return passing_orbits(ctx, support)
+    def recording(ctx, support, limit):
+        plans.append("draw" if (orbits := orbit_plan(ctx, support, limit)) is None else "orbit")
+        return orbits
 
-    monkeypatch.setattr(linpoly, "_passing_orbits", orbit_plan)
+    monkeypatch.setattr(linpoly, "_orbit_plan", recording)
     for name in FIELDS:
         for args in _random_searches(request.getfixturevalue(name)):
             plans.clear()
             if _random_search_hits(*args):
-                reached.add(plans[0] if plans else "draw")
+                reached.add(plans[0])
     assert reached == {"orbit", "draw"}
 
 
 def test_random_search_plans_match_the_split_walk(request, monkeypatch):
-    # each plan forced through its price, and the walk of the draws' distinct
-    # heads against their distinct tails at every cut, on budgets from 1 to
-    # 20 times the space
+    # each plan forced, and the walk of the draws' distinct heads against
+    # their distinct tails at every cut, on budgets from 1 to 20 times the
+    # space
+    passing_orbits = linpoly._passing_orbits
+    plans = (lambda ctx, support, limit: passing_orbits(ctx, support), lambda *args: None)
     for name in ["f4", "f8", "f9", "f16_q4", "f25", "f27"]:
         ctx = request.getfixturevalue(name)
         for mask in sorted({mask for _, mask, _, _ in _random_searches(ctx)}):
             space = ctx.order ** len(mask)
             for budget in sorted({1, 2, 10, space // 2, space, 20 * space} - {0}):
                 lists = []
-                for price in (0, math.inf):  # the orbit plan, then the draw plan
-                    monkeypatch.setattr(linpoly, "_strata_cost", lambda ctx, s, price=price: price)
+                for plan in plans:  # the orbit plan, then the draw plan
+                    monkeypatch.setattr(linpoly, "_orbit_plan", plan)
                     lists.append(_random_search_hits(ctx, mask, 1, budget))
                 for cut in range(1, len(mask) + 1):
                     lists.append(_random_search_split(ctx, mask, 1, budget, cut))

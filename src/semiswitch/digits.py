@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .errors import BudgetExceeded, read_limit, require_int, require_qn
+from .errors import BudgetExceeded, read_limit, require_instance, require_int, require_qn
 from .gf import build_field
+from .linpoly import LinearizedPoly
 
 DEFAULT_TUPLE_BUDGET = 1 << 22
 
@@ -95,7 +96,7 @@ def power_expansion(L):
     Plain dictionary convolution with exponents put through
     reduce_exponent; returns {exponent: coefficient} without zeros.
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     q, n = ctx.q, ctx.n
     base = {}
     for i, a in enumerate(L.coeffs):
@@ -119,7 +120,7 @@ def power_expansion(L):
 
 def congruence_right_side(L):
     """{exponent: coefficient} of Tr(a_0)^(q-1) + (1 - Tr(a_0)^(q-1)) X^(q^n - 1)."""
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     t = ctx.rel_trace(L.coeffs[0])
     c = ctx.pow(t, ctx.q - 1) if t else 0
     out = {}
@@ -147,7 +148,7 @@ def power_coefficient(L, alpha, budget=None):
     wrap_add_many to alpha (a pair with i = 0 contributes run value 0 and a
     factor a_0^(q^j)).
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     q, n = ctx.q, ctx.n
     M = (q**n - 1) // (q - 1)
     if not 0 <= require_int(alpha, "alpha") <= M:
@@ -183,7 +184,7 @@ def vanishing_sums_check(L):
     For p = 2 this degenerates to a_i = 0 for 1 <= i <= n - 2.
     Returns (True, None) or (False, witness).
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     if ctx.m != 1:
         raise ValueError("check applies to prime fields only (m = 1)")
     p, n = ctx.p, ctx.n

@@ -81,9 +81,9 @@ def theta_set(ctx, u, v):
 
     With w = u^(q^2) v^q and rhs = N(u) + N(v) in F_q, they are the
     affine hyperplane x0 + ker(x -> Tr(w x)) with x0 = rhs alpha / w for
-    an alpha of trace 1.  Returned in a fixed order (zero first if
-    admissible, then nonzero elements by ascending gamma power); always
-    q^2 of them.
+    alpha the least code of trace 1.  Returned in a fixed order (zero
+    first if admissible, then nonzero elements by ascending gamma power);
+    always q^2 of them.
     """
     if ctx.n != 3:
         raise ValueError("theta set is for n = 3")
@@ -92,7 +92,7 @@ def theta_set(ctx, u, v):
         raise ValueError("u and v must be nonzero")
     w = ctx.mul(ctx.frobenius(u, 2), ctx.frobenius(v, 1))
     rhs = ctx.add(ctx.rel_norm(u), ctx.rel_norm(v))
-    x0 = ctx.div(ctx.mul(rhs, ctx.tr.index(1)), w)
+    x0 = ctx.div(ctx.mul(rhs, ctx.trace_one), w)
     kernel = _kernel(ctx, lambda x: (ctx.rel_trace(ctx.mul(w, x)),))
     out = sorted(
         (ctx.add(x0, k) for k in _span(ctx, kernel)),
@@ -140,7 +140,7 @@ def matches_n3(L):
     into mu + nu != 0, so every member has Tr(a_0) != 0.  u and v are the
     smallest gamma powers of norm mu and nu: the first pair in gamma order.
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     if ctx.n != 3:
         return None
     c0, c1, c2 = L.coeffs
@@ -226,8 +226,8 @@ def switch_spec_for(L):
     b agrees with the coefficients of L except b_0 = a_0 - alpha, where
     alpha is the smallest element code with Tr(alpha) = 1.
     """
-    ctx = L.ctx
-    b = (ctx.sub(L.coeffs[0], ctx.tr.index(1)),) + L.coeffs[1:]
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
+    b = (ctx.sub(L.coeffs[0], ctx.trace_one),) + L.coeffs[1:]
     return SwitchSpec(ctx, b, 1)
 
 
@@ -281,7 +281,7 @@ def classify(L, deep=True, orbits=None):
     ``presemifield.transport_isotopy_kernel`` on the first member's
     switch, so they build none.
     """
-    predicate = switching_predicate(require_instance(L, LinearizedPoly, "L"))
+    predicate = switching_predicate(L)
     report = {"coeffs": list(L.coeffs), "predicate": predicate}
     if predicate:
         report["families"] = _families(L)

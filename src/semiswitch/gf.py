@@ -289,7 +289,7 @@ class FieldCtx:
     context never wraps them.  The arithmetic methods take valid element
     codes only and check none: they are the search walk's hot path, and
     the public names that call them check their input once (see
-    ``errors``).
+    ``errors``).  ``trace_one`` is the least element code of trace 1.
     """
 
     def __init__(self, p, m, n, modulus=None, cap=None):
@@ -330,6 +330,7 @@ class FieldCtx:
         self.modulus = modulus
         self.generator = self._find_generator()
         self._build_tables()
+        self.trace_one = self.tr.index(1)  # 1 when n = 1, where the trace is the identity
         self.qpow_minus1 = tuple(self.q**i - 1 for i in range(n))  # the exponents of L(x)/x
 
     # ---- construction helpers ----

@@ -38,7 +38,7 @@ def min_max_leader(L):
     element's leader in a table, from which each ell(j) is read.
     Needs at least one supported coefficient index i >= 1.
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     support = [i for i in range(1, ctx.n) if L.coeffs[i]]
     if not support:
         raise ValueError("all higher coefficients vanish; the statistic is undefined")
@@ -83,7 +83,7 @@ def rational_point_count(L):
     Each zero in the period-M transcript stands for q - 1 units.  A
     monomial's transcript is the constant Tr(a_0), so it is not walked.
     """
-    ctx = L.ctx
+    ctx = require_instance(L, LinearizedPoly, "L").ctx
     trace_zero = ctx.rel_trace(L.coeffs[0]) == 0
     if L.is_monomial():
         zeros = ctx.trace_step if trace_zero else 0

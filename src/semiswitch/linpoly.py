@@ -20,11 +20,13 @@ at the end, random search keeps the draws whose class passes.  Scaling
 x -> cx maps L to (a_i c^(q^i - 1)) and keeps the predicate, so search
 walks one stratum per first nonzero index j >= 1 (the lower indices 0,
 a_j one of exp[0..g-1] with g = q^gcd(j,n) - 1, the later coefficients
-free, and the a_0-only stratum) and each passing representative stands
-for the N/g tuples it gives scaled by gamma^k, k < N/g, disjoint from
-every other's.  And the transcript is additive in L, so a stratum's
-walk reads head transcripts against bitsets of tail tuples, the product
-of its choices split at the cut of least cost.
+free) and each passing representative stands for the N/g tuples it
+gives scaled by gamma^k, k < N/g, disjoint from every other's; a
+monomial a_0 X has the constant transcript Tr(a_0), so search reads
+those in closed form, as the predicate does.  And the transcript is
+additive in L, so a stratum's walk reads head transcripts against
+bitsets of tail tuples, the product of its choices split at the cut of
+least cost.
 
 Random search prices two plans with that cost before it draws.  The
 orbit plan walks the strata, expands the passing reps into their class
@@ -47,7 +49,7 @@ from functools import cached_property
 from itertools import compress, islice, product, repeat, tee
 from math import gcd, prod
 
-from .errors import BudgetExceeded, read_limit, require_code, require_int
+from .errors import BudgetExceeded, read_limit, require_code, require_instance, require_int
 from .gf import _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
@@ -147,7 +149,7 @@ def switching_predicate(L):
 
     A monomial's transcript is the constant Tr(a_0), so it is not walked.
     """
-    if L.is_monomial():
+    if require_instance(L, LinearizedPoly, "L").is_monomial():
         return L.ctx.tr[L.coeffs[0]] != 0
     return all(transcript(L.ctx, L.coeffs))
 
@@ -185,7 +187,7 @@ def orbit_rep(ctx, coeffs):
 
 def is_permutation(L):
     """Whether L permutes F_{q^n} (additive map, so: trivial kernel)."""
-    return not _kernel(L.ctx, lambda x: (L(x),))
+    return not _kernel(require_instance(L, LinearizedPoly, "L").ctx, lambda x: (L(x),))
 
 
 # ---- search ----
@@ -246,9 +248,8 @@ def _walk(ctx, head_support, heads, tail_support, tails):
 
 
 def _a0_classes(ctx):
-    """One a_0 per trace class: t -> t alpha for t in F_q, with Tr(alpha) = 1."""
-    alpha = ctx.tr.index(1)
-    return {t: ctx.mul(t, alpha) for t in ctx.subfield(1)}
+    """One a_0 per trace class: t -> t alpha for t in F_q, with alpha the least code of trace 1."""
+    return {t: ctx.mul(t, ctx.trace_one) for t in ctx.subfield(1)}
 
 
 def _cost(ctx, heads, tails):
@@ -274,30 +275,16 @@ def _cheapest_cut(ctx, choices):
     return cost(cut), cut
 
 
-def _walk_product(ctx, support, choices):
-    """Every passing tuple of ``product(*choices)`` on ``support``, in product
-    order, walked by :func:`_walk` at :func:`_cheapest_cut`."""
-    cut = _cheapest_cut(ctx, choices)[1]
-    tails = list(product(*choices[cut:]))
-    return _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
-
-
 def _strata(ctx, support):
-    """The (sub-support, choices, orbit size) strata of :func:`_passing_orbits`
-    on the sorted ``support``."""
+    """The strata j >= 1 of :func:`_passing_orbits` on the sorted ``support``:
+    (sub-support, choices, orbit size, cost, cut), at the :func:`_cheapest_cut`
+    of the choices."""
     classes = [list(_a0_classes(ctx).values())] if support[0] == 0 else []
     a0, rest = support[: len(classes)], support[len(classes) :]
-    strata = [(a0, classes, 1)] if a0 else []
     for at, j in enumerate(rest):
         g = ctx.q ** gcd(j, ctx.n) - 1
-        free = [range(ctx.order)] * (len(rest) - at - 1)
-        strata.append((a0 + rest[at:], classes + [ctx.exp[:g]] + free, ctx.mult_order // g))
-    return strata
-
-
-def _strata_cost(ctx, support):
-    """The walk of every stratum of :func:`_passing_orbits` at its cheapest cut."""
-    return sum(_cheapest_cut(ctx, choices)[0] for _, choices, _ in _strata(ctx, support))
+        choices = classes + [ctx.exp[:g]] + [range(ctx.order)] * (len(rest) - at - 1)
+        yield (a0 + rest[at:], choices, ctx.mult_order // g, *_cheapest_cut(ctx, choices))
 
 
 def _passing_orbits(ctx, support):
@@ -305,20 +292,24 @@ def _passing_orbits(ctx, support):
     the n-tuples ``_scaled(ctx, rep, k)``, k < size, each with a_0 anywhere
     in the trace class of rep's a_0, one of :func:`_a0_classes`.
 
-    Stratum j >= 1 holds the tuples whose first nonzero index past 0 is j.
-    Scaling by gamma^k adds k (q^j - 1) to log a_j, so log a_j runs over its
-    residue class mod g = gcd(q^j - 1, N) = q^gcd(j,n) - 1, and k, k' give
-    the same a_j exactly when N/g divides k - k'.  So the stratum walks a_j
-    over exp[0..g-1], the lower indices 0 and the later ones free, and its
-    tuples are those reps scaled by k < N/g, each tuple once.  The tuples
-    with a_0 alone are their own reps, of size 1.  Its callers price the
-    walk first: exhaustive search through :func:`_exhaustive_orbits`,
-    random search through :func:`_orbit_plan`.
+    The monomials a_0 X are their own reps, of size 1: the nonzero trace
+    classes, read with no walk.  Stratum j >= 1 holds the tuples whose
+    first nonzero index past 0 is j.  Scaling by gamma^k adds k (q^j - 1)
+    to log a_j, so log a_j runs over its residue class mod g =
+    gcd(q^j - 1, N) = q^gcd(j,n) - 1, and k, k' give the same a_j exactly
+    when N/g divides k - k'.  So the stratum walks a_j over exp[0..g-1],
+    the lower indices 0 and the later ones free, split at its cut, and its
+    tuples are those reps scaled by k < N/g, each tuple once.  Its callers
+    price the walk first: exhaustive search through
+    :func:`_exhaustive_orbits`, random search through :func:`_orbit_plan`.
     """
-    return [
+    zeros, a0s = (0,) * (ctx.n - 1), _a0_classes(ctx) if support[0] == 0 else {}
+    return [((a0,) + zeros, 1) for t, a0 in a0s.items() if t] + [
         (_coeffs(ctx.n, sub, rep), size)
-        for sub, choices, size in _strata(ctx, support)
-        for rep in _walk_product(ctx, sub, choices)
+        for sub, choices, size, _, cut in _strata(ctx, support)
+        for rep in _walk(
+            ctx, sub[:cut], product(*choices[:cut]), sub[cut:], list(product(*choices[cut:]))
+        )
     ]
 
 
@@ -355,15 +346,16 @@ def _orbit_plan(ctx, support, limit):
     None for the draw plan.
 
     The draw plan walks at most heads = min(limit, space) distinct draws,
-    priced by :func:`_cost`.  The orbit plan first walks its strata
-    (:func:`_strata_cost`), and runs only if that costs no more.  It then
-    expands the passing reps into their sum-of-sizes class tuples, so it
-    also needs that sum to be at most heads: it never holds more tuples
-    than the draw plan would walk.  At n = 2 about half of all class
-    tuples pass, and the sum outgrows small budgets on large fields.
+    priced by :func:`_cost`.  The orbit plan first walks the strata of
+    :func:`_strata` (its monomials need no walk), and runs only if their
+    costs sum to no more.  It then expands the passing reps into their
+    sum-of-sizes class tuples, so it also needs that sum to be at most
+    heads: it never holds more tuples than the draw plan would walk.  At
+    n = 2 about half of all class tuples pass, and the sum outgrows small
+    budgets on large fields.
     """
     heads = min(limit, ctx.order ** len(support))
-    if _strata_cost(ctx, support) > _cost(ctx, heads, 1):
+    if sum(cost for *_, cost, _ in _strata(ctx, support)) > _cost(ctx, heads, 1):
         return None
     orbits = _passing_orbits(ctx, support)
     return orbits if sum(size for _, size in orbits) <= heads else None

@@ -13,7 +13,9 @@ n = 4 op with no spec, which the library's switch routines refuse
 its closed form for monomials is tested against (``deep_classify``).
 Random search's former route, the walk of the draws' distinct heads
 against their distinct tails, stays as an oracle of both of its plans
-(``_random_search_split``).
+(``_random_search_split``), and the former walk of the a_0 trace classes
+alone as one of the monomials that search reads in closed form
+(``_a0_only_walk``).
 """
 
 import random
@@ -36,7 +38,7 @@ from semiswitch import (
 )
 from semiswitch.families import _families
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
-from semiswitch.linpoly import _a0_classes, _coeffs, _walk, _walk_product
+from semiswitch.linpoly import _a0_classes, _cheapest_cut, _coeffs, _walk
 
 
 # ---- gf ----
@@ -217,7 +219,9 @@ def _search_exhaustive(ctx, support):
     choices = [
         list(_a0_classes(ctx).values()) if i == 0 else range(ctx.order) for i in support
     ]
-    hits = _walk_product(ctx, support, choices)
+    cut = _cheapest_cut(ctx, choices)[1]
+    tails = list(product(*choices[cut:]))
+    hits = _walk(ctx, support[:cut], product(*choices[:cut]), support[cut:], tails)
     if support[0] == 0:
         by_class = {}
         for hit in hits:
@@ -226,6 +230,14 @@ def _search_exhaustive(ctx, support):
             (a0,) + rest for a0 in range(ctx.order) for rest in by_class.get(ctx.tr[a0], ())
         ]
     return [_coeffs(ctx.n, support, hit) for hit in hits]
+
+
+def _a0_only_walk(ctx, mask):
+    """The monomial (rep, size) pairs on a ``mask`` holding 0, by the walk of
+    the a_0 trace classes alone as a stratum of their own: one head each
+    and no tail, each passing head its own rep of size 1."""
+    heads = [(c,) for c in _a0_classes(ctx).values()]
+    return [(_coeffs(ctx.n, (0,), h), 1) for h in _walk(ctx, (0,), heads, (), [()])]
 
 
 def _census_by_expansion(ctx):

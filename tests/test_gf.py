@@ -8,7 +8,15 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiswitch import ConsistencyError, FieldCtx, build_field, gf
+from semiswitch import (
+    ConsistencyError,
+    FieldCtx,
+    build_field,
+    classify,
+    gf,
+    search,
+    theta_set,
+)
 from semiswitch.gf import (
     _decode,
     _encode,
@@ -184,6 +192,29 @@ def test_field_state_is_fixed_after_construction():
         ctx.subfield(d)
     repr(ctx)
     assert vars(ctx) == before
+
+
+FIXTURE_FIELDS = ["f5", "f7", "f4", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9"]
+
+
+def test_trace_one_is_the_least_code_of_trace_1(request):
+    for ctx in [request.getfixturevalue(name) for name in FIXTURE_FIELDS]:
+        assert ctx.trace_one == ctx.tr.index(1), ctx
+    assert build_field(2, 1, 16).trace_one == 2048
+
+
+class _Unscannable(list):
+    def index(self, *args):
+        raise AssertionError("tr scanned after construction")
+
+
+def test_trace_one_is_read_once_at_construction(f27, monkeypatch):
+    # search, classify and theta_set read ctx.trace_one, never tr.index(1)
+    monkeypatch.setattr(f27, "tr", _Unscannable(f27.tr))
+    hits = search(f27)
+    assert hits and all(classify(L)["presemifield"] for L in hits[:: len(hits) // 5])
+    assert len(theta_set(f27, 1, f27.generator)) == 9
+    assert search(f27, (0, 2), mode="random", seed=1, budget=1000)
 
 
 def test_reducible_modulus_rejected():

@@ -284,18 +284,41 @@ def _walk_shapes(monkeypatch, ctx, budget, seed=0, support=None):
 
 
 def test_random_search_walks_the_passing_strata_where_they_cost_less(monkeypatch):
-    # the orbit plan walks the strata of _passing_orbits, each at its
-    # cheapest cut: the a_0 classes alone, then the first nonzero index j
-    # past 0 with a_j over exp[0..g-1] and the later indices free
+    # the orbit plan walks the strata j >= 1 of _passing_orbits, each at
+    # its cheapest cut: the first nonzero index j past 0 with a_j over
+    # exp[0..g-1], the a_0 classes before it and the later indices free;
+    # the monomials a_0 X are read in closed form, with no walk
     for shape, draws, seed, support, walks in (
-        ((5, 1, 3), 50_000, 0, None, [(1, 5, 1), (2, 20, 125), (2, 20, 1)]),
-        ((3, 1, 4), 50_000, 1, None, [(1, 3, 1), (3, 486, 81), (2, 24, 81), (2, 6, 1)]),
-        ((7, 1, 3), 100_000, 2, None, [(1, 7, 1), (2, 42, 343), (2, 42, 1)]),
-        # 3 a_0 classes, then a_9 over g = 2 values: 9 tuples for 59,049^2 draws
-        ((3, 1, 10), 200_000, 3, (0, 9), [(1, 3, 1), (2, 6, 1)]),
+        ((5, 1, 3), 50_000, 0, None, [(2, 20, 125), (2, 20, 1)]),
+        ((3, 1, 4), 50_000, 1, None, [(3, 486, 81), (2, 24, 81), (2, 6, 1)]),
+        ((7, 1, 3), 100_000, 2, None, [(2, 42, 343), (2, 42, 1)]),
+        # 3 a_0 classes and a_9 over g = 2 values: 6 tuples for 59,049^2 draws
+        ((3, 1, 10), 200_000, 3, (0, 9), [(2, 6, 1)]),
     ):
         ctx = build_field(*shape)
         assert _walk_shapes(monkeypatch, ctx, draws, seed, support) == walks, shape
+
+
+def test_passing_orbits_walk_no_stratum_for_the_monomials(f27, monkeypatch):
+    # a_0 X is read in closed form: support (0,) makes no walk, (0, 1)
+    # walks stratum j = 1 alone, and (0, 1, 2) strata j = 1 and j = 2
+    walk, walked = linpoly._walk, []
+
+    def recording(ctx, head_support, heads, tail_support, tails):
+        walked.append(head_support + tail_support)
+        return walk(ctx, head_support, heads, tail_support, tails)
+
+    monkeypatch.setattr(linpoly, "_walk", recording)
+    monomials = [((a0, 0, 0), 1) for a0 in (f27.trace_one, f27.mul(2, f27.trace_one))]
+    for support, strata in (((0,), []), ((0, 1), [(0, 1)]), ((0, 1, 2), [(0, 1, 2), (0, 2)])):
+        walked.clear()
+        assert linpoly._passing_orbits(f27, support)[:2] == monomials
+        assert walked == strata, support
+    # at F_{2^16}, one a_0 class passes, with no walk of its 65,535 columns
+    ctx = build_field(2, 1, 16)
+    walked.clear()
+    assert linpoly._passing_orbits(ctx, (0,)) == [((ctx.trace_one,) + (0,) * 15, 1)]
+    assert walked == []
 
 
 def test_random_search_walks_the_draws_where_the_strata_cost_more(monkeypatch):
@@ -327,7 +350,8 @@ def test_random_search_takes_the_draw_plan_where_the_passing_tuples_outnumber_th
     # at (256, 2) the strata walk prices below 1,000 draws, but about half
     # of the 2^24 class tuples pass, so the orbit plan would hold millions
     ctx = build_field(2, 8, 2)
-    assert linpoly._strata_cost(ctx, (0, 1)) <= linpoly._cost(ctx, 1000, 1)
+    cost = sum(cost for *_, cost, _ in linpoly._strata(ctx, (0, 1)))
+    assert cost <= linpoly._cost(ctx, 1000, 1)
     assert linpoly._orbit_plan(ctx, (0, 1), 1000) is None
     start = time.perf_counter()
     hits = search(ctx, mode="random", seed=3, budget=1000)

@@ -15,8 +15,10 @@ against the predicate applied to each candidate; each plan, forced by
 its price, also runs against the walk of the draws' distinct heads and
 tails at every cut on the fields of order at most 27.  Exhaustive
 search also runs against the walk over every tuple, which knows no
-scaling orbits, and the exhaustive code census (counted by orbit size)
-against that walk's expanded hits on full support, witnesses included.
+scaling orbits, its closed-form monomials against the walk of the a_0
+trace classes alone on each of those supports that holds 0, and the
+exhaustive code census (counted by orbit size) against the first walk's
+expanded hits on full support, witnesses included.
 The all-pairs nuclei oracle also runs on hand-built unital algebras
 (``oracles.py``), at F_81 and at F_32 and F_243.
 ``orbit_rep`` runs against the scan over every scaling on every tuple
@@ -65,6 +67,7 @@ from semiswitch.linpoly import orbit_rep
 from semiswitch.presemifield import _unital_maps, transport_isotopy_kernel
 
 from oracles import (
+    _a0_only_walk,
     _census_by_expansion,
     _center_separating_algebra,
     _is_permutation_scan,
@@ -319,6 +322,11 @@ def _masks(ctx):
     ]
 
 
+def _a0_masks(ctx):
+    """The supports of :func:`_masks` that hold 0."""
+    return [(ctx, mask) for ctx, mask in _masks(ctx) if mask[0] == 0]
+
+
 def _random_searches(ctx):
     """Supports with and without index 0 at seeds 0, 1 and 2^64 - 1, on 10
     draws, on a budget below the space and, where the space is small, on
@@ -440,6 +448,10 @@ def _search_hits(ctx, mask):
     return [L.coeffs for L in search(ctx, mask)]
 
 
+def _monomial_orbits(ctx, mask):
+    return [(rep, size) for rep, size in linpoly._passing_orbits(ctx, mask) if not any(rep[1:])]
+
+
 def _census_counts(ctx):
     rep = full_weight_search(ctx, budget=ctx.order**ctx.n)
     return (
@@ -543,6 +555,7 @@ PAIRS = [
     pair(orbit_rep, _orbit_rep_scan, _orbit_tuples, "orbit_rep", ORBIT_FIELDS),
     pair(_search_hits, _search_by_predicate, _masks, "search"),
     pair(_search_hits, _search_exhaustive, _masks, "search-orbit"),
+    pair(_monomial_orbits, _a0_only_walk, _a0_masks, "search-monomials"),
     pair(_census_counts, _census_by_expansion, lambda ctx: [(ctx,)], "census-orbit"),
     pair(_random_search_hits, _random_search_by_predicate, _random_searches, "search-random"),
     pair(is_permutation, _is_permutation_scan, _polys, "is_permutation"),

@@ -11,6 +11,7 @@ them when a bare interpreter does not have it.
 """
 
 import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -114,6 +115,33 @@ def test_every_public_name_is_used_or_states_the_paper():
     # a name only the tests reach belongs in tests/oracles.py, not in the package
     unreached = _module_public_names() - _program_names()
     assert unreached == set(PAPER_STATEMENTS)
+
+
+def _names_taking_L():
+    """(module, name) of every callable in a module's ``__all__`` whose first
+    parameter is L."""
+    out = []
+    for path in sorted((ROOT / "src" / "semiswitch").glob("*.py")):
+        if path.stem in {"__init__", "__main__"}:
+            continue
+        module = import_module(f"semiswitch.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and list(inspect.signature(obj).parameters)[:1] == ["L"]:
+                out.append((path.stem, name))
+    return out
+
+
+# the arguments besides L that a name needs to reach its check of L
+OTHER_ARGS = {"power_coefficient": {"alpha": 0}}
+
+
+@pytest.mark.parametrize("module, name", _names_taking_L())
+def test_every_name_taking_L_refuses_a_bare_tuple(module, name):
+    # a tuple has no ctx: a name that reads L.ctx unchecked raises AttributeError
+    fn = getattr(import_module(f"semiswitch.{module}"), name)
+    with pytest.raises(ValueError, match="LinearizedPoly"):
+        fn((1, 0), **OTHER_ARGS.get(name, {}))
 
 
 def test_dir_lists_every_public_name():

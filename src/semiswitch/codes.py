@@ -89,8 +89,8 @@ def trace_codeword(ctx, coeffs):
 
     The word is the period-M transcript repeated q - 1 times.
     """
-    coeffs = tuple(coeffs)
-    return Codeword(coeffs, tuple(transcript(ctx, coeffs)) * (ctx.q - 1))
+    values = tuple(transcript(ctx, coeffs))  # checks coeffs first
+    return Codeword(tuple(coeffs), values * (ctx.q - 1))
 
 
 def full_weight_search(ctx, mode="exhaustive", seed=0, budget=None):

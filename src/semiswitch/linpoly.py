@@ -31,22 +31,24 @@ least cost.
 Random search prices two plans with that cost before it draws.  The
 orbit plan walks the strata, expands the passing reps into their class
 tuples, and keeps each draw whose class tuple is among them, filtering
-the draws in C and stopping once every passing assignment has come up.
-The draw plan walks the distinct draws themselves.  It runs when the
-draws are few against the strata, or against the passing class tuples
-that the orbit plan would hold.
+a chunk of draws at a time in C, its columns C slices of the chunk's
+codes, and stopping once every passing assignment has come up.  The
+draw plan walks the distinct draws themselves.  It runs when the draws
+are few against the strata, or against the passing class tuples that
+the orbit plan would hold.
 
 Search runs in a fixed order so results are reproducible: coefficient
 tuples are enumerated lexicographically by element code, lowest
-coefficient index most significant.  Random mode draws from a seeded
-64-bit generator and reports the seed back.
+coefficient index most significant.  Random mode draws each coefficient
+as ``random.Random(seed).randrange(order)``, replayed a chunk at a time
+(from whole 32-bit words for orders below 256), and reports the seed back.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import compress, islice, product, repeat, tee
+from itertools import compress, islice, product, repeat
 from math import gcd, prod
 
 from .errors import BudgetExceeded, read_limit, require_code, require_instance, require_int
@@ -86,11 +88,13 @@ class _Value:
 
 
 class LinearizedPoly(_Value):
-    """sum_i a_i X^(q^i); the one check of a coefficient tuple, which coerces nothing."""
+    """sum_i a_i X^(q^i); the one check of coefficients: a tuple or list of n element codes."""
 
     _fields = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
+        if not isinstance(coeffs, (tuple, list)):
+            raise ValueError(f"coeffs must be a tuple or list of element codes, got {coeffs!r}")
         coeffs = tuple(coeffs)
         if len(coeffs) != ctx.n:
             raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
@@ -208,11 +212,12 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     ``need[k][v]``, is the bitset of tails with value -v at k, built from
     the tails' transcripts when a head first reaches k.  Each head ORs in
     the tails it fails and stops once all have; with the one empty tail
-    ``[()]`` this is the predicate on each head.  ``heads`` is any
-    iterable, walked once: a product of choices, or distinct tuples.  A
-    head's a_0 enters as its trace, and each a_i != 0, i >= 1, of a head or
-    a tail as the term (log a_i, q^i - 1); the cut lies past index 0, so a
-    tail holds no a_0.
+    ``[()]`` this is the predicate on each head, and every column is the
+    one dict ``{0: 1}``, held once.  ``heads`` is any iterable, walked
+    once: a product of choices, or distinct tuples.  A head's a_0 enters
+    as its trace, and each a_i != 0, i >= 1, of a head or a tail as the
+    term (log a_i, q^i - 1); the cut lies past index 0, so a tail holds
+    no a_0.
     """
     tr, log, qpow_minus1 = ctx.tr, ctx.log, ctx.qpow_minus1
     has_a0 = head_support[:1] == (0,)
@@ -232,6 +237,11 @@ def _walk(ctx, head_support, heads, tail_support, tails):
             for j, w in enumerate(next(columns)):
                 built[neg[w]] = built.get(neg[w], 0) | 1 << j
         return need[k]
+
+    if not tail_support:  # the one empty tail fails at each 0 of the head
+
+        def column(k, zero={0: 1}):
+            return zero
 
     for head in heads:
         failed, t0 = 0, tr[head[0]] if has_a0 else 0
@@ -361,41 +371,64 @@ def _orbit_plan(ctx, support, limit):
     return orbits if sum(size for _, size in orbits) <= heads else None
 
 
+def _draws(rng, order, count):
+    """The next ``count`` codes of ``rng.randrange(order)``: getrandbits of
+    order's bit length b, redrawn while at least order.
+
+    For b <= 8 the codes come from whole words.  getrandbits(b), b <= 32, is
+    the top b bits of one 32-bit Mersenne Twister word, and getrandbits(32 k)
+    holds the next k words, the first in the lowest 32 bits on every
+    platform.  So one call gives the top bytes of k words, and one
+    ``bytes.translate`` in C shifts each to its code and deletes the
+    redraws.  Each word gives at most one code, so drawing k = the codes
+    still missing never takes a word that randrange would not, and the
+    generator ends where randrange's replay ends.  Wider orders draw per
+    call.
+    """
+    bits = order.bit_length()
+    if bits > 8:
+        return list(islice(filter(order.__gt__, map(rng.getrandbits, repeat(bits))), count))
+    shift = 8 - bits
+    table, redraw = bytes(x >> shift for x in range(256)), bytes(range(order << shift, 256))
+    codes = bytearray()
+    while k := count - len(codes):
+        words = rng.getrandbits(32 * k).to_bytes(4 * k, "little")
+        codes += words[3::4].translate(table, redraw)
+    return codes
+
+
 def _search_random(ctx, support, seed, limit):
     """The distinct passing draws among ``limit`` from ``Random(seed)``, in
     discovery order.
 
-    Each coefficient is ``randrange(order)`` as CPython draws it: getrandbits
-    of order's bit length, redrawn until below order.  :func:`_orbit_plan`
-    picks the plan before any draw.  The draw plan walks the distinct
-    draws themselves.  The orbit plan expands the passing reps into their
-    class tuples, one per (rep, k < size) with a_0 its class's
-    :func:`_a0_classes` value, and reads the coefficient stream twice, as
-    drawn and with a_0 taken to its class, keeping a chunk of draws at a
-    time by ``compress`` in C.  It stops at the budget, or after the chunk
+    A draw is ``len(support)`` codes of ``randrange(order)``, read by
+    :func:`_draws` one chunk of ``_CHUNK`` draws at a time, each column of
+    the chunk a C slice.  :func:`_orbit_plan` picks the plan before any
+    draw.  The draw plan walks the distinct draws themselves.  The orbit
+    plan expands the passing reps into their class tuples, one per (rep,
+    k < size) with a_0 its class's :func:`_a0_classes` value, and keeps a
+    chunk's draws whose class tuple (column 0 taken to its class) is among
+    them, by ``compress`` in C.  It stops at the budget, or after the chunk
     in which every passing assignment has come up (the sum of the sizes,
     times the order/q a_0 of a class when 0 is in the support), so it
     draws nothing when nothing passes.
     """
     rng, order, width = random.Random(seed), ctx.order, len(support)
-    coeffs = filter(order.__gt__, map(rng.getrandbits, repeat(order.bit_length())))
+    codes = (_draws(rng, order, min(_CHUNK, limit - at) * width) for at in range(0, limit, _CHUNK))
+    chunks = ([c[i::width] for i in range(width)] for c in codes)  # drawn only when read
     if (orbits := _orbit_plan(ctx, support, limit)) is None:
-        return _walk(ctx, support, dict.fromkeys(islice(zip(*[coeffs] * width), limit)), (), [()])
+        draws = (d for columns in chunks for d in zip(*columns))
+        return _walk(ctx, support, dict.fromkeys(draws), (), [()])
     has_a0 = support[0] == 0
     scaled = (_scaled(ctx, rep, k) for rep, size in orbits for k in range(size))
     hits = {tuple(map(t.__getitem__, support)) for t in scaled}
     passing = len(hits) * (order // ctx.q if has_a0 else 1)  # a class holds order/q a_0
-    c1, c2 = tee(coeffs)
-    real = zip(*[c1] * width)
-    # zip reads left to right, so a draw's a_0 comes first, taken to its class
-    a0 = map(_a0_classes(ctx).__getitem__, map(ctx.tr.__getitem__, c2)) if has_a0 else c2
-    canon = zip(a0, *[c2] * (width - 1))
-    found, drawn = {}, 0
-    while drawn < limit and len(found) < passing:
-        c = min(_CHUNK, limit - drawn)
-        kept = compress(islice(real, c), map(hits.__contains__, islice(canon, c)))
+    a0_class = list(map(_a0_classes(ctx).__getitem__, ctx.tr))
+    found = {}
+    while len(found) < passing and (columns := next(chunks, None)) is not None:
+        a0 = map(a0_class.__getitem__, columns[0]) if has_a0 else columns[0]
+        kept = compress(zip(*columns), map(hits.__contains__, zip(a0, *columns[1:])))
         found.update(dict.fromkeys(kept))
-        drawn += c
     return list(found)
 
 
@@ -413,11 +446,14 @@ def search(ctx, support=None, mode="exhaustive", seed=0, budget=None):
     :func:`_passing_orbits`, keeps the draws whose a_0-class tuple passes,
     and stops once every passing assignment has been drawn, as every
     later draw would add nothing; the draw plan walks the distinct draws.
-    The seed lies in 0..2^64-1: Random folds -s onto s.  ``support`` holds
-    distinct int indices in 0..n-1, in any order; an empty one finds
-    nothing, once mode, budget and seed pass their checks.
+    The seed lies in 0..2^64-1: Random folds -s onto s.  ``support`` is an
+    iterable of distinct int indices in 0..n-1, in any order; an empty one
+    finds nothing, once mode, budget and seed pass their checks.
     """
-    support = tuple(range(ctx.n) if support is None else support)
+    try:
+        support = tuple(range(ctx.n) if support is None else support)
+    except TypeError:
+        raise ValueError(f"support must be an iterable of ints, got {support!r}") from None
     if not all(type(i) is int and 0 <= i < ctx.n for i in support):
         raise ValueError(f"support indices must lie in 0..{ctx.n - 1}")
     if len(set(support)) < len(support):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ from semiswitch import (
     classify,
     full_weight_search,
     is_permutation,
+    n4_criterion,
     rational_point_count,
     search,
     switching_predicate,
@@ -236,9 +238,13 @@ def test_search_beyond_order_4096_is_the_monomials():
 
 
 def test_random_search_stops_once_every_passing_candidate_is_drawn(f8, f9, monkeypatch):
-    calls = []
+    calls, made = [], []
 
     class Counting(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
         def getrandbits(self, k):
             calls.append(k)
             return super().getrandbits(k)
@@ -248,12 +254,13 @@ def test_random_search_stops_once_every_passing_candidate_is_drawn(f8, f9, monke
     for chunk, mask in itertools.product((1, linpoly._CHUNK), ((0, 1), (1,))):
         monkeypatch.setattr(linpoly, "_CHUNK", chunk)
         exhaustive = [L.coeffs for L in search(f9, mask)]
-        calls.clear()
+        made.clear()
         found = search(f9, mask, mode="random", seed=4, budget=100_000)
-        searched, calls[:] = calls[:], []
+        [searched] = made
         # replay the randrange stream up to the last new passing assignment,
-        # then to the end of its chunk of draws
-        rng, passing, needed = Counting(4), set(exhaustive), 0
+        # then to the end of its chunk of draws: the search has consumed
+        # exactly those words
+        rng, passing, needed = random.Random(4), set(exhaustive), 0
         while passing:
             draw = [0] * f9.n
             for i in mask:
@@ -262,11 +269,40 @@ def test_random_search_stops_once_every_passing_candidate_is_drawn(f8, f9, monke
             needed += 1
         for _ in range(-needed % chunk * len(mask)):
             rng.randrange(f9.order)
-        assert searched == calls and needed + chunk < 100_000, (chunk, mask)
+        assert searched.getstate() == rng.getstate() and needed + chunk < 100_000, (chunk, mask)
         assert sorted(L.coeffs for L in found) == exhaustive
     # at q = 2 only a_0 X passes, so support (1, 2) has nothing to find and draws nothing
     calls.clear()
     assert search(f8, (1, 2), mode="random", seed=4, budget=100_000) == [] and calls == []
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 125, 128, 243, 255, 256, 729])
+def test_draws_replay_randrange(order):
+    # orders below 256 take the top bytes of whole getrandbits words, 256
+    # (bit length 9) and 729 draw per call; both end where randrange ends,
+    # and a count of 0 draws no word
+    for seed, count in itertools.product((0, 7, 2**64 - 1), (0, 1, 4095, 4096, 4097, 12288)):
+        rng, replay = random.Random(seed), random.Random(seed)
+        draws = linpoly._draws(rng, order, count)
+        want = [replay.randrange(order) for _ in range(count)]
+        assert list(draws) == want, (seed, count)
+        assert rng.getstate() == replay.getstate(), (seed, count)
+
+
+def test_tail_less_walk_holds_one_column():
+    # at (27, 4), M = 20,440: the passing binomial a_2 X^(q^2) walks every
+    # column, and with the one empty tail each column is the same {0: 1}
+    # (a dict per column peaked at 4.7 MB)
+    ctx = build_field(3, 3, 4)
+    a2 = next(a for a in range(1, ctx.order) if n4_criterion(ctx, a, 0))
+    tracemalloc.start()
+    try:
+        hits = linpoly._walk(ctx, (0, 2), [(0, a2)], (), [()])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == [(0, a2)] and switching_predicate(LinearizedPoly(ctx, (0, 0, a2, 0)))
+    assert peak < 1 << 19, peak
 
 
 def _walk_shapes(monkeypatch, ctx, budget, seed=0, support=None):

@@ -144,6 +144,26 @@ def test_every_name_taking_L_refuses_a_bare_tuple(module, name):
         fn((1, 0), **OTHER_ARGS.get(name, {}))
 
 
+# bad shapes of the coefficients and of the support, each refused with a
+# ValueError naming the argument: nothing is read as codes that is not a
+# tuple or list of them (a dict's keys, a str's characters)
+BAD_SHAPES = [
+    ("LinearizedPoly", ({1: 2, 0: 1},), "coeffs"),
+    ("LinearizedPoly", (5,), "coeffs"),
+    ("LinearizedPoly", ("12",), "coeffs"),
+    ("transcript", (5,), "coeffs"),
+    ("orbit_rep", (5,), "coeffs"),
+    ("search", (5,), "support"),
+]
+
+
+@pytest.mark.parametrize("name, args, named", BAD_SHAPES)
+def test_bad_coefficient_and_support_shapes_raise_value_error(f9, name, args, named):
+    fn = getattr(import_module("semiswitch.linpoly"), name)
+    with pytest.raises(ValueError, match=named):
+        fn(f9, *args)
+
+
 def test_dir_lists_every_public_name():
     assert set(NAMES) <= set(dir(semiswitch))
 

@@ -20,7 +20,7 @@ from math import gcd
 
 from . import linpoly
 from .errors import ConsistencyError, require_int, require_qn
-from .linpoly import transcript
+from .linpoly import _period
 
 
 CyclotomicCoset = namedtuple("CyclotomicCoset", "base modulus leader members")
@@ -87,9 +87,10 @@ Codeword = namedtuple("Codeword", "coeffs values")
 def trace_codeword(ctx, coeffs):
     """The word of (a_0, ..., a_{n-1}): trace quotient along gamma powers.
 
-    The word is the period-M transcript repeated q - 1 times.
+    The word is the period-M transcript, read as one block, repeated
+    q - 1 times.
     """
-    values = tuple(transcript(ctx, coeffs))  # checks coeffs first
+    values = tuple(_period(ctx, coeffs))  # checks coeffs first
     return Codeword(tuple(coeffs), values * (ctx.q - 1))
 
 

@@ -15,7 +15,8 @@ can never happen (which means a bug, not bad input).  :func:`read_limit`
 is the one reader of every size budget, :func:`require_int` the one
 type check of a number that the library would otherwise coerce,
 :func:`require_qn` the one check of a bare (q, n) pair,
-:func:`require_code` the one check of a field element code, and
+:func:`require_code` the one check of a field element code,
+:func:`require_codes` the one check of a tuple of n of them, and
 :func:`require_instance` the one check that an argument is the library
 object it names (a bare tuple is not a ``LinearizedPoly``).
 """
@@ -59,6 +60,19 @@ def require_code(value, order, name):
     if type(value) is not int or not 0 <= value < order:
         raise ValueError(f"{name} {value!r} is not an int in 0..{order - 1}")
     return value
+
+
+def require_codes(value, n, order, name):
+    """``value`` as a tuple of n element codes, given as a tuple or list;
+    ValueError, naming ``name``, for any other shape (a dict's keys or a
+    str's characters are not read as codes)."""
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{name} must be a tuple or list of element codes, got {value!r}")
+    if len(value) != n:
+        raise ValueError(f"{name} needs {n} coefficients, got {len(value)}")
+    for c in value:
+        require_code(c, order, "coefficient")
+    return tuple(value)
 
 
 def require_instance(value, cls, name):

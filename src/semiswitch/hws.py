@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd, isqrt
+from operator import countOf
 
 from .errors import require_instance, require_qn
-from .linpoly import LinearizedPoly, transcript
+from .linpoly import LinearizedPoly, _period
 
 
 def min_max_leader(L):
@@ -80,15 +81,17 @@ def leader_thresholds(q, n):
 def rational_point_count(L):
     """N = 1 + q * #{x in F_{q^n} : Tr(L(x)/x) = 0} (x = 0 counts via a_0).
 
-    Each zero in the period-M transcript stands for q - 1 units.  A
-    monomial's transcript is the constant Tr(a_0), so it is not walked.
+    Each zero in the period-M transcript stands for q - 1 units.  The
+    period is read as one block of strided slices (``linpoly._period``)
+    and its zeros counted in C.  A monomial's transcript is the constant
+    Tr(a_0), so it is not read.
     """
     ctx = require_instance(L, LinearizedPoly, "L").ctx
     trace_zero = ctx.rel_trace(L.coeffs[0]) == 0
     if L.is_monomial():
         zeros = ctx.trace_step if trace_zero else 0
     else:
-        zeros = sum(1 for v in transcript(ctx, L.coeffs) if v == 0)
+        zeros = countOf(_period(ctx, L.coeffs), 0)
     return 1 + ctx.q * ((ctx.q - 1) * zeros + trace_zero)
 
 

@@ -28,6 +28,12 @@ additive in L, so a stratum's walk reads head transcripts against
 bitsets of tail tuples, the product of its choices split at the cut of
 least cost.
 
+The kernel reads a transcript's first values one at a time, since a
+walk's head mostly stops early, and every later block, or a whole
+period, by :func:`_values`: term i is a strided read of the exp table,
+one C slice per wrap, at the shorter of the strides q^i - 1 and (as
+Tr(z^q) = Tr(z)) 1 - q^(n-i).
+
 Random search prices two plans with that cost before it draws.  The
 orbit plan walks the strata, expands the passing reps into their class
 tuples, and keeps each draw whose class tuple is among them, filtering
@@ -46,16 +52,20 @@ as ``random.Random(seed).randrange(order)``, replayed a chunk at a time
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import cached_property
 from itertools import compress, islice, product, repeat
 from math import gcd, prod
 
-from .errors import BudgetExceeded, read_limit, require_code, require_instance, require_int
+from .errors import BudgetExceeded, read_limit, require_codes, require_instance, require_int
 from .gf import _kernel
 
 DEFAULT_SEARCH_BUDGET = 1 << 20
 _CHUNK = 1 << 12  # draws the orbit plan filters between two checks of its stop
+_FIRST = 128  # transcript values read one at a time before the block reads
+_BLOCK = 1 << 12  # the largest block of transcript values read at once
+_COLUMNS = 16  # the fewest columns a walk builds at once past _FIRST
 
 
 def search_budget(budget=None):
@@ -88,19 +98,12 @@ class _Value:
 
 
 class LinearizedPoly(_Value):
-    """sum_i a_i X^(q^i); the one check of coefficients: a tuple or list of n element codes."""
+    """sum_i a_i X^(q^i), its coefficients a tuple or list of n element codes."""
 
     _fields = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        if not isinstance(coeffs, (tuple, list)):
-            raise ValueError(f"coeffs must be a tuple or list of element codes, got {coeffs!r}")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != ctx.n:
-            raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            require_code(c, ctx.order, "coefficient")
-        vars(self).update(ctx=ctx, coeffs=coeffs)
+        vars(self).update(ctx=ctx, coeffs=require_codes(coeffs, ctx.n, ctx.order, "coeffs"))
 
     @cached_property
     def _terms(self):
@@ -132,20 +135,78 @@ def transcript(ctx, coeffs):
     tr[exp[(log a_i + k (q^i - 1)) mod N]]; no field multiplications.
     ``coeffs`` gets the check of :class:`LinearizedPoly`.
     """
+    return _transcript(ctx, *_split(ctx, coeffs))
+
+
+def _period(ctx, coeffs):
+    """The whole period of :func:`transcript` as one list, read by :func:`_values`."""
+    return _values(ctx, *_split(ctx, coeffs), 0, ctx.trace_step)
+
+
+def _split(ctx, coeffs):
+    """(Tr(a_0), terms) of the checked ``coeffs``: a term (log a_i, q^i - 1)
+    for each nonzero a_i, i >= 1."""
     coeffs, log = LinearizedPoly(ctx, coeffs).coeffs, ctx.log
     terms = [(log[a], e) for a, e in zip(coeffs[1:], ctx.qpow_minus1[1:]) if a]
-    return _transcript(ctx, ctx.tr[coeffs[0]], terms)
+    return ctx.tr[coeffs[0]], terms
 
 
 def _transcript(ctx, t0, terms):
     """The transcript of Tr(a_0) = t0 plus the terms (log a_i, q^i - 1) of
-    the nonzero a_i, i >= 1."""
-    N, tr, exp, add = ctx.mult_order, ctx.tr, ctx.exp, ctx.add
-    for k in range(ctx.trace_step):
+    the nonzero a_i, i >= 1.
+
+    The first ``_FIRST`` values are read one at a time, since a walk's
+    head stops after about q ln T of them; the rest come from
+    :func:`_values` in blocks that double up to ``_BLOCK`` values.
+    """
+    N, M, tr, exp, add = ctx.mult_order, ctx.trace_step, ctx.tr, ctx.exp, ctx.add
+    for k in range(_FIRST if _FIRST < M else M):  # no min() call per head
         v = t0
         for s, e in terms:
             v = add(v, tr[exp[(s + k * e) % N]])
         yield v
+    k0, width = _FIRST, _FIRST
+    while k0 < M:
+        k1 = min(k0 + width, M)
+        yield from _values(ctx, t0, terms, k0, k1)
+        k0, width = k1, min(2 * width, _BLOCK)
+
+
+def _values(ctx, t0, terms, k0, k1):
+    """The transcript values at k0 <= k < k1 as a list, each term read as
+    strided C slices of ``exp`` and the terms combined in C.
+
+    Term i reads exp at s + k e, e = q^i - 1, modulo N.  As Tr(z^(q^j)) =
+    Tr(z), it may read z^(q^(n-i)) instead: exp at s q^(n-i) - k f, f =
+    q^(n-i) - 1, as q^n = 1 modulo N.  The shorter stride wraps fewer
+    times, so a whole period takes about q^min(i, n-i)/(q - 1) slices.
+    The terms add by XOR for p = 2, as integers reduced mod p once for
+    m = 1, and by ``ctx.add`` otherwise.
+    """
+    N, exp, get, p, count = ctx.mult_order, ctx.exp, ctx.tr.__getitem__, ctx.p, k1 - k0
+    if not terms:
+        return [t0] * count
+    add = operator.xor if p == 2 else operator.add if ctx.m == 1 else ctx.add
+    acc = repeat(t0) if t0 else None
+    for s, e in terms:
+        f = (N + 1) // (e + 1) - 1  # q^(n-i) - 1
+        start, step = ((s + k0 * e) % N, e) if e <= f else ((s * (f + 1) - k0 * f) % N, -f)
+        read = map(get, _strided(exp, start, step, count))
+        acc = read if acc is None else map(add, acc, read)
+    return list(map(p.__rmod__, acc) if add is operator.add else acc)  # a sum, mod p
+
+
+def _strided(exp, start, step, count):
+    """exp at start + j step modulo len(exp), j < count, as C slices, one
+    per wrap."""
+    N, read = len(exp), []
+    while count:
+        # start + j step stays in 0..N-1 for j < take
+        take = min(count, (N - 1 - start) // step + 1 if step > 0 else start // -step + 1)
+        stop = start + take * step
+        read += exp[start : stop if stop >= 0 else None : step]
+        start, count = stop % N, count - take
+    return read
 
 
 def switching_predicate(L):
@@ -210,7 +271,10 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     The transcript is additive in L, so a candidate fails at k exactly
     when its tail's value there is minus its head's.  Column k,
     ``need[k][v]``, is the bitset of tails with value -v at k, built from
-    the tails' transcripts when a head first reaches k.  Each head ORs in
+    the tails' transcripts when a head first reaches k: one value per tail
+    for the first ``_FIRST`` columns, as the heads read theirs, and past
+    them a block of columns at once from each tail's :func:`_values`, so
+    no tail holds an iterator there.  Each head ORs in
     the tails it fails and stops once all have; with the one empty tail
     ``[()]`` this is the predicate on each head, and every column is the
     one dict ``{0: 1}``, held once.  ``heads`` is any iterable, walked
@@ -227,15 +291,31 @@ def _walk(ctx, head_support, heads, tail_support, tails):
     def terms(es, coeffs):
         return [(log[a], e) for e, a in zip(es, coeffs) if a]
 
-    columns = zip(*(_transcript(ctx, 0, terms(tail_es, t)) for t in tails))
+    tail_terms = [terms(tail_es, t) for t in tails]
+    # the first columns take a value per tail at a time, as a head does;
+    # no tail is read past them, so its generator holds no block
+    first = zip(*(_transcript(ctx, 0, t) for t in tail_terms))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
 
+    def build(k):
+        nonlocal first
+        if k < _FIRST:
+            block = [next(first)]
+        else:  # past _FIRST, with the next columns, from a block of each tail
+            first = None  # the tails' generators are done with
+            k1 = min(k + max(_COLUMNS, _BLOCK // len(tails)), ctx.trace_step)
+            block = zip(*(_values(ctx, 0, t, k, k1) for t in tail_terms))
+        for values in block:
+            need.append(built := {})
+            for j, w in enumerate(values):
+                built[neg[w]] = built.get(neg[w], 0) | 1 << j
+
+    # called at every step of every head, so it closes over two names only:
+    # a call copies each name a closure holds
     def column(k):
         if k == len(need):  # the first head to reach column k builds it
-            need.append(built := {})
-            for j, w in enumerate(next(columns)):
-                built[neg[w]] = built.get(neg[w], 0) | 1 << j
+            build(k)
         return need[k]
 
     if not tail_support:  # the one empty tail fails at each 0 of the head

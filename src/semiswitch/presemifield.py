@@ -43,18 +43,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_codes
 from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, _Value
 
 
 class SwitchSpec(_Value):
-    """Switching parameters: b checked as LinearizedPoly coefficients, xi a nonzero int."""
+    """Switching parameters: b a tuple or list of n element codes, xi a nonzero int."""
 
     _fields = ("ctx", "b", "xi")
 
     def __init__(self, ctx, b, xi=1):
-        b = LinearizedPoly(ctx, b).coeffs
+        b = require_codes(b, ctx.n, ctx.order, "b")
         if type(xi) is not int or not 0 < xi < ctx.order:
             raise ValueError("xi must be a nonzero element code")
         vars(self).update(ctx=ctx, b=b, xi=xi)

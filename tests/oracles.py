@@ -15,7 +15,9 @@ Random search's former route, the walk of the draws' distinct heads
 against their distinct tails, stays as an oracle of both of its plans
 (``_random_search_split``), and the former walk of the a_0 trace classes
 alone as one of the monomials that search reads in closed form
-(``_a0_only_walk``).
+(``_a0_only_walk``).  The transcript's former loop, one value at a time
+over the whole period, is the oracle of its block reads
+(``transcript_one_at_a_time``) and the predicate of the search oracles.
 """
 
 import random
@@ -38,7 +40,7 @@ from semiswitch import (
 )
 from semiswitch.families import _families
 from semiswitch.gf import _decode, _encode, _kernel, _poly_mul_mod, _span
-from semiswitch.linpoly import _a0_classes, _cheapest_cut, _coeffs, _walk
+from semiswitch.linpoly import _a0_classes, _cheapest_cut, _coeffs, _split, _walk
 
 
 # ---- gf ----
@@ -146,13 +148,29 @@ def trace_quotient(L, x):
     return ctx.rel_trace(acc)
 
 
+def _values_one_at_a_time(ctx, t0, terms):
+    """The transcript of Tr(a_0) = t0 plus the terms (log a_i, q^i - 1) of
+    the nonzero a_i, i >= 1, one value at a time over the whole period."""
+    N, tr, exp, add = ctx.mult_order, ctx.tr, ctx.exp, ctx.add
+    for k in range(ctx.trace_step):
+        v = t0
+        for s, e in terms:
+            v = add(v, tr[exp[(s + k * e) % N]])
+        yield v
+
+
+def transcript_one_at_a_time(ctx, coeffs):
+    """``transcript`` with no block reads."""
+    return _values_one_at_a_time(ctx, *_split(ctx, coeffs))
+
+
 def _passes(ctx, mask, assignment):
     """The coefficients of ``assignment`` on ``mask``, or None when the
     transcript vanishes somewhere."""
     coeffs = [0] * ctx.n
     for i, a in zip(mask, assignment):
         coeffs[i] = a
-    return tuple(coeffs) if all(transcript(ctx, coeffs)) else None
+    return tuple(coeffs) if all(transcript_one_at_a_time(ctx, coeffs)) else None
 
 
 def _search_by_predicate(ctx, mask):

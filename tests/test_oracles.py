@@ -9,6 +9,12 @@ ones spread over a field's search hits (degree-3 family members at
 order 729, where exhaustive search is out of budget), each beside its
 twin with xi = gamma and the same M = xi B, and failing ones.  The
 closed-form side maps run against whole-field scans of 1*y and x*1.
+The transcript also runs, read lazily and as one whole-period block,
+on F_{2^10}, F_{3^6} and F_{9^4}, whose periods pass the values read one
+at a time: there every term is read by strided slices, its terms
+combined by XOR, by a sum mod p and by field addition.  The block read
+runs against the transcript's former loop on windows that start at 0,
+straddle the first block and every wrap of a stride, and end at M.
 Exhaustive search runs on every support of at most 20,000 candidates,
 and random search on both of its plans, with and without an early stop,
 against the predicate applied to each candidate; each plan, forced by
@@ -101,6 +107,7 @@ from oracles import (
     nuclei_members,
     scale,
     trace_quotient,
+    transcript_one_at_a_time,
 )
 
 FIELDS = ["f4", "f8", "f9", "f16_q4", "f27", "f64_q4", "f81_n4", "f81_q9", "f729"]
@@ -118,11 +125,29 @@ HIT_FIELDS = ["f27", "f16_q4", "f49", "f81_n4"]
 LINE_FIELDS = ["f4", "f9", "f16_q4", "f8", "f25", "f49"]
 # every monomial, classified in closed form against the deep route
 MONOMIAL_FIELDS = ["f9", "f16_q4", "f27", "f125", "f64_q8", "f81_n4"]
+# periods past linpoly._FIRST, one per way of adding terms: XOR (p = 2), a
+# sum mod p (m = 1) and field addition (odd p, m > 1)
+TRANSCRIPT_FIELDS = FIELDS + ["f1024", "f729_n6", "f6561_q9"]
 
 
 @pytest.fixture(scope="module")
 def f729():
     return build_field(3, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def f1024():
+    return build_field(2, 1, 10)
+
+
+@pytest.fixture(scope="module")
+def f729_n6():
+    return build_field(3, 1, 6)
+
+
+@pytest.fixture(scope="module")
+def f6561_q9():
+    return build_field(3, 2, 4)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +469,10 @@ def _transcript(L):
     return list(transcript(L.ctx, L.coeffs))
 
 
+def _period(L):
+    return linpoly._period(L.ctx, L.coeffs)
+
+
 def _search_hits(ctx, mask):
     return [L.coeffs for L in search(ctx, mask)]
 
@@ -551,7 +580,8 @@ PAIRS = [
     pair(_kernel, _kernel_by_digits, _kernel_maps, "kernel", LINEAR_FIELDS),
     pair(_sums, _sums_by_digits, lambda ctx: [(ctx,)], "add", ADD_FIELDS),
     pair(_negatives, _negatives_by_digits, lambda ctx: [(ctx,)], "neg", LINEAR_FIELDS),
-    pair(_transcript, _trace_quotients, _polys, "transcript"),
+    pair(_transcript, _trace_quotients, _polys, "transcript", TRANSCRIPT_FIELDS),
+    pair(_period, _trace_quotients, _polys, "transcript-period", TRANSCRIPT_FIELDS),
     pair(orbit_rep, _orbit_rep_scan, _orbit_tuples, "orbit_rep", ORBIT_FIELDS),
     pair(_search_hits, _search_by_predicate, _masks, "search"),
     pair(_search_hits, _search_exhaustive, _masks, "search-orbit"),
@@ -623,11 +653,51 @@ def test_random_search_plans_match_the_split_walk(request, monkeypatch):
                 assert lists == [lists[0]] * len(lists), (name, mask, budget)
 
 
-@pytest.mark.parametrize("fast, oracle, inputs, fields", PAIRS)
-def test_fast_routes_match_oracles(request, fast, oracle, inputs, fields):
+def _check(request, fast, oracle, inputs, fields):
     checked = 0
     for name in fields:
         for args in inputs(request.getfixturevalue(name)):
             assert fast(*args) == oracle(*args), (name, args)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("fast, oracle, inputs, fields", PAIRS)
+def test_fast_routes_match_oracles(request, fast, oracle, inputs, fields):
+    _check(request, fast, oracle, inputs, fields)
+
+
+WALK_LINES = {"search", "search-orbit", "census-orbit", "search-random"}
+
+
+@pytest.mark.parametrize("fast, oracle, inputs, fields", [p for p in PAIRS if p.id in WALK_LINES])
+def test_walks_read_by_blocks_match_oracles(request, monkeypatch, fast, oracle, inputs, fields):
+    # with one value read at a time, every head and tail column past the
+    # first comes from block reads
+    monkeypatch.setattr(linpoly, "_FIRST", 1)
+    _check(request, fast, oracle, inputs, fields)
+
+
+def _windows(M, first):
+    """Windows k0 < k1 <= M of the transcript: the whole period, its ends,
+    either side of the first block, long windows spread over the period,
+    and every (k, k + 2), so each wrap of each stride is straddled."""
+    windows = {(0, M), (0, 1), (M - 1, M), (0, first + 3), (first - 3, first + 3), (first, M)}
+    windows |= {(k, k + 45) for k in range(0, M, 37)} | {(k, k + 2) for k in range(M)}
+    return sorted({(max(k0, 0), min(k1, M)) for k0, k1 in windows if max(k0, 0) < min(k1, M)})
+
+
+@pytest.mark.parametrize("name", ["f5"] + TRANSCRIPT_FIELDS)
+def test_block_reads_match_the_values_read_one_at_a_time(request, name):
+    # each window of _values against the whole period read one value at a
+    # time; at n = 1 (F_5) and on the monomials the terms are empty
+    ctx = request.getfixturevalue(name)
+    rng = random.Random(ctx.order)
+    monomials = [(a0,) + (0,) * (ctx.n - 1) for a0 in rng.sample(range(ctx.order), 3)]
+    polys = monomials + ([L.coeffs for (L,) in _polys(ctx)] if ctx.n > 1 else [])
+    windows = _windows(ctx.trace_step, linpoly._FIRST)
+    for coeffs in polys:
+        t0, terms = linpoly._split(ctx, coeffs)
+        period = list(transcript_one_at_a_time(ctx, coeffs))
+        for k0, k1 in windows:
+            assert linpoly._values(ctx, t0, terms, k0, k1) == period[k0:k1], (coeffs, k0, k1)

@@ -148,19 +148,27 @@ def test_every_name_taking_L_refuses_a_bare_tuple(module, name):
 # ValueError naming the argument: nothing is read as codes that is not a
 # tuple or list of them (a dict's keys, a str's characters)
 BAD_SHAPES = [
-    ("LinearizedPoly", ({1: 2, 0: 1},), "coeffs"),
-    ("LinearizedPoly", (5,), "coeffs"),
-    ("LinearizedPoly", ("12",), "coeffs"),
-    ("transcript", (5,), "coeffs"),
-    ("orbit_rep", (5,), "coeffs"),
-    ("search", (5,), "support"),
+    ("linpoly", "LinearizedPoly", ({1: 2, 0: 1},), "coeffs"),
+    ("linpoly", "LinearizedPoly", (5,), "coeffs"),
+    ("linpoly", "LinearizedPoly", ("12",), "coeffs"),
+    ("linpoly", "transcript", (5,), "coeffs"),
+    ("linpoly", "orbit_rep", (5,), "coeffs"),
+    ("linpoly", "search", (5,), "support"),
+    ("presemifield", "SwitchSpec", (5,), "b"),
+    ("presemifield", "SwitchSpec", ((1, 0, 0),), "b"),
+    ("codes", "trace_codeword", (5,), "coeffs"),
 ]
 
 
-@pytest.mark.parametrize("name, args, named", BAD_SHAPES)
-def test_bad_coefficient_and_support_shapes_raise_value_error(f9, name, args, named):
-    fn = getattr(import_module("semiswitch.linpoly"), name)
-    with pytest.raises(ValueError, match=named):
+# each id names the function, the row and the argument
+@pytest.mark.parametrize(
+    "module, name, args, named",
+    BAD_SHAPES,
+    ids=[f"{name}-args{i}-{named}" for i, (_, name, _, named) in enumerate(BAD_SHAPES)],
+)
+def test_bad_coefficient_and_support_shapes_raise_value_error(f9, module, name, args, named):
+    fn = getattr(import_module(f"semiswitch.{module}"), name)
+    with pytest.raises(ValueError, match=f"^{named} "):
         fn(f9, *args)
 
 

@@ -42,7 +42,7 @@ from .presemifield import (
     nuclei,
     transport_isotopy_kernel,
     unitalize,
-    verify_presemifield,
+    verify_presemifield,  # not called here; perfbench/tracing.py still wraps it at this name
 )
 
 
@@ -209,7 +209,7 @@ def n4_commutative_op(ctx, a1, a0t):
         raise ValueError("Tr(a0t) must be -1")
     spec = SwitchSpec(ctx, (a0t, 0, a1, 0), 1)
     op = build_switch(spec)
-    if not verify_presemifield(op):
+    if presemifield.find_zero_divisor(op) is not None:
         raise ConsistencyError(
             "degree-4 commutative construction failed verification",
             witness={"a1": a1, "a0t": a0t},

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .errors import BudgetExceeded, ConsistencyError, read_limit, require_int
+from .errors import BudgetExceeded, ConsistencyError, read_limit, require_codes, require_int
 
 DEFAULT_FIELD_CAP = 1 << 22
 
@@ -315,14 +315,7 @@ class FieldCtx:
         if modulus is None:
             modulus = _find_modulus(p, deg)
         else:
-            modulus = tuple(modulus)
-            for c in modulus:
-                if type(c) is not int or not 0 <= c < p:
-                    raise ValueError(f"modulus coefficient {c!r} is outside 0..{p - 1}")
-            if len(modulus) != deg + 1:
-                raise ValueError(
-                    f"modulus must be monic of degree {deg} (got {len(modulus) - 1})"
-                )
+            modulus = require_codes(modulus, deg + 1, p, "modulus")
             if modulus[deg] != 1:
                 raise ValueError(f"modulus must be monic (leading coefficient {modulus[deg]})")
             if not _is_irreducible(list(modulus), p):

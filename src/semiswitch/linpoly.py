@@ -29,10 +29,10 @@ bitsets of tail tuples, the product of its choices split at the cut of
 least cost.
 
 The kernel reads a transcript's first values one at a time, since a
-walk's head mostly stops early, and every later block, or a whole
-period, by :func:`_values`: term i is a strided read of the exp table,
-one C slice per wrap, at the shorter of the strides q^i - 1 and (as
-Tr(z^q) = Tr(z)) 1 - q^(n-i).
+walk's head mostly stops early, and every later block, every walk's
+tail columns from column 0, and a whole period by :func:`_values`: term
+i is a strided read of the exp table, one C slice per wrap, at the
+shorter of the strides q^i - 1 and (as Tr(z^q) = Tr(z)) 1 - q^(n-i).
 
 Random search prices two plans with that cost before it draws.  The
 orbit plan walks the strata, expands the passing reps into their class
@@ -65,7 +65,7 @@ DEFAULT_SEARCH_BUDGET = 1 << 20
 _CHUNK = 1 << 12  # draws the orbit plan filters between two checks of its stop
 _FIRST = 128  # transcript values read one at a time before the block reads
 _BLOCK = 1 << 12  # the largest block of transcript values read at once
-_COLUMNS = 16  # the fewest columns a walk builds at once past _FIRST
+_COLUMNS = 16  # the fewest columns a walk builds at once
 
 
 def search_budget(budget=None):
@@ -270,11 +270,11 @@ def _walk(ctx, head_support, heads, tail_support, tails):
 
     The transcript is additive in L, so a candidate fails at k exactly
     when its tail's value there is minus its head's.  Column k,
-    ``need[k][v]``, is the bitset of tails with value -v at k, built from
-    the tails' transcripts when a head first reaches k: one value per tail
-    for the first ``_FIRST`` columns, as the heads read theirs, and past
-    them a block of columns at once from each tail's :func:`_values`, so
-    no tail holds an iterator there.  Each head ORs in
+    ``need[k][v]``, is the bitset of tails with value -v at k, built when
+    a head first reaches k with the next columns, from a block of each
+    tail's :func:`_values`: blocks start at column 0 and double in width
+    from ``_COLUMNS`` up to ``_BLOCK`` values over all tails, so no tail
+    holds an iterator.  Each head ORs in
     the tails it fails and stops once all have; with the one empty tail
     ``[()]`` this is the predicate on each head, and every column is the
     one dict ``{0: 1}``, held once.  ``heads`` is any iterable, walked
@@ -292,21 +292,13 @@ def _walk(ctx, head_support, heads, tail_support, tails):
         return [(log[a], e) for e, a in zip(es, coeffs) if a]
 
     tail_terms = [terms(tail_es, t) for t in tails]
-    # the first columns take a value per tail at a time, as a head does;
-    # no tail is read past them, so its generator holds no block
-    first = zip(*(_transcript(ctx, 0, t) for t in tail_terms))
     neg = {v: ctx.neg(v) for v in ctx.subfield(1)}
     need, full, hits = [], (1 << len(tails)) - 1, []
+    cap = max(_COLUMNS, _BLOCK // len(tails))
 
-    def build(k):
-        nonlocal first
-        if k < _FIRST:
-            block = [next(first)]
-        else:  # past _FIRST, with the next columns, from a block of each tail
-            first = None  # the tails' generators are done with
-            k1 = min(k + max(_COLUMNS, _BLOCK // len(tails)), ctx.trace_step)
-            block = zip(*(_values(ctx, 0, t, k, k1) for t in tail_terms))
-        for values in block:
+    def build(k):  # columns k..k1 - 1, widths doubling from _COLUMNS up to cap
+        k1 = min(k + min(max(_COLUMNS, k), cap), ctx.trace_step)
+        for values in zip(*(_values(ctx, 0, t, k, k1) for t in tail_terms)):
             need.append(built := {})
             for j, w in enumerate(values):
                 built[neg[w]] = built.get(neg[w], 0) | 1 << j

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import ConsistencyError, require_codes
+from .errors import ConsistencyError, require_codes, require_instance
 from .gf import _kernel, _span
 from .linpoly import LinearizedPoly, _Value
 
@@ -90,7 +90,7 @@ class BinaryOp:
 
 def build_switch(spec):
     """The switched multiplication x*y = xy + Tr(x B(y)) xi, B(Y) = sum_i b_i Y^(q^i)."""
-    ctx = spec.ctx
+    ctx = require_instance(spec, SwitchSpec, "spec").ctx
     mul, add, tr = ctx.mul, ctx.add, ctx.tr
     B, xi = LinearizedPoly(ctx, spec.b), spec.xi
     return BinaryOp(ctx, lambda x, y: add(mul(x, y), mul(tr[mul(x, B(y))], xi)), spec)
@@ -133,7 +133,7 @@ def find_zero_divisor(op):
     the first of the orbit's.  The verdict, whether the op is a
     presemifield, is set as ``op.verified``.
     """
-    if op.spec is None:
+    if require_instance(op, BinaryOp, "op").spec is None:
         raise ValueError("the zero-divisor walk needs a switch, an op with a SwitchSpec")
     ctx = op.ctx
     M, N, exp, log = ctx.trace_step, ctx.mult_order, ctx.exp, ctx.log
@@ -173,10 +173,10 @@ def _unital_maps(op):
     Walks the op when ``op.verified`` is None.  A ValueError on an op that is
     not a verified switch, a ConsistencyError on a zero denominator.
     """
-    spec = op.spec
+    spec = require_instance(op, BinaryOp, "op").spec
     if spec is None:
         raise ValueError("the side maps are read off a switch, an op with a SwitchSpec")
-    if not (verify_presemifield(op) if op.verified is None else op.verified):
+    if not (find_zero_divisor(op) is None if op.verified is None else op.verified):
         raise ValueError("op is not a presemifield")
     ctx, xi = op.ctx, spec.xi
     add, mul, tr = ctx.add, ctx.mul, ctx.tr
@@ -205,8 +205,8 @@ def unitalize(op):
     maps are linear and the op bilinear, so the new product is F_p-bilinear
     too: x . 1 = x and 1 . x = x hold everywhere once they do on the F_p-basis.
     """
-    ctx = op.ctx
     b1, binv, _ = _unital_maps(op)
+    ctx = op.ctx
 
     def star(x, y):
         return binv(op(b1(x), y))
@@ -237,7 +237,7 @@ def nuclei(op):
     Any op whose 1 is two-sided will do.  That is checked on the F_p-basis
     (F_p-bilinearity carries it to the whole field); a ValueError otherwise.
     """
-    ctx = op.ctx
+    ctx = require_instance(op, BinaryOp, "op").ctx
     p, sub = ctx.p, ctx.sub
     W = [p**j for j in range(1, ctx.m * ctx.n)]
     for e in [1] + W:
@@ -271,7 +271,7 @@ def commutative_criterion(spec):
     b_j = b_(n-j mod n)^(q^j) for every j.  (Index 0 pairs with itself
     and is unconstrained.)
     """
-    ctx = spec.ctx
+    ctx = require_instance(spec, SwitchSpec, "spec").ctx
     n = ctx.n
     return all(
         bj == ctx.frobenius(spec.b[(n - j) % n], j) for j, bj in enumerate(spec.b)
@@ -290,8 +290,8 @@ def commutative_isotopy_test(op):
     like ``unitalize``, the test takes a switch and raises ValueError on
     an op that is not one or does not verify.
     """
-    ctx = op.ctx
     A = _unital_maps(op)[2]
+    ctx = op.ctx
     basis = ctx.exp[: ctx.n]
     pairs = [(i, j) for i in range(ctx.n) for j in range(i + 1, ctx.n)]
 
@@ -340,6 +340,8 @@ def transport_isotopy_kernel(op, kernel, c):
     A is read off ``_unital_maps``: a basis of K maps to one of K', at mn products.
     """
     A = _unital_maps(op)[2]
+    if type(c) is not int or not 0 < c < op.ctx.order:
+        raise ValueError("c must be a nonzero element code")
     return [op.ctx.mul(c, A(op(v, c))) for v in kernel]
 
 

@@ -426,8 +426,8 @@ def test_exit_code_invalid_field():
     assert "invalid input" in res.stderr
     # modulus entries are taken as given, never reduced mod p
     for modulus, message in (
-        ("1,0,4", "coefficient 4 is outside 0..2"),
-        ("-2,0,1", "coefficient -2 is outside 0..2"),
+        ("1,0,4", "coefficient 4 is not an int in 0..2"),
+        ("-2,0,1", "coefficient -2 is not an int in 0..2"),
         ("2,0,2", "monic (leading coefficient 2)"),
         ("", "--modulus"),  # empty is not the default modulus
     ):

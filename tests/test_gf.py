@@ -224,7 +224,13 @@ def test_reducible_modulus_rejected():
         build_field(2, 1, 2, modulus=(0, 1, 1))  # X^2+X has the root 0
     # entries are taken as given, not reduced mod p nor coerced to int
     for modulus in ((1, 0, 4), (-2, 0, 1), (1.5, 0, 1), (True, 0, 1)):
-        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        with pytest.raises(ValueError, match=r"is not an int in 0\.\.2"):
+            build_field(3, 1, 2, modulus=modulus)
+    # a modulus is a tuple or list of deg + 1 codes, nothing else
+    with pytest.raises(ValueError, match="^modulus must be a tuple or list"):
+        build_field(3, 1, 2, modulus=5)
+    for modulus in ((1, 1), (2, 0, 0, 1)):
+        with pytest.raises(ValueError, match="^modulus needs 3 coefficients"):
             build_field(3, 1, 2, modulus=modulus)
     with pytest.raises(ValueError, match=r"monic \(leading coefficient 2\)"):
         build_field(3, 1, 2, modulus=(2, 0, 2))

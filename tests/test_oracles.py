@@ -672,9 +672,12 @@ WALK_LINES = {"search", "search-orbit", "census-orbit", "search-random"}
 
 @pytest.mark.parametrize("fast, oracle, inputs, fields", [p for p in PAIRS if p.id in WALK_LINES])
 def test_walks_read_by_blocks_match_oracles(request, monkeypatch, fast, oracle, inputs, fields):
-    # with one value read at a time, every head and tail column past the
-    # first comes from block reads
+    # with one value read at a time, every head value past the first comes
+    # from block reads; with blocks of 1 column doubling up to 4 values,
+    # the tail columns cross many doubling and capped block boundaries
     monkeypatch.setattr(linpoly, "_FIRST", 1)
+    monkeypatch.setattr(linpoly, "_COLUMNS", 1)
+    monkeypatch.setattr(linpoly, "_BLOCK", 4)
     _check(request, fast, oracle, inputs, fields)
 
 

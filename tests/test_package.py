@@ -117,9 +117,9 @@ def test_every_public_name_is_used_or_states_the_paper():
     assert unreached == set(PAPER_STATEMENTS)
 
 
-def _names_taking_L():
+def _names_taking(first):
     """(module, name) of every callable in a module's ``__all__`` whose first
-    parameter is L."""
+    parameter is ``first``."""
     out = []
     for path in sorted((ROOT / "src" / "semiswitch").glob("*.py")):
         if path.stem in {"__init__", "__main__"}:
@@ -127,20 +127,34 @@ def _names_taking_L():
         module = import_module(f"semiswitch.{path.stem}")
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
-            if inspect.isfunction(obj) and list(inspect.signature(obj).parameters)[:1] == ["L"]:
+            if inspect.isfunction(obj) and list(inspect.signature(obj).parameters)[:1] == [first]:
                 out.append((path.stem, name))
     return out
 
 
-# the arguments besides L that a name needs to reach its check of L
-OTHER_ARGS = {"power_coefficient": {"alpha": 0}}
+# the arguments besides the first that a name needs to reach its check of it
+OTHER_ARGS = {"power_coefficient": {"alpha": 0}, "transport_isotopy_kernel": {"kernel": [], "c": 1}}
 
 
-@pytest.mark.parametrize("module, name", _names_taking_L())
+@pytest.mark.parametrize("module, name", _names_taking("L"))
 def test_every_name_taking_L_refuses_a_bare_tuple(module, name):
     # a tuple has no ctx: a name that reads L.ctx unchecked raises AttributeError
     fn = getattr(import_module(f"semiswitch.{module}"), name)
     with pytest.raises(ValueError, match="LinearizedPoly"):
+        fn((1, 0), **OTHER_ARGS.get(name, {}))
+
+
+# the class a name checks its first parameter against, by the parameter's name
+CHECKED = {"op": "BinaryOp", "spec": "SwitchSpec"}
+
+
+@pytest.mark.parametrize(
+    "module, name, first", [(m, n, first) for first in CHECKED for m, n in _names_taking(first)]
+)
+def test_every_name_taking_an_op_or_spec_refuses_a_bare_tuple(module, name, first):
+    # a tuple has no ctx or spec: a name that reads them unchecked raises AttributeError
+    fn = getattr(import_module(f"semiswitch.{module}"), name)
+    with pytest.raises(ValueError, match=f"^{first} must be a {CHECKED[first]}"):
         fn((1, 0), **OTHER_ARGS.get(name, {}))
 
 

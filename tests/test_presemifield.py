@@ -225,6 +225,14 @@ def test_side_maps_refuse_an_op_that_is_no_switch(f81_n4):
             check(op)
 
 
+def test_transport_refuses_a_scale_that_is_no_unit(f9):
+    # c = 0 scales b to the switch of b_0 alone, which is no isotope
+    op = field_op(f9)
+    for c in (0, 9, -1, True, 1.0):
+        with pytest.raises(ValueError, match="^c must be a nonzero element code"):
+            presemifield.transport_isotopy_kernel(op, [1], c)
+
+
 def test_deep_classify_builds_no_field_size_table():
     # the deep route on X's switch at F_{3^10} (walk, unitalization, isotopy
     # kernel, nuclei): the side maps are closed forms, so no table of 3^10
